@@ -205,15 +205,16 @@ def _effective(args) -> dict:
 
 
 def _threads(cfg: dict) -> int:
-    if cfg.get("threads") is not None:
-        return max(1, int(cfg["threads"]))
+    """Worker count: --threads, else $STEIN_ICP_THREADS, else 1, clamped to
+    [1, cpu count]; outputs do not depend on it, so more buys nothing."""
+    n = cfg.get("threads")
     env = os.environ.get(ENV_THREADS)
-    if env:
+    if n is None and env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError as e:
             raise InputError(f"bad {ENV_THREADS} value {env!r}") from e
-    return 1
+    return max(1, min(n or 1, os.cpu_count() or 1))
 
 
 def _load_pair(cfg: dict):

@@ -15,7 +15,8 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .errors import InputError, MatchRejectionError
 
-__all__ = ["NeighborIndex", "build_index", "sample_minibatch", "match_batch", "MiniBatch"]
+__all__ = ["NeighborIndex", "build_index", "sample_minibatch", "match_stacked", "match_batch",
+           "MiniBatch"]
 
 _TIE_RTOL = 1e-12
 
@@ -88,6 +89,32 @@ class MiniBatch:
         return self.indices.shape[0]
 
 
+def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | None = None,
+                  *, with_normals: bool = False, workers: int = 1):
+    """Match a (K, m, 3) stack of points to their nearest reference points.
+
+    Returns (reference_points, normals, distances, keep): the matched points
+    and, when with_normals, their normals (else None), both (K, m, 3); the
+    (K, m) distances; and the (K, m) bool mask of pairs that survive
+    rejection. max_dist, when set, rejects pairs farther apart than the
+    threshold; with_normals rejects pairs whose reference normal is the
+    zero marker.
+    """
+    if with_normals and index.reference.normals is None:
+        raise InputError("point-to-plane matching needs reference normals")
+    dist, ref_idx = index.query(points.reshape(-1, 3), workers=workers)
+    dist = dist.reshape(points.shape[:-1])
+    ref_idx = ref_idx.reshape(points.shape[:-1])
+    keep = np.ones(dist.shape, dtype=bool)
+    if max_dist is not None:
+        keep &= dist <= max_dist
+    normals = None
+    if with_normals:
+        normals = index.reference.normals[ref_idx]
+        keep &= np.einsum("...i,...i->...", normals, normals) > 0.5
+    return index.reference.points[ref_idx], normals, dist, keep
+
+
 def match_batch(
     transformed: np.ndarray,
     index: NeighborIndex,
@@ -100,45 +127,25 @@ def match_batch(
 ) -> MiniBatch:
     """Match transformed batch points to their nearest reference points.
 
-    max_dist, when set, drops pairs farther apart than the threshold;
-    dropping every pair raises MatchRejectionError. with_normals additionally
-    drops pairs whose reference normal is the zero marker and attaches the
-    surviving normals.
+    The one-pose view of match_stacked: rejected pairs are dropped, and
+    dropping every pair raises MatchRejectionError. with_normals attaches
+    the surviving pairs' normals.
     """
     transformed = np.atleast_2d(np.asarray(transformed, dtype=float))
     m = transformed.shape[0]
-    if indices is None:
-        indices = np.arange(m)
-    if source_points is None:
-        source_points = transformed
-    dist, ref_idx = index.query(transformed, workers=workers)
-
-    keep = np.ones(m, dtype=bool)
-    if max_dist is not None:
-        keep &= dist <= max_dist
-    normals = None
-    if with_normals:
-        if index.reference.normals is None:
-            raise InputError("point-to-plane matching needs reference normals")
-        normals = index.reference.normals[ref_idx]
-        keep &= np.einsum("ij,ij->i", normals, normals) > 0.5
-    if not keep.all():
-        if not keep.any():
-            raise MatchRejectionError(
-                f"all {m} correspondences rejected (max_dist={max_dist}); clouds may not overlap"
-            )
-        indices = np.asarray(indices)[keep]
-        source_points = np.asarray(source_points)[keep]
-        transformed = transformed[keep]
-        dist = dist[keep]
-        ref_idx = ref_idx[keep]
-        if normals is not None:
-            normals = normals[keep]
+    indices = np.arange(m) if indices is None else np.asarray(indices)
+    source_points = transformed if source_points is None else source_points
+    matched, normals, dist, keep = (None if a is None else a[0] for a in match_stacked(
+        transformed[None], index, max_dist, with_normals=with_normals, workers=workers))
+    if not keep.any():
+        raise MatchRejectionError(
+            f"all {m} correspondences rejected (max_dist={max_dist}); clouds may not overlap"
+        )
     return MiniBatch(
-        indices=np.asarray(indices),
-        source_points=np.asarray(source_points, dtype=float),
-        transformed=transformed,
-        reference_points=index.reference.points[ref_idx],
-        distances=dist,
-        reference_normals=normals,
+        indices=indices[keep],
+        source_points=np.asarray(source_points, dtype=float)[keep],
+        transformed=transformed[keep],
+        reference_points=matched[keep],
+        distances=dist[keep],
+        reference_normals=None if normals is None else normals[keep],
     )

@@ -24,6 +24,7 @@ __all__ = [
     "compose",
     "invert",
     "transform_points",
+    "transform_stacked",
     "se3_adjoint",
     "skew",
 ]
@@ -226,6 +227,15 @@ def transform_points(points: np.ndarray, pose) -> np.ndarray:
     p = pose.to_array() if isinstance(pose, Pose6D) else np.asarray(pose, dtype=float).reshape(6)
     R = rotation_from_euler(p[3], p[4], p[5])
     return np.asarray(points, dtype=float) @ R.T + p[:3]
+
+
+def transform_stacked(R: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Apply R_k p + t_k to a (K, m, 3) stack of points, one pose per row.
+
+    One matrix product per row, so each row's result does not depend on
+    how many rows are stacked with it.
+    """
+    return np.matmul(points, np.swapaxes(R, -1, -2)) + t[:, None, :]
 
 
 def skew(v: np.ndarray) -> np.ndarray:

@@ -12,11 +12,16 @@ the factor 2 that the chain rule would add (it is absorbed into the step
 size): per batch of m pairs,
 
     g[0:3] = (1/m) sum p_i
-    g[3:6][k] = (1/m) sum p_i . (dR/dtheta_k s_i)
+    g[3:6][k] = (1/m) sum p_i . (dR/dtheta_k s_i) = (1/m) <dR/dtheta_k, M>
 
 with p_i = e_i for point-to-point and p_i = n_i (n_i . e_i) for
-point-to-plane. Equivalently, g is the exact gradient of half the batch
-cost.
+point-to-plane, and M = sum_i p_i s_i^T the 3x3 moment of the batch.
+Equivalently, g is the exact gradient of half the batch cost.
+
+`stacked_cost_gradients` is the one implementation of this arithmetic: it
+evaluates K particles' batches at once, with a mask of the pairs that
+survived matching. The particle engine runs it over chunks of particles;
+`residual_cost` and `batch_gradients` are its K=1 views on a MiniBatch.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ import numpy as np
 from .cloud import PointCloud
 from .correspondence import MiniBatch
 from .errors import InputError
-from .geometry import Pose6D, rotation_from_euler, rotation_partials
+from .geometry import Pose6D, rotation_from_euler, rotation_partials, transform_stacked
 
 __all__ = [
     "IcpConfig",
     "AdamState",
     "adam_step",
+    "stacked_cost_gradients",
     "residual_cost",
     "batch_gradients",
     "run_sgd_icp",
@@ -71,20 +77,21 @@ class IcpConfig:
             raise InputError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.step_size <= 0:
-            raise InputError(f"step_size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < np.inf:
+            raise InputError(f"step_size must be positive and finite, got {self.step_size}")
         if self.iterations < 1:
             raise InputError(f"iterations must be >= 1, got {self.iterations}")
         if self.optimizer not in ("adam", "sgd"):
             raise InputError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise InputError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise InputError("eps must be positive")
-        if self.max_dist is not None and self.max_dist < 0:
-            raise InputError("max_dist must be non-negative")
-        if self.likelihood_scale is not None and self.likelihood_scale < 0:
-            raise InputError("likelihood_scale must be non-negative")
+        if not 0 < self.eps < np.inf:
+            raise InputError(f"eps must be positive and finite, got {self.eps}")
+        if self.max_dist is not None and not 0 <= self.max_dist < np.inf:
+            raise InputError(f"max_dist must be non-negative and finite, got {self.max_dist}")
+        if self.likelihood_scale is not None and not 0 <= self.likelihood_scale < np.inf:
+            raise InputError("likelihood_scale must be non-negative and finite, "
+                             f"got {self.likelihood_scale}")
         if self.workers < 1:
             raise InputError("workers must be >= 1")
 
@@ -127,30 +134,59 @@ def adam_step(state: AdamState, grad: np.ndarray, step_size: float,
 # Cost and gradients
 
 
-def _residuals(pairs: MiniBatch, pose) -> np.ndarray:
+def stacked_cost_gradients(residuals: np.ndarray, mask: np.ndarray,
+                           source_points: np.ndarray, partials: np.ndarray,
+                           normals: np.ndarray | None = None):
+    """Batch cost and half-quadratic gradient of K particles at once.
+
+    residuals, source_points and normals (point-to-plane only) are
+    (K, m, 3); mask is the (K, m) bool of pairs that count, with at least
+    one per row; partials is rotation_partials of the K poses, (K, 3, 3, 3).
+    Returns (cost (K,), grads (K, 6)), averaged over each row's kept pairs.
+
+    Every contraction is a per-row reduction or matrix product, so a row's
+    result is the same whatever rows are stacked with it.
+    """
+    K = residuals.shape[0]
+    w = mask.astype(float)
+    count = w.sum(axis=1)
+    if normals is None:
+        sq = np.einsum("kmi,kmi->km", residuals, residuals) * w
+        p = residuals * w[:, :, None]
+    else:
+        proj = np.einsum("kmi,kmi->km", normals, residuals) * w
+        sq = proj * proj
+        p = normals * proj[:, :, None]
+    moment = np.matmul(np.swapaxes(p, 1, 2), source_points)              # (K, 3, 3)
+    g = np.empty((K, 6))
+    g[:, :3] = p.sum(axis=1)
+    g[:, 3:] = np.matmul(partials.reshape(K, 3, 9), moment.reshape(K, 9, 1))[:, :, 0]
+    return sq.sum(axis=1) / count, g / count[:, None]
+
+
+def _cost_gradients(pairs: MiniBatch, pose, metric: str):
+    if len(pairs) == 0:
+        raise InputError("cannot evaluate cost or gradients on an empty batch")
+    if metric not in METRICS:
+        raise InputError(f"unknown metric {metric!r}")
+    normals = None
+    if metric == "plane":
+        if pairs.reference_normals is None:
+            raise InputError("point-to-plane metric needs matched reference normals")
+        normals = pairs.reference_normals[None]
     p = pose.to_array() if isinstance(pose, Pose6D) else np.asarray(pose, dtype=float).reshape(6)
-    R = rotation_from_euler(p[3], p[4], p[5])
-    return pairs.source_points @ R.T + p[:3] - pairs.reference_points
-
-
-def _require_normals(pairs: MiniBatch) -> np.ndarray:
-    if pairs.reference_normals is None:
-        raise InputError("point-to-plane metric needs matched reference normals")
-    return pairs.reference_normals
+    src = pairs.source_points[None]
+    R = rotation_from_euler(p[3], p[4], p[5])[None]
+    e = transform_stacked(R, p[None, :3], src) - pairs.reference_points[None]
+    partials = rotation_partials(p[3], p[4], p[5])[None]
+    cost, g = stacked_cost_gradients(e, np.ones(e.shape[:2], dtype=bool), src, partials,
+                                     normals)
+    return float(cost[0]), g[0]
 
 
 def residual_cost(pairs: MiniBatch, pose, metric: str = "point") -> float:
     """Mean squared residual of the matched pairs at the given pose."""
-    if len(pairs) == 0:
-        raise InputError("cannot evaluate cost on an empty batch")
-    e = _residuals(pairs, pose)
-    if metric == "point":
-        return float(np.mean(np.sum(e * e, axis=1)))
-    if metric == "plane":
-        n = _require_normals(pairs)
-        proj = np.einsum("ij,ij->i", n, e)
-        return float(np.mean(proj * proj))
-    raise InputError(f"unknown metric {metric!r}")
+    return _cost_gradients(pairs, pose, metric)[0]
 
 
 def batch_gradients(pairs: MiniBatch, pose, metric: str = "point") -> np.ndarray:
@@ -159,21 +195,7 @@ def batch_gradients(pairs: MiniBatch, pose, metric: str = "point") -> np.ndarray
     See the module docstring for the exact form; the finite-difference
     identity is g = d(cost/2)/d(pose).
     """
-    if len(pairs) == 0:
-        raise InputError("cannot evaluate gradients on an empty batch")
-    p = pose.to_array() if isinstance(pose, Pose6D) else np.asarray(pose, dtype=float).reshape(6)
-    e = _residuals(pairs, p)
-    if metric == "plane":
-        n = _require_normals(pairs)
-        e = n * np.einsum("ij,ij->i", n, e)[:, None]
-    elif metric != "point":
-        raise InputError(f"unknown metric {metric!r}")
-    partials = rotation_partials(p[3], p[4], p[5])         # (3, 3, 3)
-    g = np.empty(6)
-    g[:3] = e.mean(axis=0)
-    # rot component k: mean_i e_i . (dR/dtheta_k s_i)
-    g[3:] = np.einsum("mi,kij,mj->k", e, partials, pairs.source_points) / len(pairs)
-    return g
+    return _cost_gradients(pairs, pose, metric)[1]
 
 
 # --------------------------------------------------------------------------

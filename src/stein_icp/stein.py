@@ -25,11 +25,11 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 import numpy as np
 
 from .cloud import PointCloud
-from .correspondence import build_index
+from .correspondence import build_index, match_stacked, sample_minibatch
 from .errors import DivergedError, InputError, MatchRejectionError
 from .evaluation import PoseDistribution
-from .geometry import rotation_from_euler, rotation_partials, wrap_angle
-from .sgd import IcpConfig
+from .geometry import rotation_from_euler, rotation_partials, transform_stacked, wrap_angle
+from .sgd import AdamState, IcpConfig, adam_step, stacked_cost_gradients
 
 __all__ = [
     "ParticleSet",
@@ -83,10 +83,12 @@ class SteinConfig(IcpConfig):
         if self.particles < 1:
             raise InputError(f"particles must be >= 1, got {self.particles}")
         if not (self.bandwidth == "median"
-                or (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0)):
-            raise InputError("bandwidth must be 'median' or a positive number")
-        if len(tuple(self.init_center)) != 6:
-            raise InputError("init_center must have 6 entries")
+                or (isinstance(self.bandwidth, (int, float))
+                    and not isinstance(self.bandwidth, bool) and 0 < self.bandwidth < np.inf)):
+            raise InputError("bandwidth must be 'median' or a positive finite number")
+        center = np.asarray(self.init_center, dtype=float)
+        if center.shape != (6,) or not np.isfinite(center).all():
+            raise InputError("init_center must have 6 finite entries")
         _as_range(self.trans_range)
         _as_range(self.rot_range)
 
@@ -103,8 +105,8 @@ def _as_range(r) -> np.ndarray:
         arr = np.repeat(arr, 3)
     if arr.shape != (3,):
         raise InputError(f"range must be a scalar or 3 values, got shape {arr.shape}")
-    if (arr < 0).any():
-        raise InputError("init ranges must be non-negative")
+    if not ((arr >= 0) & (arr < np.inf)).all():
+        raise InputError("init ranges must be non-negative and finite")
     return arr
 
 
@@ -129,14 +131,15 @@ class PriorConfig:
     def __post_init__(self):
         if self.kind not in ("uniform", "informed"):
             raise InputError(f"prior kind must be 'uniform' or 'informed', got {self.kind!r}")
-        if len(tuple(self.mean)) != 6:
-            raise InputError("prior mean must have 6 entries")
+        mean = np.asarray(self.mean, dtype=float)
         tv = np.asarray(self.trans_variance, dtype=float)
         kp = np.asarray(self.kappa, dtype=float)
-        if tv.shape != (3,) or (tv <= 0).any():
-            raise InputError("trans_variance must be 3 positive values")
-        if kp.shape != (3,) or (kp < 0).any():
-            raise InputError("kappa must be 3 non-negative values")
+        if mean.shape != (6,) or not np.isfinite(mean).all():
+            raise InputError("prior mean must have 6 finite entries")
+        if tv.shape != (3,) or not ((tv > 0) & (tv < np.inf)).all():
+            raise InputError("trans_variance must be 3 positive finite values")
+        if kp.shape != (3,) or not ((kp >= 0) & (kp < np.inf)).all():
+            raise InputError("kappa must be 3 non-negative finite values")
 
 
 UNIFORM_PRIOR = PriorConfig()
@@ -320,9 +323,11 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     interacting=True applies the kernel coupling (Stein mode, failures
     raise); interacting=False treats particles as independent restarts
     (Monte-Carlo mode, failures freeze the particle and are reported).
-    Worker threads only split particle chunks whose results are
-    concatenated back in order, so outputs do not depend on the
-    worker count.
+    With config.workers > 1, a thread pool maps stacked_cost_gradients
+    over contiguous particle chunks and concatenates the results in
+    order, and the kd-tree query splits its points over as many threads.
+    Each particle's arithmetic is the same under any chunking, so outputs
+    do not depend on the worker count.
     """
     theta = np.array(particles, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 6:
@@ -331,138 +336,84 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     K = theta.shape[0]
     N = len(source)
     m = config.batch_size
-    if m > N:
-        raise InputError(f"batch_size {m} exceeds source size {N}")
     scale = float(N) if config.likelihood_scale is None else float(config.likelihood_scale)
     bandwidth, repulsion, average, shared_batch = _stein_params(config)
     use_plane = config.metric == "plane"
     index = build_index(reference)
-    if use_plane and reference.normals is None:
-        raise InputError("point-to-plane registration needs reference normals")
 
     part_rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PARTICLE, j]))
                  for j in range(K)]
     shared_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_SHARED]))
 
-    src_pts = source.points
-    ref_normals = reference.normals
     active = np.ones(K, dtype=bool)
     adam_m = np.zeros((K, 6))
     adam_v = np.zeros((K, 6))
-    adam_t = np.zeros((K, 1))
     cost_trace = np.full(config.iterations, np.nan)
     trace = np.empty((config.iterations + 1, K, 6)) if record_trace else None
     if trace is not None:
         trace[0] = theta
     timings = {k: 0.0 for k in ("sampling", "transform", "matching", "gradients", "update")}
 
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
+    workers = config.workers
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
-    def chunked(n_items):
-        if pool is None or n_items < 2 * config.workers:
-            return [slice(0, n_items)]
-        step = -(-n_items // config.workers)
-        return [slice(s, min(s + step, n_items)) for s in range(0, n_items, step)]
-
-    def parallel(fn, slices):
-        if pool is None or len(slices) == 1:
-            return [fn(sl) for sl in slices]
-        return list(pool.map(fn, slices))
+    def cost_gradients(*arrays):
+        """stacked_cost_gradients over contiguous particle chunks, one per worker."""
+        n = len(arrays[0])
+        if pool is None or n < 2 * workers:
+            return stacked_cost_gradients(*arrays)
+        step = -(-n // workers)
+        parts = list(pool.map(
+            lambda s: stacked_cost_gradients(*(a if a is None else a[s:s + step] for a in arrays)),
+            range(0, n, step)))
+        return np.concatenate([c for c, _ in parts]), np.concatenate([g for _, g in parts])
 
     try:
         for it in range(config.iterations):
             live = np.flatnonzero(active)
             if live.size == 0:
                 break
-            Ka = live.size
 
             t0 = time.perf_counter()
             if shared_batch:
-                shared_idx = shared_rng.choice(N, size=m, replace=False)
-                idx = np.broadcast_to(shared_idx, (Ka, m))
+                idx = np.broadcast_to(sample_minibatch(N, m, shared_rng), (live.size, m))
             else:
-                idx = np.empty((Ka, m), dtype=np.int64)
-                for row, j in enumerate(live):
-                    idx[row] = part_rngs[j].choice(N, size=m, replace=False)
+                idx = np.stack([sample_minibatch(N, m, part_rngs[j]) for j in live])
             timings["sampling"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
             th = theta[live]
             R = rotation_from_euler(th[:, 3], th[:, 4], th[:, 5])       # (Ka, 3, 3)
-            batches = src_pts[idx]                                       # (Ka, m, 3)
-            slices = chunked(Ka)
-
-            def do_transform(sl):
-                return np.einsum("kij,kmj->kmi", R[sl], batches[sl]) + th[sl, None, :3]
-
-            moved = np.concatenate(parallel(do_transform, slices), axis=0)
+            batches = source.points[idx]                                 # (Ka, m, 3)
+            moved = transform_stacked(R, th[:, :3], batches)
             timings["transform"] += time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            dist, ref_idx = index.query(moved.reshape(-1, 3), workers=config.workers)
-            dist = dist.reshape(Ka, m)
-            ref_idx = ref_idx.reshape(Ka, m)
-            matched = index.reference.points[ref_idx]                    # (Ka, m, 3)
-            mask = np.ones((Ka, m), dtype=bool)
-            if config.max_dist is not None:
-                mask &= dist <= config.max_dist
-            normals = None
-            if use_plane:
-                normals = ref_normals[ref_idx]
-                mask &= np.einsum("kmi,kmi->km", normals, normals) > 0.5
-            counts = mask.sum(axis=1)
-            dead = counts == 0
+            matched, normals, _, mask = match_stacked(moved, index, config.max_dist,
+                                                      with_normals=use_plane,
+                                                      workers=workers)
+            dead = ~mask.any(axis=1)
             timings["matching"] += time.perf_counter() - t0
 
             if dead.any():
-                if not interacting:
-                    # Freeze failed restarts; the rest are independent.
-                    active[live[dead]] = False
-                    keep = ~dead
-                    live = live[keep]
-                    if live.size == 0:
-                        break
-                    th, R, moved, matched, mask, counts = (
-                        th[keep], R[keep], moved[keep], matched[keep], mask[keep], counts[keep])
-                    dist, idx = dist[keep], idx[keep]
-                    batches = batches[keep]
-                    if normals is not None:
-                        normals = normals[keep]
-                    Ka = live.size
-                    slices = chunked(Ka)
-                else:
+                if interacting:
                     raise MatchRejectionError(
                         f"iteration {it}: all pairs rejected for particle(s) "
                         f"{live[dead].tolist()} (max_dist={config.max_dist})")
+                # Freeze failed restarts; the rest are independent.
+                active[live[dead]] = False
+                keep = ~dead
+                live = live[keep]
+                if live.size == 0:
+                    break
+                th, batches, moved, matched, mask = (
+                    th[keep], batches[keep], moved[keep], matched[keep], mask[keep])
+                if normals is not None:
+                    normals = normals[keep]
 
             t0 = time.perf_counter()
             partials = rotation_partials(th[:, 3], th[:, 4], th[:, 5])   # (Ka, 3, 3, 3)
-            e = moved - matched
-            fmask = mask.astype(float)
-
-            def do_grad(sl):
-                ee = e[sl]
-                mm = fmask[sl]
-                cc = counts[sl].astype(float)[:, None]
-                if use_plane:
-                    proj = np.einsum("kmi,kmi->km", normals[sl], ee) * mm
-                    p = normals[sl] * proj[:, :, None]
-                    cost = (proj * proj).sum(axis=1) / cc[:, 0]
-                else:
-                    p = ee * mm[:, :, None]
-                    cost = (np.einsum("kmi,kmi->km", ee, ee) * mm).sum(axis=1) / cc[:, 0]
-                g = np.empty((ee.shape[0], 6))
-                g[:, :3] = p.sum(axis=1) / cc
-                # Two fixed-order contractions (no path optimizer) so the
-                # arithmetic is identical for any particle chunking, which
-                # keeps results bitwise equal across worker counts.
-                rotated = np.einsum("kpij,kmj->kpmi", partials[sl], batches[sl])
-                g[:, 3:] = np.einsum("kmi,kpmi->kp", p, rotated) / cc
-                return g, cost
-
-            parts = parallel(do_grad, slices)
-            grads = np.concatenate([p[0] for p in parts], axis=0)
-            costs = np.concatenate([p[1] for p in parts], axis=0)
+            costs, grads = cost_gradients(moved - matched, mask, batches, partials, normals)
             cost_trace[it] = float(costs.mean())
 
             if interacting:
@@ -479,17 +430,13 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
 
             t0 = time.perf_counter()
             if config.optimizer == "adam":
-                # Same arithmetic as adam_step, stacked over particles, fed
-                # the descent gradient -dirs.
-                adam_t[live] += 1.0
-                tt = adam_t[live]
-                mm_ = config.beta1 * adam_m[live] + (1.0 - config.beta1) * (-dirs)
-                vv = config.beta2 * adam_v[live] + (1.0 - config.beta2) * (dirs * dirs)
-                adam_m[live] = mm_
-                adam_v[live] = vv
-                mhat = mm_ / (1.0 - config.beta1 ** tt)
-                vhat = vv / (1.0 - config.beta2 ** tt)
-                step = -config.step_size * mhat / (np.sqrt(vhat) + config.eps)
+                # Freezing is permanent, so every live particle has taken
+                # exactly `it` steps before this one.
+                step, state = adam_step(AdamState(adam_m[live], adam_v[live], t=it), -dirs,
+                                        config.step_size, config.beta1, config.beta2,
+                                        config.eps)
+                adam_m[live] = state.m
+                adam_v[live] = state.v
             else:
                 step = config.step_size * dirs
             new_theta = th + step

@@ -14,7 +14,6 @@ from stein_icp import (
     Pose6D,
     invert,
     prior_gradient,
-    residual_cost,
     rotation_from_euler,
     rotation_kernel,
     translation_kernel,
@@ -41,6 +40,33 @@ def random_pairs(rng, m=40, with_normals=False, scale=1.0):
     )
 
 
+def euler_matrix(roll, pitch, yaw):
+    """R = Rz(yaw) Ry(pitch) Rx(roll), multiplied out from the three
+    elementary rotations."""
+    cr, sr = np.cos(roll), np.sin(roll)
+    cp, sp = np.cos(pitch), np.sin(pitch)
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+    return rz @ ry @ rx
+
+
+def pair_loop_cost(pairs, pose, metric="point"):
+    """Mean squared (point) or normal-projected (plane) residual, one pair
+    at a time."""
+    p = np.asarray(pose, dtype=float)
+    R = euler_matrix(p[3], p[4], p[5])
+    total = 0.0
+    for i in range(len(pairs)):
+        e = R @ pairs.source_points[i] + p[:3] - pairs.reference_points[i]
+        if metric == "plane":
+            total += float(np.dot(pairs.reference_normals[i], e)) ** 2
+        else:
+            total += float(np.dot(e, e))
+    return total / len(pairs)
+
+
 def fd_pose_gradient(pairs, pose, metric="point", h=1e-6):
     """Central finite differences of half the batch cost.
 
@@ -56,7 +82,7 @@ def fd_pose_gradient(pairs, pose, metric="point", h=1e-6):
         lo = base.copy()
         hi[d] += h
         lo[d] -= h
-        g[d] = (residual_cost(pairs, hi, metric) - residual_cost(pairs, lo, metric)) / (4.0 * h)
+        g[d] = (pair_loop_cost(pairs, hi, metric) - pair_loop_cost(pairs, lo, metric)) / (4.0 * h)
     return g
 
 

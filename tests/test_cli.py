@@ -2,12 +2,13 @@
 file precedence, determinism of the written artifacts, and exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from stein_icp import PointCloud, load_cloud, write_cloud
-from stein_icp.cli import ENV_THREADS, main
+from stein_icp import InputError, PointCloud, load_cloud, write_cloud
+from stein_icp.cli import ENV_THREADS, _threads, main
 
 
 @pytest.fixture(autouse=True)
@@ -97,6 +98,7 @@ class TestRegister:
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
     def test_thread_count_does_not_change_artifacts(self, pair, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # keep 3 threads unclamped
         src, ref = pair
         out1, out2, out3 = tmp_path / "t1", tmp_path / "t2", tmp_path / "t3"
         assert _register(src, ref, out1) == 0
@@ -121,6 +123,10 @@ class TestRegister:
         assert _register(src, ref, out, "--method", "sgd") == 0
         lines = (out / "samples.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_non_finite_config_value_is_bad_input(self, pair, tmp_path):
+        src, ref = pair
+        assert _register(src, ref, tmp_path / "nan", "--step-size", "nan") == 2
 
     def test_unknown_method(self, pair, tmp_path):
         src, ref = pair
@@ -367,7 +373,8 @@ class TestBench:
         # the five phases account for nearly all of the wall time
         assert run["phase_coverage"] > 0.95
 
-    def test_thread_plan_and_output_stability(self, capsys):
+    def test_thread_plan_and_output_stability(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # keep 3 threads unclamped
         rc = main(["bench", "--scene", "ring", "--points", "600",
                    "--particles", "8", "--iterations", "10",
                    "--batch-size", "60", "--threads", "3",
@@ -380,6 +387,30 @@ class TestBench:
         assert poses[1] == poses[0]
         assert poses[2] == poses[0]
         assert all("speedup" in r for r in payload["runs"])
+
+
+class TestThreads:
+    """The clamp is checked on _threads itself, so no thread is started."""
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _threads({"threads": 64}) == 2
+        monkeypatch.setenv(ENV_THREADS, "64")
+        assert _threads({"threads": None}) == 2
+        assert _threads({"threads": 1}) == 1
+
+    def test_floor_and_default(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _threads({"threads": 4}) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _threads({"threads": 0}) == 1
+        assert _threads({"threads": -3}) == 1
+        assert _threads({"threads": None}) == 1
+
+    def test_bad_env_value(self, monkeypatch):
+        monkeypatch.setenv(ENV_THREADS, "many")
+        with pytest.raises(InputError):
+            _threads({"threads": None})
 
 
 class TestTopLevel:

@@ -10,6 +10,7 @@ from stein_icp import (
     PointCloud,
     build_index,
     match_batch,
+    match_stacked,
     sample_minibatch,
 )
 
@@ -164,3 +165,35 @@ class TestMatchBatch:
         np.testing.assert_array_equal(batch.indices, [7])
         np.testing.assert_array_equal(batch.source_points, [[0.5, 0.0, 0.0]])
         np.testing.assert_array_equal(batch.transformed, [[0.51, 0.0, 0.0]])
+
+
+class TestMatchStacked:
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_rows_against_linear_scan_and_match_batch(self, rng, with_normals):
+        """Every row of a K=3 stack: the mask is exactly the max_dist and
+        zero-normal rejection of the brute-force matches, and the row
+        compressed by its mask equals match_batch on that row alone."""
+        ref = rng.uniform(-1, 1, (80, 3))
+        nrm = rng.normal(size=(80, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        nrm[::4] = 0.0
+        index = build_index(PointCloud(ref, nrm))
+        pts = rng.uniform(-1.1, 1.1, (3, 25, 3))
+        matched, normals, dist, keep = match_stacked(pts, index, 0.3,
+                                                     with_normals=with_normals)
+        assert (normals is not None) == with_normals
+        assert 0 < keep.sum() < keep.size
+        for k in range(3):
+            odist, oidx = linear_scan_nn(pts[k], ref)
+            expected = odist <= 0.3
+            if with_normals:
+                expected &= np.any(nrm[oidx] != 0.0, axis=1)
+            np.testing.assert_array_equal(keep[k], expected)
+            np.testing.assert_array_equal(matched[k], ref[oidx])
+
+            batch = match_batch(pts[k], index, 0.3, with_normals=with_normals)
+            np.testing.assert_array_equal(batch.indices, np.flatnonzero(keep[k]))
+            np.testing.assert_array_equal(batch.reference_points, matched[k][keep[k]])
+            np.testing.assert_array_equal(batch.distances, dist[k][keep[k]])
+            if with_normals:
+                np.testing.assert_array_equal(batch.reference_normals, normals[k][keep[k]])

@@ -8,16 +8,21 @@ from stein_icp import (
     AdamState,
     IcpConfig,
     InputError,
+    MiniBatch,
     PointCloud,
     Pose6D,
     adam_step,
     batch_gradients,
     residual_cost,
+    rotation_from_euler,
+    rotation_partials,
     run_sgd_icp,
+    stacked_cost_gradients,
     transform_cloud,
+    transform_stacked,
 )
 
-from oracles import fd_pose_gradient, random_pairs
+from oracles import fd_pose_gradient, pair_loop_cost, random_pairs
 
 
 class TestResidualCost:
@@ -127,6 +132,59 @@ class TestBatchGradients:
             batch_gradients(pairs, np.zeros(6), "plane")
 
 
+def _kept(pairs, keep):
+    """The pairs of a batch that a mask keeps."""
+    return MiniBatch(
+        indices=pairs.indices[keep],
+        source_points=pairs.source_points[keep],
+        transformed=pairs.transformed[keep],
+        reference_points=pairs.reference_points[keep],
+        distances=pairs.distances[keep],
+        reference_normals=None if pairs.reference_normals is None
+        else pairs.reference_normals[keep],
+    )
+
+
+class TestStackedCostGradients:
+    @staticmethod
+    def _stack(rng, K, m, metric):
+        """K random batches and poses, and the stacked kernel's inputs built
+        from them row by row with the same geometry calls the K=1 view makes."""
+        rows = [random_pairs(rng, m, with_normals=(metric == "plane")) for _ in range(K)]
+        poses = np.concatenate([rng.uniform(-0.5, 0.5, (K, 3)),
+                                rng.uniform(-0.3, 0.3, (K, 3))], axis=1)
+        src = np.stack([r.source_points for r in rows])
+        R = np.stack([rotation_from_euler(*p[3:]) for p in poses])
+        e = transform_stacked(R, poses[:, :3], src) - np.stack([r.reference_points for r in rows])
+        partials = np.stack([rotation_partials(*p[3:]) for p in poses])
+        normals = np.stack([r.reference_normals for r in rows]) if metric == "plane" else None
+        return rows, poses, (e, src, partials, normals)
+
+    @pytest.mark.parametrize("metric", ["point", "plane"])
+    def test_masked_rows_match_finite_differences(self, rng, metric):
+        """K=4 with some pairs masked out: each row's cost is the oracle cost
+        of its kept pairs and its gradient their finite-difference one."""
+        rows, poses, (e, src, partials, normals) = self._stack(rng, 4, 30, metric)
+        mask = rng.random((4, 30)) < 0.7
+        mask[:, 0] = True
+        assert not mask.all()
+        cost, g = stacked_cost_gradients(e, mask, src, partials, normals)
+        for k, pairs in enumerate(rows):
+            kept = _kept(pairs, mask[k])
+            assert cost[k] == pytest.approx(pair_loop_cost(kept, poses[k], metric), rel=1e-12)
+            g_fd = fd_pose_gradient(kept, poses[k], metric)
+            assert np.linalg.norm(g[k] - g_fd) / max(np.linalg.norm(g_fd), 1e-12) < 1e-6
+
+    @pytest.mark.parametrize("metric", ["point", "plane"])
+    def test_rows_equal_single_pose_views_bitwise(self, rng, metric):
+        rows, poses, (e, src, partials, normals) = self._stack(rng, 5, 40, metric)
+        cost, g = stacked_cost_gradients(e, np.ones((5, 40), dtype=bool), src, partials,
+                                         normals)
+        for k, pairs in enumerate(rows):
+            assert cost[k] == residual_cost(pairs, poses[k], metric)
+            np.testing.assert_array_equal(g[k], batch_gradients(pairs, poses[k], metric))
+
+
 class TestAdam:
     def test_zeros_state_shapes(self):
         s = AdamState.zeros()
@@ -191,6 +249,11 @@ class TestIcpConfigValidation:
         {"max_dist": -0.5},
         {"likelihood_scale": -1.0},
         {"workers": 0},
+        {"step_size": float("nan")},
+        {"step_size": float("inf")},
+        {"eps": float("nan")},
+        {"likelihood_scale": float("inf")},
+        {"max_dist": float("nan")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):

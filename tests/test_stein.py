@@ -148,6 +148,10 @@ class TestPriorGradient:
             PriorConfig(trans_variance=(1.0, 0.0, 1.0))
         with pytest.raises(InputError):
             PriorConfig(kappa=(1.0, -0.5, 1.0))
+        with pytest.raises(InputError):
+            PriorConfig(mean=(0.0, 0.0, float("nan"), 0.0, 0.0, 0.0))
+        with pytest.raises(InputError):
+            PriorConfig(trans_variance=(1.0, float("inf"), 1.0))
 
 
 class TestSteinDirection:
@@ -269,6 +273,12 @@ class TestSteinConfig:
         {"init_center": (0.0,) * 5},
         {"trans_range": -0.1},
         {"rot_range": (0.1, 0.2)},
+        {"step_size": float("nan")},
+        {"init_center": (0.0, float("nan"), 0.0, 0.0, 0.0, 0.0)},
+        {"trans_range": float("inf")},
+        {"rot_range": float("nan")},
+        {"bandwidth": True},
+        {"bandwidth": float("inf")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):
