@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .geometry import Pose6D
 from .odometry import build_trajectory, ellipse_rows, trajectory_rows
 from .sgd import IcpConfig, run_sgd_icp
 from .stein import PriorConfig, SteinConfig, run_stein_icp
-from .synthetic import make_scene
+from .synthetic import BLOCK_GAP, make_scene
 
 __all__ = ["main"]
 
@@ -63,6 +64,17 @@ def _parse_range(s):
     raise InputError(f"range must be 1 or 3 numbers, got {s!r}")
 
 
+def _parse_natural(s) -> int:
+    n = int(s)
+    if n < 0:
+        raise ValueError(s)
+    return n
+
+
+def _parse_bandwidth(s):
+    return s if s == "median" else float(s)
+
+
 def _parse_bool(s) -> bool:
     if isinstance(s, bool):
         return s
@@ -72,6 +84,11 @@ def _parse_bool(s) -> bool:
     if text in ("0", "false", "no", "off"):
         return False
     raise InputError(f"cannot parse boolean from {s!r}")
+
+
+# What each parser accepts, for the message naming a value it rejects.
+_EXPECTED = {int: "an integer", float: "a number", _parse_natural: "a non-negative integer",
+             _parse_bandwidth: "'median' or a number"}
 
 
 # Per-command option registry: dest -> (parser, default). The same parsers
@@ -84,14 +101,14 @@ _COMMON_ICP = {
     "max_dist": (float, None),
     "optimizer": (str, "adam"),
     "likelihood_scale": (float, None),
-    "seed": (int, 0),
+    "seed": (_parse_natural, 0),
     "threads": (int, None),
     "normals_k": (int, 10),
 }
 
 _STEIN_EXTRA = {
     "particles": (int, 100),
-    "bandwidth": (str, "median"),
+    "bandwidth": (_parse_bandwidth, "median"),
     "repulsion": (_parse_bool, True),
     "direction_sum": (_parse_bool, False),
     "shared_batch": (_parse_bool, False),
@@ -131,15 +148,15 @@ _OPTIONS = {
         **_COMMON_ICP, **_STEIN_EXTRA,
     },
     "bench": {
-        "scene": (str, "blob"), "points": (int, 5000), "noise": (float, 0.005),
+        "scene": (str, "blob"), "points": (_parse_natural, 5000), "noise": (float, 0.005),
         "out": (str, None),
         **_COMMON_ICP, **_STEIN_EXTRA,
     },
     "synth": {
-        "scene": (str, "blob"), "points": (int, 5000), "noise": (float, 0.005),
+        "scene": (str, "blob"), "points": (_parse_natural, 5000), "noise": (float, 0.005),
         "out": (str, "."), "format": (str, "ply"),
         "true_pose": (lambda s: _parse_floats(s, 6), None),
-        "seed": (int, 0),
+        "seed": (_parse_natural, 0),
     },
 }
 
@@ -174,6 +191,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_option(label: str, parse, raw):
+    """parse(raw); a bad value is an InputError naming its flag or config key."""
+    try:
+        return parse(raw)
+    except InputError as e:
+        raise InputError(f"{label}: {e}") from None
+    except ValueError:
+        expected = _EXPECTED.get(parse, "comma-separated numbers")
+        raise InputError(f"{label}: expected {expected}, got {raw!r}") from None
+
+
 def _effective(args) -> dict:
     """Merge flag values over config-file values over defaults."""
     opts = _OPTIONS[args.command]
@@ -181,21 +209,27 @@ def _effective(args) -> dict:
     file_vals = {}
     if args.config:
         ini = configparser.ConfigParser()
-        read = ini.read(args.config)
+        try:
+            read = ini.read(args.config)
+            items = ini.items(args.command) if ini.has_section(args.command) else []
+        except (configparser.Error, UnicodeDecodeError) as e:
+            errors = getattr(e, "errors", None)          # ParsingError: [(lineno, line)]
+            line = getattr(e, "lineno", None) or (errors[0][0] if errors else None)
+            where = f"{args.config}:{line}" if line else args.config
+            raise InputError(f"{where}: {str(e).splitlines()[0].split(']: ')[-1]}") from None
         if not read:
             raise InputError(f"cannot read config file {args.config}")
-        if ini.has_section(args.command):
-            for key, raw in ini.items(args.command):
-                dest = key.replace("-", "_")
-                if dest not in opts:
-                    raise InputError(f"unknown config key {key!r} for command {args.command!r}")
-                file_vals[dest] = raw
+        for key, raw in items:
+            dest = key.replace("-", "_")
+            if dest not in opts:
+                raise InputError(f"unknown config key {key!r} for command {args.command!r}")
+            file_vals[dest] = raw
     for dest, (parse, default) in opts.items():
-        flag_val = getattr(args, dest)
-        if flag_val is not None:
-            merged[dest] = parse(flag_val)
+        flag = "--" + dest.replace("_", "-")
+        if getattr(args, dest) is not None:
+            merged[dest] = _parse_option(flag, parse, getattr(args, dest))
         elif dest in file_vals:
-            merged[dest] = parse(file_vals[dest])
+            merged[dest] = _parse_option(f"{args.config}: {flag[2:]}", parse, file_vals[dest])
         else:
             merged[dest] = default
     for dest in _REQUIRED[args.command]:
@@ -234,18 +268,12 @@ def _icp_config(cfg: dict, workers: int) -> IcpConfig:
 
 
 def _stein_config(cfg: dict, workers: int) -> SteinConfig:
-    bw = cfg["bandwidth"]
-    if bw != "median":
-        bw = float(bw)
     return SteinConfig(
-        metric=cfg["metric"], batch_size=cfg["batch_size"], step_size=cfg["step_size"],
-        iterations=cfg["iterations"], max_dist=cfg["max_dist"], optimizer=cfg["optimizer"],
-        likelihood_scale=cfg["likelihood_scale"], seed=cfg["seed"], workers=workers,
-        particles=cfg["particles"], bandwidth=bw,
+        **vars(_icp_config(cfg, workers)),
+        particles=cfg["particles"], bandwidth=cfg["bandwidth"],
         repulsion=cfg["repulsion"], direction_sum=cfg["direction_sum"],
-        shared_batch=cfg["shared_batch"],
-        init_center=tuple(cfg["init_center"]), trans_range=cfg["trans_range"],
-        rot_range=cfg["rot_range"],
+        shared_batch=cfg["shared_batch"], init_center=tuple(cfg["init_center"]),
+        trans_range=cfg["trans_range"], rot_range=cfg["rot_range"],
     )
 
 
@@ -393,7 +421,10 @@ def cmd_odometry(cfg: dict) -> int:
     frame_dir = Path(cfg["frames"])
     if not frame_dir.is_dir():
         raise InputError(f"{frame_dir} is not a directory")
-    paths = sorted(p for p in frame_dir.glob(cfg["pattern"]) if p.is_file())
+    try:
+        paths = sorted(p for p in frame_dir.glob(cfg["pattern"]) if p.is_file())
+    except (ValueError, NotImplementedError) as e:
+        raise InputError(f"--pattern: {e}") from None
     if len(paths) < 2:
         raise InputError(f"need at least 2 frames matching {cfg['pattern']!r} in {frame_dir}")
     out = Path(cfg["out"])
@@ -406,7 +437,7 @@ def cmd_odometry(cfg: dict) -> int:
     base = _stein_config(cfg, workers)
     for i in range(1, len(clouds)):
         # Frame i registered onto frame i-1; seeds decorrelate across steps.
-        step_cfg = SteinConfig(**{**_stein_dict(base), "seed": base.seed + i})
+        step_cfg = replace(base, seed=base.seed + i)
         steps.append(run_stein_icp(clouds[i], clouds[i - 1], step_cfg))
     traj = build_trajectory(steps, order=cfg["order"])
     with open(out / "trajectory.csv", "w", newline="") as fh:
@@ -429,12 +460,6 @@ def cmd_odometry(cfg: dict) -> int:
     print(f"chained {len(steps)} steps over {len(paths)} frames; "
           f"final position ({final[0]:.4f}, {final[1]:.4f}, {final[2]:.4f})")
     return 0
-
-
-def _stein_dict(c: SteinConfig) -> dict:
-    import dataclasses
-
-    return {f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
 
 
 def cmd_bench(cfg: dict) -> int:
@@ -495,8 +520,6 @@ def cmd_synth(cfg: dict) -> int:
                  "registration of source onto reference recovers true_pose"),
     }
     if cfg["scene"] == "block":
-        from .synthetic import BLOCK_GAP
-
         payload["x_modes"] = [-BLOCK_GAP / 2, BLOCK_GAP / 2]
         payload["note"] = ("two equally valid alignments: the source plate onto either "
                            "reference plate; x posterior modes at x_modes")
@@ -529,7 +552,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1
-    except (InputError, OSError, ValueError, KeyError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -32,19 +32,22 @@ __all__ = [
 def wrap_angle(a):
     """Wrap angle(s) to [-pi, pi). Accepts scalars or arrays.
 
-    Values already inside the interval pass through unchanged, so wrapping
-    twice is bitwise identical to wrapping once."""
+    Values inside the interval pass through unchanged, so wrapping twice is
+    bitwise identical to wrapping once. Others are shifted by 2pi, exactly
+    (Sterbenz's lemma) for |a| < 3pi; arctan2(sin, cos) takes what is left."""
     arr = np.asarray(a, dtype=float)
-    need = (arr < -np.pi) | (arr >= np.pi)
-    if not np.any(need):
-        return float(arr) if np.ndim(a) == 0 else arr.copy()
-    out = np.where(need, np.arctan2(np.sin(arr), np.cos(arr)), arr)
-    # arctan2 can land on +pi exactly; the contract is a half-open interval.
-    out = np.asarray(out)
-    out[out == np.pi] = -np.pi
-    if np.ndim(a) == 0:
-        return float(out)
-    return out
+    out = arr.copy()
+    high = arr >= np.pi
+    low = arr < -np.pi
+    if high.any() or low.any():
+        np.subtract(out, 2.0 * np.pi, out=out, where=high)
+        np.add(out, 2.0 * np.pi, out=out, where=low)
+        far = (out < -np.pi) | (out >= np.pi)
+        if far.any():
+            out[far] = np.arctan2(np.sin(arr[far]), np.cos(arr[far]))
+            # arctan2 can land on +pi exactly; the contract is a half-open interval.
+            out[out == np.pi] = -np.pi
+    return float(out) if np.ndim(a) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -109,10 +109,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
 
-    @classmethod
-    def zeros(cls, shape=(6,)) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
-
 
 def adam_step(state: AdamState, grad: np.ndarray, step_size: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):

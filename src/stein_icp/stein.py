@@ -36,8 +36,6 @@ __all__ = [
     "SteinConfig",
     "PriorConfig",
     "UNIFORM_PRIOR",
-    "translation_kernel",
-    "rotation_kernel",
     "median_bandwidth",
     "prior_gradient",
     "stein_direction",
@@ -164,53 +162,39 @@ def prior_gradient(prior: PriorConfig, particles: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Kernels
+# Pairwise planes and the median bandwidth
 
 
-def translation_kernel(a, b, h: float):
-    """Squared-exponential kernel on R^3: k = exp(-||a - b||^2 / h).
+def _pairwise(x: np.ndarray, angular: bool):
+    """Pairwise differences of the rows of x, (K, c), as contiguous planes
+    delta[c, i, j] = x[j, c] - x[i, c], shape (c, K, K), wrapped to
+    [-pi, pi) when angular, and their squared norms, shape (K, K)."""
+    cols = np.ascontiguousarray(x.T)
+    delta = cols[:, None, :] - cols[:, :, None]
+    if angular:
+        delta = wrap_angle(delta)
+    sq = delta[0] * delta[0]
+    for plane in delta[1:]:
+        sq += plane * plane
+    return delta, sq
 
-    Returns (k, grad) with grad the derivative in the first argument,
-    grad = -(2/h) (a - b) k.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = a - b
-    k = float(np.exp(-np.dot(diff, diff) / h))
-    return k, -(2.0 / h) * diff * k
 
-
-def rotation_kernel(a, b, h: float):
-    """Same form on wrapped angle differences.
-
-    Each component difference is wrapped to [-pi, pi) before squaring, so
-    angles just across the seam count as close. Gradient in the first
-    argument; the wrap is locally an identity so the chain rule passes
-    through (the seam itself is the usual measure-zero kink).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = wrap_angle(a - b)
-    k = float(np.exp(-np.dot(diff, diff) / h))
-    return k, -(2.0 / h) * diff * k
+def _median_heuristic(sq: np.ndarray) -> float:
+    """Median of the squared distances over distinct pairs, over log K."""
+    K = sq.shape[0]
+    if K < 2:
+        return 1.0
+    med = float(np.median(sq[np.triu_indices(K, k=1)]))
+    return max(med / np.log(K), _BANDWIDTH_FLOOR)
 
 
 def median_bandwidth(block: np.ndarray, angular: bool = False) -> float:
-    """Median heuristic: median squared pairwise distance over log K.
-
-    One particle gives h = 1; coincident particles hit the 1e-8 floor.
-    """
+    """Median heuristic: median squared pairwise distance over log K, angle
+    differences wrapped when angular; the one-block view of the bandwidth
+    stein_direction computes for h="median". One particle gives h = 1;
+    coincident particles hit the 1e-8 floor."""
     block = np.atleast_2d(np.asarray(block, dtype=float))
-    K = block.shape[0]
-    if K < 2:
-        return 1.0
-    diffs = block[:, None, :] - block[None, :, :]
-    if angular:
-        diffs = wrap_angle(diffs)
-    sq = np.sum(diffs * diffs, axis=2)
-    iu = np.triu_indices(K, k=1)
-    med = float(np.median(sq[iu]))
-    return max(med / np.log(K), _BANDWIDTH_FLOOR)
+    return _median_heuristic(_pairwise(block, angular)[1])
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +202,7 @@ def median_bandwidth(block: np.ndarray, angular: bool = False) -> float:
 
 
 def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
-                    prior: PriorConfig, h_trans: float, h_rot: float,
+                    prior: PriorConfig, h_trans, h_rot,
                     *, average: bool = True, repulsion: bool = True) -> np.ndarray:
     """Update direction for every particle, shape (K, 6).
 
@@ -227,8 +211,11 @@ def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
 
         phi[i] = agg_j ( d_j * k(theta_j, theta_i) + grad_j k(theta_j, theta_i) )
 
-    computed blockwise (translation kernel on [:3], rotation kernel on
-    [3:]). agg is the mean over j by default, the bare sum when
+    computed blockwise: a squared-exponential kernel exp(-||delta||^2 / h)
+    on translation differences [:3] and on wrapped angle differences [3:].
+    h_trans and h_rot are each a positive float or "median", which takes
+    median_bandwidth of that block from the same pairwise planes the kernel
+    uses. agg is the mean over j by default, the bare sum when
     average=False. repulsion=False drops the grad_j k term, which makes
     co-located particles move in lockstep and collapse.
     """
@@ -241,16 +228,15 @@ def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
 
     out = np.empty_like(theta)
     for sl, h, angular in ((slice(0, 3), h_trans, False), (slice(3, 6), h_rot, True)):
-        x = theta[:, sl]
-        # delta[i, j] = x_j - x_i (gradient is taken in the source particle j).
-        delta = x[None, :, :] - x[:, None, :]
-        if angular:
-            delta = wrap_angle(delta)
-        kmat = np.exp(-np.sum(delta * delta, axis=2) / h)      # (K, K), symmetric
+        # delta[:, i, j] = x_j - x_i (gradient is taken in the source particle j).
+        delta, kmat = _pairwise(theta[:, sl], angular)
+        if h == "median":
+            h = _median_heuristic(kmat)
+        kmat /= -h
+        np.exp(kmat, out=kmat)                                  # (K, K), symmetric
         att = kmat @ driving[:, sl]
         if repulsion:
-            rep = -(2.0 / h) * np.einsum("ijc,ij->ic", delta, kmat)
-            att = att + rep
+            att -= (2.0 / h) * np.einsum("cij,ij->ic", delta, kmat)
         out[:, sl] = att
     if average:
         out /= K
@@ -417,12 +403,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
             cost_trace[it] = float(costs.mean())
 
             if interacting:
-                if bandwidth == "median":
-                    h_t = median_bandwidth(th[:, :3])
-                    h_r = median_bandwidth(th[:, 3:], angular=True)
-                else:
-                    h_t = h_r = float(bandwidth)
-                dirs = stein_direction(th, scale * grads, prior, h_t, h_r,
+                dirs = stein_direction(th, scale * grads, prior, bandwidth, bandwidth,
                                        average=average, repulsion=repulsion)
             else:
                 dirs = -scale * grads

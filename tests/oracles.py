@@ -15,8 +15,6 @@ from stein_icp import (
     invert,
     prior_gradient,
     rotation_from_euler,
-    rotation_kernel,
-    translation_kernel,
 )
 
 
@@ -100,13 +98,63 @@ def linear_scan_nn(queries, ref_points):
     return dists, idx
 
 
+def oracle_wrap(a):
+    """Angle wrap to [-pi, pi) through arctan2(sin, cos), independent of the
+    package's shift-based wrap_angle."""
+    w = np.arctan2(np.sin(a), np.cos(a))
+    return np.where(w >= np.pi, w - 2.0 * np.pi, w)
+
+
+def translation_kernel(a, b, h):
+    """Squared-exponential kernel on R^3: k = exp(-||a - b||^2 / h).
+
+    Returns (k, grad) with grad the derivative in the first argument,
+    grad = -(2/h) (a - b) k.
+    """
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    k = float(np.exp(-np.dot(diff, diff) / h))
+    return k, -(2.0 / h) * diff * k
+
+
+def rotation_kernel(a, b, h):
+    """Same form on wrapped angle differences, so angles just across the
+    seam count as close. The wrap is locally an identity, so the gradient
+    in the first argument has the translation kernel's form."""
+    diff = oracle_wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    k = float(np.exp(-np.dot(diff, diff) / h))
+    return k, -(2.0 / h) * diff * k
+
+
+def naive_median_bandwidth(block, angular=False):
+    """Median over distinct pairs of the squared (wrapped, when angular)
+    difference norm, over log K, one pair at a time; 1 for a single
+    particle and at least 1e-8."""
+    block = np.atleast_2d(np.asarray(block, dtype=float))
+    K = block.shape[0]
+    if K < 2:
+        return 1.0
+    sq = []
+    for i in range(K):
+        for j in range(i + 1, K):
+            d = block[j] - block[i]
+            if angular:
+                d = oracle_wrap(d)
+            sq.append(float(np.dot(d, d)))
+    return max(float(np.median(sq)) / np.log(K), 1e-8)
+
+
 def naive_stein_direction(particles, grads, prior, h_trans, h_rot,
                           average=True, repulsion=True):
     """Double loop over (target, source) particle pairs built from the
-    public kernel functions; the vectorized version must match this."""
+    kernel functions above; the vectorized version must match this.
+    h_trans / h_rot may be "median", which takes naive_median_bandwidth."""
     theta = np.atleast_2d(np.asarray(particles, dtype=float))
     g = np.atleast_2d(np.asarray(grads, dtype=float))
     K = theta.shape[0]
+    if h_trans == "median":
+        h_trans = naive_median_bandwidth(theta[:, :3])
+    if h_rot == "median":
+        h_rot = naive_median_bandwidth(theta[:, 3:], angular=True)
     driving = -g + prior_gradient(prior, theta)
     out = np.zeros_like(theta)
     for i in range(K):

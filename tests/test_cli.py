@@ -70,6 +70,10 @@ class TestSynth:
         assert (out / "source.csv").exists()
         assert main(["synth", "--format", "laz", "--out", str(tmp_path / "x")]) == 2
 
+    def test_negative_point_count_is_bad_input(self, tmp_path, capsys):
+        assert main(["synth", "--points", "-5", "--out", str(tmp_path / "n")]) == 2
+        assert "--points: expected a non-negative integer" in capsys.readouterr().err
+
     def test_unknown_scene(self, tmp_path):
         assert main(["synth", "--scene", "torus", "--out", str(tmp_path / "t")]) == 2
 
@@ -171,6 +175,47 @@ class TestRegister:
                    "--out", str(tmp_path / "o"), "--config", str(ini)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("iterations = 3\n", 1),                                    # no section header
+        ("[register]\niterations = 3\niterations = 4\n", 3),        # key given twice
+        ("[register]\n[register]\n", 2),                            # section given twice
+        ("[register]\nparticles\n", 2),                             # no value
+    ])
+    def test_malformed_config_file_is_bad_input(self, pair, tmp_path, capsys, text, line):
+        src, ref = pair
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        rc = main(["register", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "o"), "--config", str(ini)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{ini}:{line}: " in err
+        assert "Traceback" not in err
+
+    def test_malformed_config_value_names_file_and_key(self, pair, tmp_path, capsys):
+        src, ref = pair
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[register]\nbatch-size = lots\n")
+        rc = main(["register", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "o"), "--config", str(ini)])
+        assert rc == 2
+        assert f"{ini}: batch-size: expected an integer, got 'lots'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--iterations", "abc", "--iterations: expected an integer, got 'abc'"),
+        ("--step-size", "fast", "--step-size: expected a number, got 'fast'"),
+        ("--bandwidth", "wide", "--bandwidth: expected 'median' or a number, got 'wide'"),
+        ("--init-center", "0,0,x,0,0,0",
+         "--init-center: expected comma-separated numbers, got '0,0,x,0,0,0'"),
+        ("--trans-range", "0.1,0.2", "--trans-range: range must be 1 or 3 numbers"),
+        ("--seed", "-1", "--seed: expected a non-negative integer, got '-1'"),
+        ("--repulsion", "maybe", "--repulsion: cannot parse boolean from 'maybe'"),
+    ])
+    def test_malformed_flag_names_the_flag(self, pair, tmp_path, capsys, flag, value, message):
+        src, ref = pair
+        assert _register(src, ref, tmp_path / "o", flag, value) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_config_file(self, pair, tmp_path):
         src, ref = pair
@@ -350,6 +395,12 @@ class TestOdometry:
                      "--out", str(tmp_path / "o")]) == 2
         assert main(["odometry", "--frames", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "o2")]) == 2
+
+    def test_unusable_pattern_is_bad_input(self, tmp_path, rng, capsys):
+        frames = self._frames(tmp_path, rng, 2)
+        assert main(["odometry", "--frames", str(frames), "--pattern", "",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--pattern:" in capsys.readouterr().err
 
 
 class TestBench:

@@ -63,6 +63,51 @@ class TestWrapAngle:
         assert wrap_angle(w) == pytest.approx(w, abs=1e-12)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+far_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+angle_arrays = st.lists(far_angles, min_size=1, max_size=40).map(np.array)
+
+
+class TestWrapAngleProperties:
+    """The shift-based wrap: its interval, exactness, and agreement with the
+    arctan2 formula it replaces, on scalars and on arrays."""
+
+    @given(angle_arrays)
+    def test_result_in_half_open_interval(self, a):
+        w = wrap_angle(a)
+        assert np.all(w >= -np.pi) and np.all(w < np.pi)
+        assert -np.pi <= wrap_angle(float(a[0])) < np.pi
+
+    @given(st.lists(st.floats(min_value=-np.pi, max_value=np.pi, exclude_max=True),
+                    min_size=1, max_size=40).map(np.array))
+    def test_in_range_is_bitwise_unchanged(self, a):
+        np.testing.assert_array_equal(_bits(wrap_angle(a)), _bits(a))
+        assert _bits(wrap_angle(float(a[0]))) == _bits(a[0])
+
+    @given(st.floats(min_value=np.pi, max_value=3 * np.pi, exclude_max=True))
+    def test_one_turn_above_is_exact_shift(self, a):
+        shifted = a - 2 * np.pi
+        if -np.pi <= shifted < np.pi:
+            assert _bits(wrap_angle(a)) == _bits(shifted)
+            assert _bits(wrap_angle(np.array([a]))) == _bits([shifted])
+
+    @given(st.floats(min_value=-3 * np.pi, max_value=-np.pi, exclude_max=True))
+    def test_one_turn_below_is_exact_shift(self, a):
+        shifted = a + 2 * np.pi
+        if -np.pi <= shifted < np.pi:
+            assert _bits(wrap_angle(a)) == _bits(shifted)
+            assert _bits(wrap_angle(np.array([a]))) == _bits([shifted])
+
+    @given(angle_arrays)
+    def test_far_inputs_agree_with_arctan2(self, a):
+        diff = wrap_angle(a) - np.arctan2(np.sin(a), np.cos(a))
+        diff -= 2 * np.pi * np.round(diff / (2 * np.pi))   # +pi and -pi are one angle
+        assert np.abs(diff).max() < 1e-9
+
+
 class TestRotationFromEuler:
     def test_matches_scipy(self, rng):
         """Extrinsic x-y-z application order equals Rz(yaw) Ry(pitch) Rx(roll)."""

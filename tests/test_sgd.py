@@ -186,16 +186,10 @@ class TestStackedCostGradients:
 
 
 class TestAdam:
-    def test_zeros_state_shapes(self):
-        s = AdamState.zeros()
-        assert s.m.shape == (6,) and s.v.shape == (6,) and s.t == 0
-        s2 = AdamState.zeros((4, 6))
-        assert s2.m.shape == (4, 6)
-
     def test_first_step_hand_value(self):
         g = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -0.25])
         lr, eps = 0.05, 1e-8
-        delta, state = adam_step(AdamState.zeros(), g, lr, eps=eps)
+        delta, state = adam_step(AdamState(np.zeros(6), np.zeros(6)), g, lr, eps=eps)
         expected = -lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(delta, expected, rtol=1e-12)
         assert state.t == 1
@@ -206,7 +200,7 @@ class TestAdam:
         g1 = np.full(6, 2.0)
         g2 = np.full(6, -1.0)
         lr = 0.01
-        _, s1 = adam_step(AdamState.zeros(), g1, lr)
+        _, s1 = adam_step(AdamState(np.zeros(6), np.zeros(6)), g1, lr)
         delta, s2 = adam_step(s1, g2, lr)
         m = 0.9 * (0.1 * g1) + 0.1 * g2
         v = 0.999 * (0.001 * g1 * g1) + 0.001 * g2 * g2
@@ -218,7 +212,7 @@ class TestAdam:
     def test_constant_gradient_converges_to_signed_step(self):
         g = np.array([4.0, -0.01, 1e3, -7.0, 0.2, 0.002])
         lr = 0.1
-        state = AdamState.zeros()
+        state = AdamState(np.zeros(6), np.zeros(6))
         for _ in range(500):
             delta, state = adam_step(state, g, lr)
         np.testing.assert_allclose(delta, -lr * np.sign(g), rtol=1e-5)
@@ -226,8 +220,8 @@ class TestAdam:
     def test_stacked_particles_match_individual(self, rng):
         """Elementwise, so a (K, 6) block must reproduce K separate runs."""
         grads = rng.normal(size=(3, 5, 6))
-        stacked = AdamState.zeros((5, 6))
-        singles = [AdamState.zeros() for _ in range(5)]
+        stacked = AdamState(np.zeros((5, 6)), np.zeros((5, 6)))
+        singles = [AdamState(np.zeros(6), np.zeros(6)) for _ in range(5)]
         for g in grads:
             d_stack, stacked = adam_step(stacked, g, 0.02)
             for k in range(5):

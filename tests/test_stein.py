@@ -17,19 +17,22 @@ from stein_icp import (
     UNIFORM_PRIOR,
     median_bandwidth,
     prior_gradient,
-    rotation_kernel,
     run_particle_engine,
     run_sgd_icp,
     run_stein_icp,
     sample_initial_particles,
     sgd_equivalent_config,
     stein_direction,
-    translation_kernel,
     transform_cloud,
     wrap_angle,
 )
 
-from oracles import naive_stein_direction
+from oracles import (
+    naive_median_bandwidth,
+    naive_stein_direction,
+    rotation_kernel,
+    translation_kernel,
+)
 
 
 def _wavy_cloud(rng, n=400):
@@ -39,6 +42,8 @@ def _wavy_cloud(rng, n=400):
 
 
 class TestKernels:
+    """The oracle's pairwise kernels, which naive_stein_direction sums."""
+
     def test_identity_arguments(self):
         k, grad = translation_kernel([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], 0.5)
         assert k == 1.0
@@ -112,6 +117,14 @@ class TestMedianBandwidth:
         # without the wrap the same block looks far apart
         assert median_bandwidth(block, angular=False) > 10.0
 
+    @pytest.mark.parametrize("angular", [False, True])
+    def test_matches_pair_loop_oracle_on_full_circle(self, full_circle_swarm, angular):
+        """Yaw spread over the whole circle, as on the ring scene: many
+        pairwise differences cross the seam and take the wrap."""
+        block = full_circle_swarm[:, 3:] if angular else full_circle_swarm[:, :3]
+        assert median_bandwidth(block, angular=angular) == pytest.approx(
+            naive_median_bandwidth(block, angular=angular), rel=1e-12)
+
 
 class TestPriorGradient:
     def test_uniform_is_zero(self, rng):
@@ -154,6 +167,14 @@ class TestPriorGradient:
             PriorConfig(trans_variance=(1.0, float("inf"), 1.0))
 
 
+@pytest.fixture()
+def full_circle_swarm(rng):
+    """K=64 particles whose yaw covers the whole circle."""
+    theta = rng.uniform(-0.3, 0.3, (64, 6))
+    theta[:, 5] = rng.uniform(-np.pi, np.pi, 64)
+    return theta
+
+
 class TestSteinDirection:
     @pytest.mark.parametrize("K", [1, 2, 5, 20])
     @pytest.mark.parametrize("repulsion", [True, False])
@@ -175,6 +196,24 @@ class TestSteinDirection:
         phi = stein_direction(theta, grads, prior, 1.1, 0.4)
         oracle = naive_stein_direction(theta, grads, prior, 1.1, 0.4)
         np.testing.assert_allclose(phi, oracle, rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("repulsion", [True, False])
+    def test_median_bandwidth_matches_oracle_on_full_circle(self, rng, full_circle_swarm,
+                                                            repulsion):
+        grads = rng.normal(size=(64, 6))
+        phi = stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, "median", "median",
+                              repulsion=repulsion)
+        oracle = naive_stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR,
+                                       "median", "median", repulsion=repulsion)
+        np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
+
+    def test_median_equals_explicit_bandwidths(self, rng, full_circle_swarm):
+        grads = rng.normal(size=(64, 6))
+        h_t = median_bandwidth(full_circle_swarm[:, :3])
+        h_r = median_bandwidth(full_circle_swarm[:, 3:], angular=True)
+        np.testing.assert_array_equal(
+            stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, "median", "median"),
+            stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, h_t, h_r))
 
     def test_single_particle_reduces_to_descent(self, rng):
         g = rng.normal(size=(1, 6))
