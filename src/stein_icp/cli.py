@@ -4,8 +4,8 @@ Subcommands: register, ground-truth, evaluate, odometry, bench, synth.
 Every command reads an optional INI config file (--config FILE, section
 named after the command); explicit flags override file values, and unknown
 config keys are rejected. Exit codes: 0 success, 1 numerical failure,
-2 bad input. The worker pool size comes from --threads, falling back to
-the STEIN_ICP_THREADS environment variable, then to 1.
+2 bad input. The kd-tree query thread count comes from --threads, falling
+back to the STEIN_ICP_THREADS environment variable, then to 1.
 """
 
 from __future__ import annotations
@@ -239,8 +239,9 @@ def _effective(args) -> dict:
 
 
 def _threads(cfg: dict) -> int:
-    """Worker count: --threads, else $STEIN_ICP_THREADS, else 1, clamped to
-    [1, cpu count]; outputs do not depend on it, so more buys nothing."""
+    """kd-tree query threads: --threads, else $STEIN_ICP_THREADS, else 1,
+    clamped to [1, cpu count]; outputs do not depend on it, so the clamp is
+    safe."""
     n = cfg.get("threads")
     env = os.environ.get(ENV_THREADS)
     if n is None and env:

@@ -180,6 +180,11 @@ def ovl_coefficient(p, q, angular_dims=ANGULAR_DIMS) -> float:
     wrapped line, which is accurate while the marginals stay concentrated
     (circular spread well below the full circle).
     """
+    return float(_ovl_per_dimension(p, q, angular_dims).mean())
+
+
+def _ovl_per_dimension(p, q, angular_dims) -> np.ndarray:
+    """Overlapping coefficient of each marginal pair, shape (k,)."""
     mean_p, cov_p = _mean_cov(p)
     mean_q, cov_q = _mean_cov(q)
     k = mean_p.shape[0]
@@ -205,7 +210,7 @@ def ovl_coefficient(p, q, angular_dims=ANGULAR_DIMS) -> float:
         val, _ = integrate.quad(integrand, lo, hi, points=points or None,
                                 limit=200, epsabs=1e-9, epsrel=1e-9)
         vals[d] = min(1.0, max(0.0, val))
-    return float(vals.mean())
+    return vals
 
 
 def kde_1d(samples, bandwidth: float | None = None, grid_size: int = 512,
@@ -306,16 +311,13 @@ def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
     batch so the nearest-neighbor queries vectorize. A restart that fails
     numerically is dropped; more than half failing is an error.
     """
-    from .stein import _as_range, run_particle_engine
+    from .stein import run_particle_engine, sample_initial_particles, uniform_init_bounds
 
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    cvec = np.asarray(center, dtype=float).reshape(6)
-    half = np.concatenate([_as_range(trans_range), _as_range(rot_range)])
+    bounds = uniform_init_bounds(center, trans_range, rot_range)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_MC_INIT]))
-    inits = np.empty((n, 6))
-    for d in range(6):
-        inits[:, d] = rng.uniform(cvec[d] - half[d], cvec[d] + half[d], size=n)
+    inits = sample_initial_particles(n, bounds, rng)
     result = run_particle_engine(source, reference, inits, config,
                                  interacting=False, record_trace=False)
     ok = ~result.failed
@@ -346,20 +348,13 @@ def pose_summary(dist: PoseDistribution) -> dict:
 
 def metrics_report(candidate: PoseDistribution, reference: PoseDistribution) -> dict:
     """Bundle of the posterior-quality metrics against a reference."""
-    per_dim_ovl = [
-        ovl_coefficient(
-            ((candidate.mean[d],), np.array([[candidate.covariance[d, d]]])),
-            ((reference.mean[d],), np.array([[reference.covariance[d, d]]])),
-            angular_dims=(0,) if d in ANGULAR_DIMS else (),
-        )
-        for d in range(6)
-    ]
+    per_dim_ovl = _ovl_per_dimension(candidate, reference, ANGULAR_DIMS)
     return {
         "kl_6d": kl_gaussian(candidate, reference),
         "kl_translation": kl_translation(candidate, reference),
         "kl_rotation": kl_rotation(candidate, reference),
-        "ovl": ovl_coefficient(candidate, reference),
-        "ovl_per_dimension": per_dim_ovl,
+        "ovl": float(per_dim_ovl.mean()),
+        "ovl_per_dimension": [float(v) for v in per_dim_ovl],
         "candidate": pose_summary(candidate),
         "reference": pose_summary(reference),
     }

@@ -20,8 +20,8 @@ Equivalently, g is the exact gradient of half the batch cost.
 
 `stacked_cost_gradients` is the one implementation of this arithmetic: it
 evaluates K particles' batches at once, with a mask of the pairs that
-survived matching. The particle engine runs it over chunks of particles;
-`residual_cost` and `batch_gradients` are its K=1 views on a MiniBatch.
+survived matching. The particle engine runs it on all live particles at
+once; `residual_cost` and `batch_gradients` are its K=1 views on a MiniBatch.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ class IcpConfig:
         if self.likelihood_scale is not None and not 0 <= self.likelihood_scale < np.inf:
             raise InputError("likelihood_scale must be non-negative and finite, "
                              f"got {self.likelihood_scale}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise InputError("workers must be >= 1")
 

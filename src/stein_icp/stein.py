@@ -19,7 +19,6 @@ yaw); `ParticleSet` is an alias documenting that contract.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
@@ -40,6 +39,7 @@ __all__ = [
     "prior_gradient",
     "stein_direction",
     "sample_initial_particles",
+    "uniform_init_bounds",
     "run_stein_icp",
     "run_particle_engine",
     "EngineResult",
@@ -84,17 +84,24 @@ class SteinConfig(IcpConfig):
                 or (isinstance(self.bandwidth, (int, float))
                     and not isinstance(self.bandwidth, bool) and 0 < self.bandwidth < np.inf)):
             raise InputError("bandwidth must be 'median' or a positive finite number")
-        center = np.asarray(self.init_center, dtype=float)
-        if center.shape != (6,) or not np.isfinite(center).all():
-            raise InputError("init_center must have 6 finite entries")
-        _as_range(self.trans_range)
-        _as_range(self.rot_range)
+        self.init_bounds()
 
     def init_bounds(self) -> np.ndarray:
         """Per-dimension [lo, hi] bounds, shape (6, 2)."""
-        center = np.asarray(self.init_center, dtype=float)
-        half = np.concatenate([_as_range(self.trans_range), _as_range(self.rot_range)])
-        return np.stack([center - half, center + half], axis=1)
+        return uniform_init_bounds(self.init_center, self.trans_range, self.rot_range)
+
+
+def uniform_init_bounds(center, trans_range, rot_range) -> np.ndarray:
+    """Bounds center +- range of the uniform init box, shape (6, 2).
+
+    center has 6 finite entries; each range is a scalar or 3 values,
+    non-negative and finite, for the translation and the angle block.
+    """
+    center = np.asarray(center, dtype=float)
+    if center.shape != (6,) or not np.isfinite(center).all():
+        raise InputError("init_center must have 6 finite entries")
+    half = np.concatenate([_as_range(trans_range), _as_range(rot_range)])
+    return np.stack([center - half, center + half], axis=1)
 
 
 def _as_range(r) -> np.ndarray:
@@ -309,11 +316,9 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     interacting=True applies the kernel coupling (Stein mode, failures
     raise); interacting=False treats particles as independent restarts
     (Monte-Carlo mode, failures freeze the particle and are reported).
-    With config.workers > 1, a thread pool maps stacked_cost_gradients
-    over contiguous particle chunks and concatenates the results in
-    order, and the kd-tree query splits its points over as many threads.
-    Each particle's arithmetic is the same under any chunking, so outputs
-    do not depend on the worker count.
+    Every iteration runs all live particles through the stacked kernels
+    in one pass. config.workers is the thread count of the kd-tree query
+    and nothing else; the query is exact, so outputs do not depend on it.
     """
     theta = np.array(particles, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 6:
@@ -340,103 +345,85 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         trace[0] = theta
     timings = {k: 0.0 for k in ("sampling", "transform", "matching", "gradients", "update")}
 
-    workers = config.workers
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    for it in range(config.iterations):
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
 
-    def cost_gradients(*arrays):
-        """stacked_cost_gradients over contiguous particle chunks, one per worker."""
-        n = len(arrays[0])
-        if pool is None or n < 2 * workers:
-            return stacked_cost_gradients(*arrays)
-        step = -(-n // workers)
-        parts = list(pool.map(
-            lambda s: stacked_cost_gradients(*(a if a is None else a[s:s + step] for a in arrays)),
-            range(0, n, step)))
-        return np.concatenate([c for c, _ in parts]), np.concatenate([g for _, g in parts])
+        t0 = time.perf_counter()
+        if shared_batch:
+            idx = np.broadcast_to(sample_minibatch(N, m, shared_rng), (live.size, m))
+        else:
+            idx = np.stack([sample_minibatch(N, m, part_rngs[j]) for j in live])
+        timings["sampling"] += time.perf_counter() - t0
 
-    try:
-        for it in range(config.iterations):
-            live = np.flatnonzero(active)
+        t0 = time.perf_counter()
+        th = theta[live]
+        R = rotation_from_euler(th[:, 3], th[:, 4], th[:, 5])       # (Ka, 3, 3)
+        batches = source.points[idx]                                 # (Ka, m, 3)
+        moved = transform_stacked(R, th[:, :3], batches)
+        timings["transform"] += time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        matched, normals, _, mask = match_stacked(moved, index, config.max_dist,
+                                                  with_normals=use_plane,
+                                                  workers=config.workers)
+        dead = ~mask.any(axis=1)
+        timings["matching"] += time.perf_counter() - t0
+
+        if dead.any():
+            if interacting:
+                raise MatchRejectionError(
+                    f"iteration {it}: all pairs rejected for particle(s) "
+                    f"{live[dead].tolist()} (max_dist={config.max_dist})")
+            # Freeze failed restarts; the rest are independent.
+            active[live[dead]] = False
+            keep = ~dead
+            live = live[keep]
             if live.size == 0:
                 break
+            th, batches, moved, matched, mask = (
+                th[keep], batches[keep], moved[keep], matched[keep], mask[keep])
+            if normals is not None:
+                normals = normals[keep]
 
-            t0 = time.perf_counter()
-            if shared_batch:
-                idx = np.broadcast_to(sample_minibatch(N, m, shared_rng), (live.size, m))
-            else:
-                idx = np.stack([sample_minibatch(N, m, part_rngs[j]) for j in live])
-            timings["sampling"] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        partials = rotation_partials(th[:, 3], th[:, 4], th[:, 5])   # (Ka, 3, 3, 3)
+        costs, grads = stacked_cost_gradients(moved - matched, mask, batches, partials, normals)
+        cost_trace[it] = float(costs.mean())
 
-            t0 = time.perf_counter()
-            th = theta[live]
-            R = rotation_from_euler(th[:, 3], th[:, 4], th[:, 5])       # (Ka, 3, 3)
-            batches = source.points[idx]                                 # (Ka, m, 3)
-            moved = transform_stacked(R, th[:, :3], batches)
-            timings["transform"] += time.perf_counter() - t0
+        if interacting:
+            dirs = stein_direction(th, scale * grads, prior, bandwidth, bandwidth,
+                                   average=average, repulsion=repulsion)
+        else:
+            dirs = -scale * grads
+        timings["gradients"] += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            matched, normals, _, mask = match_stacked(moved, index, config.max_dist,
-                                                      with_normals=use_plane,
-                                                      workers=workers)
-            dead = ~mask.any(axis=1)
-            timings["matching"] += time.perf_counter() - t0
-
-            if dead.any():
-                if interacting:
-                    raise MatchRejectionError(
-                        f"iteration {it}: all pairs rejected for particle(s) "
-                        f"{live[dead].tolist()} (max_dist={config.max_dist})")
-                # Freeze failed restarts; the rest are independent.
-                active[live[dead]] = False
-                keep = ~dead
-                live = live[keep]
-                if live.size == 0:
-                    break
-                th, batches, moved, matched, mask = (
-                    th[keep], batches[keep], moved[keep], matched[keep], mask[keep])
-                if normals is not None:
-                    normals = normals[keep]
-
-            t0 = time.perf_counter()
-            partials = rotation_partials(th[:, 3], th[:, 4], th[:, 5])   # (Ka, 3, 3, 3)
-            costs, grads = cost_gradients(moved - matched, mask, batches, partials, normals)
-            cost_trace[it] = float(costs.mean())
-
+        t0 = time.perf_counter()
+        if config.optimizer == "adam":
+            # Freezing is permanent, so every live particle has taken
+            # exactly `it` steps before this one.
+            step, state = adam_step(AdamState(adam_m[live], adam_v[live], t=it), -dirs,
+                                    config.step_size, config.beta1, config.beta2,
+                                    config.eps)
+            adam_m[live] = state.m
+            adam_v[live] = state.v
+        else:
+            step = config.step_size * dirs
+        new_theta = th + step
+        new_theta[:, 3:] = wrap_angle(new_theta[:, 3:])
+        bad = ~np.isfinite(new_theta).all(axis=1)
+        if bad.any():
             if interacting:
-                dirs = stein_direction(th, scale * grads, prior, bandwidth, bandwidth,
-                                       average=average, repulsion=repulsion)
-            else:
-                dirs = -scale * grads
-            timings["gradients"] += time.perf_counter() - t0
+                raise DivergedError(f"iteration {it}: non-finite pose for particle(s) "
+                                    f"{live[bad].tolist()}")
+            active[live[bad]] = False
+            new_theta[bad] = th[bad]
+        theta[live] = new_theta
+        timings["update"] += time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            if config.optimizer == "adam":
-                # Freezing is permanent, so every live particle has taken
-                # exactly `it` steps before this one.
-                step, state = adam_step(AdamState(adam_m[live], adam_v[live], t=it), -dirs,
-                                        config.step_size, config.beta1, config.beta2,
-                                        config.eps)
-                adam_m[live] = state.m
-                adam_v[live] = state.v
-            else:
-                step = config.step_size * dirs
-            new_theta = th + step
-            new_theta[:, 3:] = wrap_angle(new_theta[:, 3:])
-            bad = ~np.isfinite(new_theta).all(axis=1)
-            if bad.any():
-                if interacting:
-                    raise DivergedError(f"iteration {it}: non-finite pose for particle(s) "
-                                        f"{live[bad].tolist()}")
-                active[live[bad]] = False
-                new_theta[bad] = th[bad]
-            theta[live] = new_theta
-            timings["update"] += time.perf_counter() - t0
-
-            if trace is not None:
-                trace[it + 1] = theta
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        if trace is not None:
+            trace[it + 1] = theta
 
     return EngineResult(particles=theta, cost_trace=cost_trace, failed=~active,
                         timings=timings, particle_trace=trace)

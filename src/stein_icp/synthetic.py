@@ -35,8 +35,11 @@ def _finish(src_pts: np.ndarray, ref_pts: np.ndarray, true_pose: Pose6D,
 
     Source and reference are separate samplings of the same surface, the
     way two scans of one object are, so the cost landscape carries no
-    point-identity structure beyond the shape itself.
+    point-identity structure beyond the shape itself. noise is the
+    per-axis standard deviation, non-negative and finite.
     """
+    if not 0 <= noise < np.inf:
+        raise InputError(f"noise must be non-negative and finite, got {noise}")
     source = PointCloud(src_pts)
     reference = transform_cloud(PointCloud(ref_pts), true_pose)
     if noise > 0:
@@ -90,12 +93,7 @@ def block_scene(n: int = 4000, noise: float = 0.005, seed: int = 0,
     src_y = rng.uniform(-0.6, 0.6, n)
     src_z = rng.uniform(-0.4, 0.4, n)
     src_pts = np.column_stack([np.zeros(n), src_y, src_z])
-    source = PointCloud(src_pts)
-    reference = PointCloud(ref_pts)
-    if noise > 0:
-        source = PointCloud(source.points + rng.normal(0.0, noise, source.points.shape))
-        reference = PointCloud(reference.points + rng.normal(0.0, noise, reference.points.shape))
-    return source, reference, Pose6D()
+    return _finish(src_pts, ref_pts, Pose6D(), noise, rng)
 
 
 def blob_scene(n: int = 5000, noise: float = 0.005, seed: int = 0,

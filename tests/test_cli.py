@@ -73,6 +73,9 @@ class TestSynth:
     def test_negative_point_count_is_bad_input(self, tmp_path, capsys):
         assert main(["synth", "--points", "-5", "--out", str(tmp_path / "n")]) == 2
         assert "--points: expected a non-negative integer" in capsys.readouterr().err
+        for cmd in ("synth", "bench"):
+            assert main([cmd, "--noise", "-1", "--out", str(tmp_path / cmd)]) == 2
+            assert "noise must be non-negative" in capsys.readouterr().err
 
     def test_unknown_scene(self, tmp_path):
         assert main(["synth", "--scene", "torus", "--out", str(tmp_path / "t")]) == 2
@@ -253,6 +256,14 @@ class TestGroundTruth:
             assert main(["ground-truth", "--source", str(src), "--reference",
                          str(ref), "--out", str(out), *args]) == 0
         assert (out1 / "mc_samples.csv").read_bytes() == (out2 / "mc_samples.csv").read_bytes()
+
+    def test_non_finite_init_center_is_bad_input(self, pair, tmp_path, capsys):
+        src, ref = pair
+        rc = main(["ground-truth", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "gt"), "--runs", "2", "--iterations", "2",
+                   "--init-center", "nan,0,0,0,0,0"])
+        assert rc == 2
+        assert "init_center must have 6 finite entries" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -374,6 +374,8 @@ class TestMcGroundTruth:
         cfg = IcpConfig(batch_size=40, iterations=5)
         with pytest.raises(InputError):
             mc_ground_truth(src, ref, 0, cfg)
+        with pytest.raises(InputError, match="init_center"):
+            mc_ground_truth(src, ref, 2, cfg, center=(float("nan"), 0, 0, 0, 0, 0))
 
 
 class TestSummaries:

@@ -248,6 +248,7 @@ class TestIcpConfigValidation:
         {"eps": float("nan")},
         {"likelihood_scale": float("inf")},
         {"max_dist": float("nan")},
+        {"seed": -1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):

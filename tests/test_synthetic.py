@@ -66,6 +66,12 @@ class TestSizesAndDeterminism:
             assert 0.005 < diff.std() < 0.02
             assert np.abs(diff).max() < 0.08
 
+    @pytest.mark.parametrize("name", ["ring", "block", "blob"])
+    def test_bad_noise_is_rejected(self, name):
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="noise must be non-negative"):
+                make_scene(name, n=50, noise=noise)
+
 
 class TestRingScene:
     def test_zero_noise_source_lies_on_surface(self):
