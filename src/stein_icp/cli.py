@@ -475,11 +475,13 @@ def cmd_bench(cfg: dict) -> int:
         dist, engine = run_stein_icp(source, reference, run_cfg, full_output=True)
         total = time.perf_counter() - start
         phase_sum = sum(engine.timings.values())
+        counts = engine.match_counts
         results.append({
             "workers": w,
             "total_seconds": total,
             "phases": {k: v for k, v in engine.timings.items()},
             "phase_coverage": phase_sum / total if total > 0 else 1.0,
+            "certified_share": counts["certified"] / counts["queried"],
             "mean_pose": [float(v) for v in dist.mean],
         })
     base = results[0]["total_seconds"]

@@ -2,7 +2,9 @@
 
 The index wraps a kd-tree and guarantees two things the optimizer relies
 on: queries are exact (never approximate), and exact distance ties resolve
-to the lowest reference index so runs are reproducible.
+to the lowest reference index so runs are reproducible. Most queries are
+answered from a lazily filled cell grid whose answers are certified to be
+the kd-tree's own (see NeighborIndex).
 """
 
 from __future__ import annotations
@@ -20,31 +22,108 @@ __all__ = ["NeighborIndex", "build_index", "sample_minibatch", "match_stacked", 
 
 _TIE_RTOL = 1e-12
 
+# The certified cell grid. A filled cell holds the ids of the _CANDIDATES
+# reference points nearest its center (int32) and one float64 bound, 36
+# bytes, in a table grown by half as cells fill; the slot map holds one
+# int32 per cell of the padded bounding box, at most _CELL_BUDGET of them
+# (4 MiB). Coordinates are gathered from per-axis copies of the reference.
+_CANDIDATES = 7
+_CELL_SPACINGS = 1.6      # cell edge in median nearest-neighbor spacings
+_SPACING_SAMPLE = 4096    # reference points the spacing is measured on
+_GRID_PAD = 4             # cells of padding around the bounding box
+_CELL_BUDGET = 1 << 20
+_CERT_SLACK = 1e-9        # covers the rounding of the three distances
+_CHUNK = 8192             # query points per pass, bounding the (c, p) temporaries
+_KD_POINTS_PER_THREAD = 4096  # smallest kd-tree query share worth a thread
 
-@dataclass(frozen=True)
+
 class NeighborIndex:
-    """Exact nearest-neighbor index over a reference cloud."""
+    """Exact nearest-neighbor index over a reference cloud.
 
-    reference: PointCloud
-    _tree: cKDTree
+    query returns, for each point, the kd-tree answer: the nearest
+    reference point, ties on distance to the lowest index. Most points get
+    that answer from a cell grid instead, with a certificate that it is
+    the same index and the same distance bits:
+
+    The grid covers the reference's bounding box, padded by a few cells.
+    The first query that lands in a cell fills it: the ids C of the 7
+    reference points nearest the cell center c, and D, the distance from c
+    to the 8th (inf when the reference has no 8th). For a query q in the
+    cell, let eps = |q - c|; by the triangle inequality every reference
+    point outside C is at least D - eps from q. The distances to C are
+    computed as the kd-tree computes them, sqrt((dx*dx + dy*dy) + dz*dz),
+    so they are its values bit for bit. Let d1 < d2 be the best two and
+    gap = 1e-12 * max(d1, 1) the kd path's tie tolerance. The point is
+    certified when d2 - d1 > gap and d1 + gap + eps < D - 1e-9 * max(D, 1),
+    the slack covering the rounding of eps, d1 and D. Then one reference
+    point is at d1 and every other one is farther than d1 + gap, so the
+    kd-tree's two nearest are that candidate and a point it does not call
+    tied: it returns that candidate at distance d1. Every other point, on
+    a near-tie, a failed certificate, outside the grid or not finite, goes
+    to the kd-tree.
+
+    A point with no reference point at a finite distance (its squared
+    distances overflow) gets distance inf and index len(reference), the
+    kd-tree's own marker. `queried` and `certified` count the points
+    queried and the points answered from the grid.
+
+    query fills cells and counts as it goes, so it changes the index: one
+    index must not be shared between threads. Its own threads (workers)
+    run only the kd-tree queries of a call, the cells to fill and the
+    points left uncertified, and only when a query is large enough to
+    repay starting them.
+    """
+
+    def __init__(self, reference: PointCloud, tree: cKDTree):
+        self.reference = reference
+        self._tree = tree
+        self.queried = 0
+        self.certified = 0
+        pts = reference.points
+        self._cols = [np.ascontiguousarray(pts[:, c]) for c in range(3)]
+        self._origin, self._h, self._dims = _grid_shape(pts, tree)
+        self._slots = np.full(int(np.prod(self._dims)), -1, dtype=np.int32)
+        self._ids = np.empty((min(_CANDIDATES, len(pts)), 0), dtype=np.int32)
+        self._bound = np.empty(0)
+        self._filled = 0
 
     def query(self, points: np.ndarray, workers: int = 1):
         """Nearest reference point for each query point.
 
         Returns (distances, indices). Ties on distance go to the lowest
-        reference index.
+        reference index. workers is the thread count of the kd-tree
+        queries, for the cells to fill and the points the grid does not
+        certify; the answer does not depend on it.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = len(points)
+        dist = np.empty(n)
+        idx = np.empty(n, dtype=np.intp)
+        hit = np.zeros(n, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # such points miss
+            inside, cell, slot = self._locate(points, workers)
+            for start in range(0, len(inside), _CHUNK):
+                sl = slice(start, start + _CHUNK)
+                self._certify(points, inside[sl], cell[:, sl], slot[sl], dist, idx, hit)
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            dist[miss], idx[miss] = self._kd_query(points[miss], workers)
+        self.queried += n
+        self.certified += n - miss.size
+        return dist, idx
+
+    def _kd_query(self, points: np.ndarray, workers: int):
         n_ref = len(self.reference)
         k = min(2, n_ref)
-        d, i = self._tree.query(points, k=k, workers=workers)
+        d, i = self._tree.query(points, k=k, workers=_kd_threads(len(points), workers))
         if k == 1:
-            return d.reshape(len(points)), np.full(len(points), 0)
+            return d, i
         dist = d[:, 0].copy()
         idx = i[:, 0].copy()
         # A tie between the two nearest hints at a larger tied set; resolve
         # those few points exhaustively against every candidate at that radius.
-        tied = np.flatnonzero((d[:, 1] - d[:, 0]) <= _TIE_RTOL * np.maximum(d[:, 0], 1.0))
+        with np.errstate(invalid="ignore"):     # inf - inf for overflowing points
+            tied = np.flatnonzero((d[:, 1] - d[:, 0]) <= _TIE_RTOL * np.maximum(d[:, 0], 1.0))
         for t in tied:
             radius = dist[t] * (1.0 + 10.0 * _TIE_RTOL) + 1e-300
             cand = self._tree.query_ball_point(points[t], radius)
@@ -54,6 +133,108 @@ class NeighborIndex:
             idx[t] = cand[best][0]
             dist[t] = dd[best][0]
         return dist, idx
+
+    def _locate(self, points, workers):
+        """(inside, cell, slot) of the points inside the grid: their row
+        numbers, their (3, p) cell coordinates and the table slots of their
+        cells, filling the cells that are still empty."""
+        frac = (points - self._origin) / self._h
+        inside = np.flatnonzero(((frac >= 0) & (frac < self._dims)).all(axis=1))
+        cell = frac[inside].T.astype(np.intp)
+        flat = (cell[0] * self._dims[1] + cell[1]) * self._dims[2] + cell[2]
+        slot = self._slots[flat]
+        empty = slot < 0
+        if empty.any():
+            self._fill(np.unique(flat[empty]), workers)
+            slot = self._slots[flat]
+        return inside, cell, slot.astype(np.intp)
+
+    def _certify(self, points, rows, cell, slot, dist, idx, hit):
+        """Write the grid's certified answers for points[rows], which lie in
+        the given cells and table slots, into dist, idx and hit.
+
+        Works on coordinate rows, shape (3, p), and candidate rows, (c, p),
+        so that every step is a pass over contiguous memory."""
+        q = np.ascontiguousarray(points[rows].T)
+        cand = np.take(self._ids, slot, axis=1).astype(np.intp)      # (c, p)
+        sq = np.take(self._cols[0], cand)
+        sq -= q[0]
+        sq *= sq
+        for c in (1, 2):
+            delta = np.take(self._cols[c], cand)
+            delta -= q[c]
+            delta *= delta
+            sq += delta
+        # Best and runner-up squared distance over the candidate rows.
+        d1 = sq[0].copy()
+        d2 = np.full(len(d1), np.inf)
+        tmp = np.empty_like(d1)
+        for row in sq[1:]:
+            np.maximum(d1, row, out=tmp)
+            np.minimum(d2, tmp, out=d2)
+            np.minimum(d1, row, out=d1)
+        best = np.where(sq == d1, cand, len(self.reference)).min(axis=0)
+        np.sqrt(d1, out=d1)
+        np.sqrt(d2, out=d2)
+        off = q - (self._origin[:, None] + (cell + 0.5) * self._h)
+        off *= off
+        eps = np.sqrt(off[0] + off[1] + off[2])
+        gap = _TIE_RTOL * np.maximum(d1, 1.0)
+        ok = (d2 - d1 > gap) & (d1 + gap + eps < self._bound[slot])
+        sel = rows[ok]
+        hit[sel] = True
+        dist[sel] = d1[ok]
+        idx[sel] = best[ok]
+
+    def _fill(self, cells: np.ndarray, workers: int):
+        """Store candidates and bound of the given (unfilled) flat cells."""
+        cell = np.stack(np.unravel_index(cells, tuple(self._dims)))    # (3, u)
+        centers = (self._origin[:, None] + (cell + 0.5) * self._h).T
+        d, i = self._tree.query(centers, k=self._ids.shape[0] + 1,
+                                workers=_kd_threads(len(centers), workers))
+        bound = d[:, -1]
+        bound = np.where(bound >= 1.0, bound * (1.0 - _CERT_SLACK), bound - _CERT_SLACK)
+        start, stop = self._filled, self._filled + len(cells)
+        if stop > len(self._bound):
+            cap = min(self._slots.size, max(stop, len(self._bound) * 3 // 2))
+            ids = np.empty((self._ids.shape[0], cap), dtype=np.int32)
+            ids[:, :start] = self._ids[:, :start]
+            grown = np.empty(cap)
+            grown[:start] = self._bound[:start]
+            self._ids, self._bound = ids, grown
+        self._ids[:, start:stop] = i[:, :-1].T
+        self._bound[start:stop] = bound
+        self._slots[cells] = np.arange(start, stop, dtype=np.int32)
+        self._filled = stop
+
+
+def _kd_threads(n: int, workers: int) -> int:
+    """Threads for a kd-tree query of n points: starting a thread costs
+    about as much as querying a thousand points, so small queries run on
+    one."""
+    return max(1, min(workers, n // _KD_POINTS_PER_THREAD))
+
+
+def _grid_shape(points: np.ndarray, tree: cKDTree):
+    """(origin, h, dims) of the cell grid over points.
+
+    The cell edge h is _CELL_SPACINGS median nearest-neighbor spacings on a
+    strided sample (the extent, or 1, when that is 0 or undefined), grown
+    until the padded bounding box has at most _CELL_BUDGET cells. A box
+    whose extent overflows gets no cells.
+    """
+    lo = points.min(axis=0)
+    extent = points.max(axis=0) - lo
+    if not np.isfinite(extent).all():
+        return lo, 1.0, np.zeros(3, dtype=np.intp)
+    sample = points[::max(1, len(points) // _SPACING_SAMPLE)]
+    h = _CELL_SPACINGS * float(np.median(tree.query(sample, k=2)[0][:, 1]))
+    if not 0.0 < h < np.inf:
+        h = max(float(extent.max()), 1.0)
+    while np.prod(np.floor(extent / h) + 1 + 2 * _GRID_PAD) > _CELL_BUDGET:
+        h *= 1.25
+    dims = (np.floor(extent / h) + 1 + 2 * _GRID_PAD).astype(np.intp)
+    return lo - _GRID_PAD * h, h, dims
 
 
 def build_index(reference: PointCloud) -> NeighborIndex:
@@ -96,16 +277,20 @@ def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | No
     Returns (reference_points, normals, distances, keep): the matched points
     and, when with_normals, their normals (else None), both (K, m, 3); the
     (K, m) distances; and the (K, m) bool mask of pairs that survive
-    rejection. max_dist, when set, rejects pairs farther apart than the
-    threshold; with_normals rejects pairs whose reference normal is the
-    zero marker.
+    rejection. A point with no neighbor at a finite distance (overflowing
+    coordinates) is rejected and keeps distance inf. max_dist, when set,
+    rejects pairs farther apart than the threshold; with_normals rejects
+    pairs whose reference normal is the zero marker.
     """
     if with_normals and index.reference.normals is None:
         raise InputError("point-to-plane matching needs reference normals")
     dist, ref_idx = index.query(points.reshape(-1, 3), workers=workers)
     dist = dist.reshape(points.shape[:-1])
     ref_idx = ref_idx.reshape(points.shape[:-1])
-    keep = np.ones(dist.shape, dtype=bool)
+    # Points without a neighbor at a finite distance carry the index marker
+    # len(reference); they are rejected and never index the reference.
+    keep = ref_idx < len(index.reference)
+    ref_idx = np.where(keep, ref_idx, 0)
     if max_dist is not None:
         keep &= dist <= max_dist
     normals = None

@@ -297,6 +297,8 @@ class EngineResult:
     failed: np.ndarray                # (K,) bool
     timings: dict = field(default_factory=dict)
     particle_trace: np.ndarray | None = None   # (T + 1, K, 6) when recorded
+    # Points the matcher queried and those its cell grid certified.
+    match_counts: dict = field(default_factory=dict)
 
 
 def _stein_params(config: IcpConfig):
@@ -319,10 +321,15 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     Every iteration runs all live particles through the stacked kernels
     in one pass. config.workers is the thread count of the kd-tree query
     and nothing else; the query is exact, so outputs do not depend on it.
+    A particle whose moved points leave the floating-point range (no finite
+    nearest-neighbor distance) has diverged.
     """
     theta = np.array(particles, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 6:
         raise InputError(f"particles must be (K, 6), got {theta.shape}")
+    bad = np.flatnonzero(~np.isfinite(theta).all(axis=1))
+    if bad.size:
+        raise InputError(f"particles must be finite; row(s) {bad.tolist()} are not")
     theta[:, 3:] = wrap_angle(theta[:, 3:])
     K = theta.shape[0]
     N = len(source)
@@ -365,14 +372,19 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         timings["transform"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        matched, normals, _, mask = match_stacked(moved, index, config.max_dist,
-                                                  with_normals=use_plane,
-                                                  workers=config.workers)
-        dead = ~mask.any(axis=1)
+        matched, normals, dist, mask = match_stacked(moved, index, config.max_dist,
+                                                     with_normals=use_plane,
+                                                     workers=config.workers)
+        lost = ~np.isfinite(dist).all(axis=1)
+        dead = lost | ~mask.any(axis=1)
         timings["matching"] += time.perf_counter() - t0
 
         if dead.any():
             if interacting:
+                if lost.any():
+                    raise DivergedError(
+                        f"iteration {it}: particle(s) {live[lost].tolist()} left the "
+                        "floating-point range (no finite nearest-neighbor distance)")
                 raise MatchRejectionError(
                     f"iteration {it}: all pairs rejected for particle(s) "
                     f"{live[dead].tolist()} (max_dist={config.max_dist})")
@@ -426,7 +438,9 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
             trace[it + 1] = theta
 
     return EngineResult(particles=theta, cost_trace=cost_trace, failed=~active,
-                        timings=timings, particle_trace=trace)
+                        timings=timings, particle_trace=trace,
+                        match_counts={"queried": index.queried,
+                                      "certified": index.certified})
 
 
 # --------------------------------------------------------------------------

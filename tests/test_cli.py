@@ -154,6 +154,16 @@ class TestRegister:
         assert rc == 1
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_pose_is_numerical_failure(self, pair, tmp_path, capsys):
+        src, ref = pair
+        rc = main(["register", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "o"), *_FAST, "--init-center", "1e300,0,0,0,0,0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: iteration 0: particle(s) [0, 1, 2, 3, 4, 5]")
+        assert "floating-point range" in err
+        assert "Traceback" not in err
+
     def test_config_file_and_flag_precedence(self, pair, tmp_path):
         src, ref = pair
         ini = tmp_path / "run.ini"
@@ -256,6 +266,15 @@ class TestGroundTruth:
             assert main(["ground-truth", "--source", str(src), "--reference",
                          str(ref), "--out", str(out), *args]) == 0
         assert (out1 / "mc_samples.csv").read_bytes() == (out2 / "mc_samples.csv").read_bytes()
+
+    def test_overflowing_restarts_are_frozen(self, pair, tmp_path, capsys):
+        src, ref = pair
+        rc = main(["ground-truth", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "gt"), "--runs", "4", "--iterations", "3",
+                   "--batch-size", "60", "--init-center", "1e300,0,0,0,0,0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "numerical failure: 4 of 4 restarts failed\n"
 
     def test_non_finite_init_center_is_bad_input(self, pair, tmp_path, capsys):
         src, ref = pair
@@ -434,6 +453,7 @@ class TestBench:
                                       "gradients", "update"}
         # the five phases account for nearly all of the wall time
         assert run["phase_coverage"] > 0.95
+        assert 0.5 < run["certified_share"] <= 1.0
 
     def test_thread_plan_and_output_stability(self, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)  # keep 3 threads unclamped

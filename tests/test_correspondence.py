@@ -1,8 +1,11 @@
 """Nearest-neighbor index against a brute-force linear scan, tie-breaking,
-and mini-batch assembly."""
+the certified cell grid against the kd-tree, and mini-batch assembly."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from stein_icp import (
     InputError,
@@ -13,6 +16,8 @@ from stein_icp import (
     match_stacked,
     sample_minibatch,
 )
+
+from stein_icp.correspondence import _KD_POINTS_PER_THREAD, _kd_threads
 
 from oracles import linear_scan_nn
 
@@ -87,6 +92,154 @@ class TestTieBreaking:
         queries = np.array([[0.0, 0.0, 0.0], [0.19, 0.1, 5.0]])
         _, idx = build_index(PointCloud(ref)).query(queries)
         np.testing.assert_array_equal(idx, [0, 2])
+
+
+def _warm_query(index, queries, workers=1):
+    """Query twice: the second pass runs on the cells the first one filled."""
+    cold = index.query(queries, workers=workers)
+    dist, idx = index.query(queries, workers=workers)
+    np.testing.assert_array_equal(dist, cold[0])
+    np.testing.assert_array_equal(idx, cold[1])
+    return dist, idx
+
+
+def _assert_kd_answer(ref, queries, dist, idx):
+    """Indices equal the linear scan's; on queries the kd path does not
+    call tied, distances equal a raw cKDTree query bit for bit."""
+    _, oidx = linear_scan_nn(queries, ref)
+    np.testing.assert_array_equal(idx, oidx)
+    raw = cKDTree(ref).query(queries, k=2)[0]
+    untied = raw[:, 1] - raw[:, 0] > 1e-12 * np.maximum(raw[:, 0], 1.0)
+    np.testing.assert_array_equal(dist[untied], raw[untied, 0])
+
+
+def _surface(rng, n):
+    """A wavy sheet, the kind of cloud the engine matches against."""
+    pts = rng.uniform(-1, 1, (n, 3))
+    pts[:, 2] = 0.25 * np.sin(3.0 * pts[:, 0]) + 0.15 * np.cos(2.0 * pts[:, 1])
+    return pts
+
+
+lattice_clouds = st.lists(
+    st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3), min_size=1, max_size=30,
+).map(lambda rows: 0.25 * np.array(rows, dtype=float))
+
+
+class TestCertifiedGrid:
+    """Most queries are answered from the cell grid. Every answer, certified
+    or not, must be the kd-tree's: index and distance bits."""
+
+    def test_near_surface_queries_are_certified_and_exact(self, rng):
+        """10000 points: more than one of the grid's 8192-point passes."""
+        ref = _surface(rng, 2000)
+        index = build_index(PointCloud(ref))
+        queries = ref[rng.integers(0, 2000, 10000)] + rng.normal(0, 0.01, (10000, 3))
+        dist, idx = _warm_query(index, queries)
+        _assert_kd_answer(ref, queries, dist, idx)
+        assert index.queried == 20000
+        assert index.certified > 0.7 * index.queried
+
+    def test_cell_centers_and_faces(self, rng):
+        ref = _surface(rng, 1500)
+        index = build_index(PointCloud(ref))
+        cells = np.stack([rng.integers(0, d, 400) for d in index._dims], axis=1)
+        centers = index._origin + (cells + 0.5) * index._h
+        corners = index._origin + cells * index._h
+        faces = centers.copy()
+        faces[:, 0] = corners[:, 0]
+        edges = corners.copy()
+        edges[:, 2] = centers[:, 2]
+        queries = np.vstack([centers, corners, faces, edges])
+        dist, idx = _warm_query(index, queries)
+        _assert_kd_answer(ref, queries, dist, idx)
+        assert index.certified > 0
+
+    def test_far_and_overflowing_queries(self, rng):
+        ref = _surface(rng, 500)
+        index = build_index(PointCloud(ref))
+        far = np.array([[100.0, 0.0, 0.0], [-50.0, 30.0, 2.0], [0.0, 0.0, -1e6]])
+        dist, idx = _warm_query(index, far)
+        _assert_kd_answer(ref, far, dist, idx)
+        assert index.certified == 0
+        dist, idx = index.query(np.array([[1e300, 0.0, 0.0], [0.0, -1e300, 1e300]]))
+        np.testing.assert_array_equal(dist, [np.inf, np.inf])
+        np.testing.assert_array_equal(idx, [500, 500])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+    def test_fewer_than_eight_reference_points(self, rng, n):
+        ref = rng.uniform(-1, 1, (n, 3))
+        index = build_index(PointCloud(ref))
+        queries = np.vstack([rng.uniform(-1.5, 1.5, (200, 3)), ref])
+        dist, idx = _warm_query(index, queries)
+        _assert_kd_answer(ref, queries, dist, idx)
+        assert index.certified > 0
+
+    @pytest.mark.parametrize("ref, queries, expected", [
+        # Four points at distance 1 from the origin, then 3.0 away.
+        ([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [3.0, 3.0, 3.0]],
+         [[0.0, 0, 0]], [0]),
+        ([[0.5, 0.5, 0.5]] * 4 + [[2.0, 2.0, 2.0]], [[0.4, 0.5, 0.5]], [0]),
+        ([[-1.0, 0, 0], [1.0, 0, 0], [5.0, 5.0, 5.0]], [[0.0, 0, 0]], [0]),
+        ([[1.0, 0, 0], [-1.0, 0, 0], [0.2, 0.1, 5.0]],
+         [[0.0, 0, 0], [0.19, 0.1, 5.0]], [0, 2]),
+    ])
+    def test_ties_and_duplicates_on_a_warm_index(self, rng, ref, queries, expected):
+        ref = np.asarray(ref, dtype=float)
+        queries = np.asarray(queries, dtype=float)
+        index = build_index(PointCloud(ref))
+        index.query((queries + rng.normal(0, 0.05, (50,) + queries.shape)).reshape(-1, 3))
+        dist, idx = _warm_query(index, queries)
+        np.testing.assert_array_equal(idx, expected)
+        _assert_kd_answer(ref, queries, dist, idx)
+
+    def test_near_tie_goes_to_lowest_index_on_a_warm_index(self, rng):
+        """Index 1 is nearer than index 0 by 1e-14, inside the tie
+        tolerance: the kd contract gives index 0, whose distance comes from
+        the exhaustive tie resolution."""
+        ref = np.vstack([[[1.0, 0, 0], [-(1.0 - 1e-14), 0, 0]], rng.uniform(3, 4, (30, 3))])
+        index = build_index(PointCloud(ref))
+        origin = np.zeros((1, 3))
+        index.query(rng.normal(0, 0.05, (200, 3)))
+        dist, idx = _warm_query(index, origin)
+        assert idx[0] == 0
+        assert dist[0] == np.linalg.norm(ref[0])
+
+    def test_workers_on_a_warm_index(self, rng):
+        """The far points all miss the grid, enough of them that the kd-tree
+        query of the misses runs on more than one thread."""
+        ref = _surface(rng, 1000)
+        near = ref[rng.integers(0, 1000, 2000)] + rng.normal(0, 0.02, (2000, 3))
+        far = rng.uniform(5, 6, (3 * _KD_POINTS_PER_THREAD, 3))
+        queries = np.vstack([near, far])
+        assert _kd_threads(len(far), 4) == 3
+        one, four = build_index(PointCloud(ref)), build_index(PointCloud(ref))
+        d1, i1 = _warm_query(one, queries, workers=1)
+        d4, i4 = _warm_query(four, queries, workers=4)
+        np.testing.assert_array_equal(i1, i4)
+        np.testing.assert_array_equal(d1, d4)
+        assert one.certified == four.certified > 0
+        _assert_kd_answer(ref, queries, d4, i4)
+
+    def test_small_kd_queries_run_on_one_thread(self):
+        assert _kd_threads(1, 8) == 1
+        assert _kd_threads(_KD_POINTS_PER_THREAD - 1, 8) == 1
+        assert _kd_threads(2 * _KD_POINTS_PER_THREAD, 8) == 2
+        assert _kd_threads(100 * _KD_POINTS_PER_THREAD, 8) == 8
+        assert _kd_threads(100 * _KD_POINTS_PER_THREAD, 1) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(lattice_clouds, lattice_clouds, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_repeated_queries_match_oracle(self, ref, lattice, seed):
+        """Lattice points give exact ties and duplicates; jittered copies
+        give ordinary queries. Each pass must give the kd-tree's answer."""
+        rng = np.random.default_rng(seed)
+        queries = np.vstack([lattice, lattice + rng.normal(0, 0.05, lattice.shape),
+                             rng.uniform(-1, 1, (20, 3))])
+        index = build_index(PointCloud(ref))
+        for _ in range(3):
+            dist, idx = index.query(queries[rng.permutation(len(queries))])
+        dist, idx = index.query(queries)
+        _assert_kd_answer(ref, queries, dist, idx)
 
 
 class TestSampleMinibatch:

@@ -482,6 +482,48 @@ class TestParticleEngine:
         with pytest.raises(DivergedError):
             run_stein_icp(src, ref, cfg)
 
+    def test_overflowing_pose_diverges(self, rng):
+        """A pose far enough out that every squared distance overflows: the
+        matcher finds no finite neighbor and the run names the particle."""
+        ref = _wavy_cloud(rng, 100)
+        cfg = SteinConfig(particles=3, batch_size=20, iterations=3, seed=2)
+        init = np.zeros((3, 6))
+        init[1, 0] = 1e300
+        with pytest.raises(DivergedError, match=r"iteration 0: particle\(s\) \[1\] left the "
+                                                r"floating-point range"):
+            run_stein_icp(ref, ref, cfg, initial_particles=init)
+
+    def test_noninteracting_freezes_overflowing_restarts(self, rng):
+        ref = _wavy_cloud(rng, 100)
+        cfg = IcpConfig(batch_size=20, iterations=3, step_size=0.01)
+        start = np.zeros((3, 6))
+        start[2, 1] = -1e300
+        result = run_particle_engine(ref, ref, start, cfg, interacting=False)
+        np.testing.assert_array_equal(result.failed, [False, False, True])
+        np.testing.assert_array_equal(result.particles[2], start[2])
+        assert np.isfinite(result.particles).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_initial_particles_are_bad_input(self, rng, value):
+        ref = _wavy_cloud(rng, 100)
+        cfg = SteinConfig(particles=2, batch_size=20, iterations=2)
+        init = np.zeros((2, 6))
+        init[1, 4] = value
+        with pytest.raises(InputError, match=r"row\(s\) \[1\]"):
+            run_stein_icp(ref, ref, cfg, initial_particles=init)
+
+    def test_match_counts(self, rng):
+        """Every matched point is counted once; the grid certifies most of
+        them on a registration that converges."""
+        ref = _wavy_cloud(rng, 400)
+        src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01))
+        cfg = SteinConfig(particles=5, batch_size=60, step_size=0.01, iterations=30,
+                          seed=4, trans_range=0.05, rot_range=0.02)
+        _, result = run_stein_icp(src, ref, cfg, full_output=True)
+        assert result.match_counts["queried"] == 5 * 60 * 30
+        assert 0.5 * 5 * 60 * 30 < result.match_counts["certified"] <= 5 * 60 * 30
+        assert "certified" not in result.timings
+
     def test_noninteracting_freezes_failed_restarts(self, rng):
         ref = _wavy_cloud(rng, 100)
         src = PointCloud(ref.points + [100.0, 0.0, 0.0])
