@@ -4,8 +4,8 @@ Subcommands: register, ground-truth, evaluate, odometry, bench, synth.
 Every command reads an optional INI config file (--config FILE, section
 named after the command); explicit flags override file values, and unknown
 config keys are rejected. Exit codes: 0 success, 1 numerical failure,
-2 bad input. The kd-tree query thread count comes from --threads, falling
-back to the STEIN_ICP_THREADS environment variable, then to 1.
+2 bad input. The solver is single-threaded and data-parallel over
+particles; --threads accepts only 1.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import configparser
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -40,8 +39,6 @@ from .stein import PriorConfig, SteinConfig, run_stein_icp
 from .synthetic import BLOCK_GAP, make_scene
 
 __all__ = ["main"]
-
-ENV_THREADS = "STEIN_ICP_THREADS"
 
 
 def _fmt(x: float) -> str:
@@ -71,6 +68,12 @@ def _parse_natural(s) -> int:
     return n
 
 
+def _parse_threads(s) -> int:
+    if int(s) != 1:
+        raise ValueError(s)
+    return 1
+
+
 def _parse_bandwidth(s):
     return s if s == "median" else float(s)
 
@@ -88,7 +91,8 @@ def _parse_bool(s) -> bool:
 
 # What each parser accepts, for the message naming a value it rejects.
 _EXPECTED = {int: "an integer", float: "a number", _parse_natural: "a non-negative integer",
-             _parse_bandwidth: "'median' or a number"}
+             _parse_bandwidth: "'median' or a number",
+             _parse_threads: "1 (the solver is single-threaded)"}
 
 
 # Per-command option registry: dest -> (parser, default). The same parsers
@@ -102,7 +106,7 @@ _COMMON_ICP = {
     "optimizer": (str, "adam"),
     "likelihood_scale": (float, None),
     "seed": (_parse_natural, 0),
-    "threads": (int, None),
+    "threads": (_parse_threads, 1),   # validated only: the solver is single-threaded
     "normals_k": (int, 10),
 }
 
@@ -174,7 +178,7 @@ _HELP = {
     "ground-truth": "Monte-Carlo reference posterior from many independent restarts",
     "evaluate": "compare a posterior sample set against a reference sample set",
     "odometry": "chain pairwise registrations over a frame directory",
-    "bench": "time the register pipeline phases and the thread speedup",
+    "bench": "time the register pipeline phases and the grid's certified share",
     "synth": "write a synthetic benchmark scene with known ground truth",
 }
 
@@ -238,20 +242,6 @@ def _effective(args) -> dict:
     return merged
 
 
-def _threads(cfg: dict) -> int:
-    """kd-tree query threads: --threads, else $STEIN_ICP_THREADS, else 1,
-    clamped to [1, cpu count]; outputs do not depend on it, so the clamp is
-    safe."""
-    n = cfg.get("threads")
-    env = os.environ.get(ENV_THREADS)
-    if n is None and env:
-        try:
-            n = int(env)
-        except ValueError as e:
-            raise InputError(f"bad {ENV_THREADS} value {env!r}") from e
-    return max(1, min(n or 1, os.cpu_count() or 1))
-
-
 def _load_pair(cfg: dict):
     source = load_cloud(cfg["source"])
     reference = load_cloud(cfg["reference"])
@@ -260,17 +250,17 @@ def _load_pair(cfg: dict):
     return source, reference
 
 
-def _icp_config(cfg: dict, workers: int) -> IcpConfig:
+def _icp_config(cfg: dict) -> IcpConfig:
     return IcpConfig(
         metric=cfg["metric"], batch_size=cfg["batch_size"], step_size=cfg["step_size"],
         iterations=cfg["iterations"], max_dist=cfg["max_dist"], optimizer=cfg["optimizer"],
-        likelihood_scale=cfg["likelihood_scale"], seed=cfg["seed"], workers=workers,
+        likelihood_scale=cfg["likelihood_scale"], seed=cfg["seed"],
     )
 
 
-def _stein_config(cfg: dict, workers: int) -> SteinConfig:
+def _stein_config(cfg: dict) -> SteinConfig:
     return SteinConfig(
-        **vars(_icp_config(cfg, workers)),
+        **vars(_icp_config(cfg)),
         particles=cfg["particles"], bandwidth=cfg["bandwidth"],
         repulsion=cfg["repulsion"], direction_sum=cfg["direction_sum"],
         shared_batch=cfg["shared_batch"], init_center=tuple(cfg["init_center"]),
@@ -333,21 +323,20 @@ def _print_pose(label: str, pose: np.ndarray) -> None:
 
 
 def cmd_register(cfg: dict) -> int:
-    workers = _threads(cfg)
     source, reference = _load_pair(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     prior = _prior_config(cfg)
     if cfg["method"] == "stein":
-        dist, engine = run_stein_icp(source, reference, _stein_config(cfg, workers),
-                                     prior, full_output=True)
+        dist, engine = run_stein_icp(source, reference, _stein_config(cfg), prior,
+                                     full_output=True)
         trace_poses = engine.particle_trace.mean(axis=1) if engine.particle_trace is not None else None
         cost_trace = engine.cost_trace
         samples = dist.samples
     elif cfg["method"] == "sgd":
         pose, diag = run_sgd_icp(source, reference, Pose6D.from_array(cfg["init_center"]),
-                                 _icp_config(cfg, workers))
+                                 _icp_config(cfg))
         dist = PoseDistribution.from_samples(pose.to_array().reshape(1, 6))
         trace_poses = diag.pose_trace
         cost_trace = diag.cost_trace
@@ -372,13 +361,12 @@ def cmd_register(cfg: dict) -> int:
 
 
 def cmd_ground_truth(cfg: dict) -> int:
-    workers = _threads(cfg)
     source, reference = _load_pair(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     dist = mc_ground_truth(
-        source, reference, cfg["runs"], _icp_config(cfg, workers),
+        source, reference, cfg["runs"], _icp_config(cfg),
         trans_range=cfg["trans_range"], rot_range=cfg["rot_range"],
         center=cfg["init_center"],
     )
@@ -418,7 +406,6 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_odometry(cfg: dict) -> int:
-    workers = _threads(cfg)
     frame_dir = Path(cfg["frames"])
     if not frame_dir.is_dir():
         raise InputError(f"{frame_dir} is not a directory")
@@ -435,7 +422,7 @@ def cmd_odometry(cfg: dict) -> int:
         clouds = [c if c.normals is not None else estimate_normals(c, k=cfg["normals_k"])
                   for c in clouds]
     steps = []
-    base = _stein_config(cfg, workers)
+    base = _stein_config(cfg)
     for i in range(1, len(clouds)):
         # Frame i registered onto frame i-1; seeds decorrelate across steps.
         step_cfg = replace(base, seed=base.seed + i)
@@ -464,32 +451,21 @@ def cmd_odometry(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    workers = _threads(cfg)
     source, reference, _ = make_scene(cfg["scene"], n=cfg["points"], noise=cfg["noise"],
                                       seed=cfg["seed"])
-    results = []
-    plan = sorted({1, workers} | {w for w in (2, 4, 8) if w < workers})
-    for w in plan:
-        run_cfg = _stein_config(cfg, w)
-        start = time.perf_counter()
-        dist, engine = run_stein_icp(source, reference, run_cfg, full_output=True)
-        total = time.perf_counter() - start
-        phase_sum = sum(engine.timings.values())
-        counts = engine.match_counts
-        results.append({
-            "workers": w,
-            "total_seconds": total,
-            "phases": {k: v for k, v in engine.timings.items()},
-            "phase_coverage": phase_sum / total if total > 0 else 1.0,
-            "certified_share": counts["certified"] / counts["queried"],
-            "mean_pose": [float(v) for v in dist.mean],
-        })
-    base = results[0]["total_seconds"]
-    for entry in results:
-        entry["speedup"] = base / entry["total_seconds"] if entry["total_seconds"] > 0 else 1.0
-    payload = {"scene": cfg["scene"], "points": cfg["points"],
-               "particles": cfg["particles"], "iterations": cfg["iterations"],
-               "runs": results}
+    start = time.perf_counter()
+    dist, engine = run_stein_icp(source, reference, _stein_config(cfg), full_output=True)
+    total = time.perf_counter() - start
+    counts = engine.match_counts
+    payload = {
+        "scene": cfg["scene"], "points": cfg["points"],
+        "particles": cfg["particles"], "iterations": cfg["iterations"],
+        "total_seconds": total,
+        "phases": dict(engine.timings),
+        "phase_coverage": sum(engine.timings.values()) / total if total > 0 else 1.0,
+        "certified_share": counts["certified"] / counts["queried"],
+        "mean_pose": [float(v) for v in dist.mean],
+    }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg["out"]:
         Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)

@@ -357,8 +357,8 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     deterministic regardless of input order. Normals are dropped
     (recompute after downsampling if needed).
     """
-    if voxel <= 0:
-        raise InputError(f"voxel size must be positive, got {voxel}")
+    if not 0 < voxel < np.inf:
+        raise InputError(f"voxel size must be positive and finite, got {voxel}")
     pts = cloud.points
     origin = pts.min(axis=0)
     keys = np.floor((pts - origin) / voxel).astype(np.int64)

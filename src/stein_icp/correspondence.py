@@ -34,7 +34,6 @@ _GRID_PAD = 4             # cells of padding around the bounding box
 _CELL_BUDGET = 1 << 20
 _CERT_SLACK = 1e-9        # covers the rounding of the three distances
 _CHUNK = 8192             # query points per pass, bounding the (c, p) temporaries
-_KD_POINTS_PER_THREAD = 4096  # smallest kd-tree query share worth a thread
 
 
 class NeighborIndex:
@@ -68,10 +67,7 @@ class NeighborIndex:
     queried and the points answered from the grid.
 
     query fills cells and counts as it goes, so it changes the index: one
-    index must not be shared between threads. Its own threads (workers)
-    run only the kd-tree queries of a call, the cells to fill and the
-    points left uncertified, and only when a query is large enough to
-    repay starting them.
+    index must not be queried concurrently.
     """
 
     def __init__(self, reference: PointCloud, tree: cKDTree):
@@ -87,13 +83,12 @@ class NeighborIndex:
         self._bound = np.empty(0)
         self._filled = 0
 
-    def query(self, points: np.ndarray, workers: int = 1):
+    def query(self, points: np.ndarray):
         """Nearest reference point for each query point.
 
         Returns (distances, indices). Ties on distance go to the lowest
-        reference index. workers is the thread count of the kd-tree
-        queries, for the cells to fill and the points the grid does not
-        certify; the answer does not depend on it.
+        reference index. Points the grid does not certify go to the
+        kd-tree.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
@@ -101,21 +96,21 @@ class NeighborIndex:
         idx = np.empty(n, dtype=np.intp)
         hit = np.zeros(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # such points miss
-            inside, cell, slot = self._locate(points, workers)
+            inside, cell, slot = self._locate(points)
             for start in range(0, len(inside), _CHUNK):
                 sl = slice(start, start + _CHUNK)
                 self._certify(points, inside[sl], cell[:, sl], slot[sl], dist, idx, hit)
         miss = np.flatnonzero(~hit)
         if miss.size:
-            dist[miss], idx[miss] = self._kd_query(points[miss], workers)
+            dist[miss], idx[miss] = self._kd_query(points[miss])
         self.queried += n
         self.certified += n - miss.size
         return dist, idx
 
-    def _kd_query(self, points: np.ndarray, workers: int):
+    def _kd_query(self, points: np.ndarray):
         n_ref = len(self.reference)
         k = min(2, n_ref)
-        d, i = self._tree.query(points, k=k, workers=_kd_threads(len(points), workers))
+        d, i = self._tree.query(points, k=k)
         if k == 1:
             return d, i
         dist = d[:, 0].copy()
@@ -134,7 +129,7 @@ class NeighborIndex:
             dist[t] = dd[best][0]
         return dist, idx
 
-    def _locate(self, points, workers):
+    def _locate(self, points):
         """(inside, cell, slot) of the points inside the grid: their row
         numbers, their (3, p) cell coordinates and the table slots of their
         cells, filling the cells that are still empty."""
@@ -145,7 +140,7 @@ class NeighborIndex:
         slot = self._slots[flat]
         empty = slot < 0
         if empty.any():
-            self._fill(np.unique(flat[empty]), workers)
+            self._fill(np.unique(flat[empty]))
             slot = self._slots[flat]
         return inside, cell, slot.astype(np.intp)
 
@@ -186,12 +181,11 @@ class NeighborIndex:
         dist[sel] = d1[ok]
         idx[sel] = best[ok]
 
-    def _fill(self, cells: np.ndarray, workers: int):
+    def _fill(self, cells: np.ndarray):
         """Store candidates and bound of the given (unfilled) flat cells."""
         cell = np.stack(np.unravel_index(cells, tuple(self._dims)))    # (3, u)
         centers = (self._origin[:, None] + (cell + 0.5) * self._h).T
-        d, i = self._tree.query(centers, k=self._ids.shape[0] + 1,
-                                workers=_kd_threads(len(centers), workers))
+        d, i = self._tree.query(centers, k=self._ids.shape[0] + 1)
         bound = d[:, -1]
         bound = np.where(bound >= 1.0, bound * (1.0 - _CERT_SLACK), bound - _CERT_SLACK)
         start, stop = self._filled, self._filled + len(cells)
@@ -206,13 +200,6 @@ class NeighborIndex:
         self._bound[start:stop] = bound
         self._slots[cells] = np.arange(start, stop, dtype=np.int32)
         self._filled = stop
-
-
-def _kd_threads(n: int, workers: int) -> int:
-    """Threads for a kd-tree query of n points: starting a thread costs
-    about as much as querying a thousand points, so small queries run on
-    one."""
-    return max(1, min(workers, n // _KD_POINTS_PER_THREAD))
 
 
 def _grid_shape(points: np.ndarray, tree: cKDTree):
@@ -271,7 +258,7 @@ class MiniBatch:
 
 
 def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | None = None,
-                  *, with_normals: bool = False, workers: int = 1):
+                  *, with_normals: bool = False):
     """Match a (K, m, 3) stack of points to their nearest reference points.
 
     Returns (reference_points, normals, distances, keep): the matched points
@@ -284,7 +271,7 @@ def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | No
     """
     if with_normals and index.reference.normals is None:
         raise InputError("point-to-plane matching needs reference normals")
-    dist, ref_idx = index.query(points.reshape(-1, 3), workers=workers)
+    dist, ref_idx = index.query(points.reshape(-1, 3))
     dist = dist.reshape(points.shape[:-1])
     ref_idx = ref_idx.reshape(points.shape[:-1])
     # Points without a neighbor at a finite distance carry the index marker
@@ -308,7 +295,6 @@ def match_batch(
     indices: np.ndarray | None = None,
     source_points: np.ndarray | None = None,
     with_normals: bool = False,
-    workers: int = 1,
 ) -> MiniBatch:
     """Match transformed batch points to their nearest reference points.
 
@@ -321,7 +307,7 @@ def match_batch(
     indices = np.arange(m) if indices is None else np.asarray(indices)
     source_points = transformed if source_points is None else source_points
     matched, normals, dist, keep = (None if a is None else a[0] for a in match_stacked(
-        transformed[None], index, max_dist, with_normals=with_normals, workers=workers))
+        transformed[None], index, max_dist, with_normals=with_normals))
     if not keep.any():
         raise MatchRejectionError(
             f"all {m} correspondences rejected (max_dist={max_dist}); clouds may not overlap"

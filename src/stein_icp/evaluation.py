@@ -321,7 +321,7 @@ def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
     result = run_particle_engine(source, reference, inits, config,
                                  interacting=False, record_trace=False)
     ok = ~result.failed
-    if ok.sum() < max(1, n // 2):
+    if 2 * ok.sum() < n:
         raise NumericalError(f"{int(result.failed.sum())} of {n} restarts failed")
     return PoseDistribution.from_samples(result.particles[ok])
 

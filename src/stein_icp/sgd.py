@@ -70,7 +70,6 @@ class IcpConfig:
     eps: float = 1e-8
     likelihood_scale: float | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -94,8 +93,6 @@ class IcpConfig:
                              f"got {self.likelihood_scale}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
 
 
 # --------------------------------------------------------------------------

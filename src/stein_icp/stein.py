@@ -319,8 +319,8 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     raise); interacting=False treats particles as independent restarts
     (Monte-Carlo mode, failures freeze the particle and are reported).
     Every iteration runs all live particles through the stacked kernels
-    in one pass. config.workers is the thread count of the kd-tree query
-    and nothing else; the query is exact, so outputs do not depend on it.
+    in one array pass: the engine is single-threaded and data-parallel
+    over particles.
     A particle whose moved points leave the floating-point range (no finite
     nearest-neighbor distance) has diverged.
     """
@@ -373,8 +373,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
 
         t0 = time.perf_counter()
         matched, normals, dist, mask = match_stacked(moved, index, config.max_dist,
-                                                     with_normals=use_plane,
-                                                     workers=config.workers)
+                                                     with_normals=use_plane)
         lost = ~np.isfinite(dist).all(axis=1)
         dead = lost | ~mask.any(axis=1)
         timings["matching"] += time.perf_counter() - t0

@@ -2,18 +2,12 @@
 file precedence, determinism of the written artifacts, and exit codes."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from stein_icp import InputError, PointCloud, load_cloud, write_cloud
-from stein_icp.cli import ENV_THREADS, _threads, main
-
-
-@pytest.fixture(autouse=True)
-def _clean_thread_env(monkeypatch):
-    monkeypatch.delenv(ENV_THREADS, raising=False)
+from stein_icp import PointCloud, load_cloud, write_cloud
+from stein_icp.cli import main
 
 
 @pytest.fixture()
@@ -30,6 +24,8 @@ def pair(tmp_path, rng):
 
 _FAST = ["--particles", "6", "--iterations", "15", "--batch-size", "60",
          "--trans-range", "0.05", "--rot-range", "0.02"]
+_GT_FAST = ["--runs", "4", "--iterations", "15", "--batch-size", "60",
+            "--trans-range", "0.05", "--rot-range", "0.02"]
 
 
 def _register(src, ref, out, *extra):
@@ -103,18 +99,6 @@ class TestRegister:
         assert _register(src, ref, out2) == 0
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-
-    def test_thread_count_does_not_change_artifacts(self, pair, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # keep 3 threads unclamped
-        src, ref = pair
-        out1, out2, out3 = tmp_path / "t1", tmp_path / "t2", tmp_path / "t3"
-        assert _register(src, ref, out1) == 0
-        assert _register(src, ref, out2, "--threads", "3") == 0
-        monkeypatch.setenv(ENV_THREADS, "2")
-        assert _register(src, ref, out3) == 0
-        base = (out1 / "samples.csv").read_bytes()
-        assert (out2 / "samples.csv").read_bytes() == base
-        assert (out3 / "samples.csv").read_bytes() == base
 
     def test_trace_file(self, pair, tmp_path):
         src, ref = pair
@@ -224,6 +208,8 @@ class TestRegister:
         ("--trans-range", "0.1,0.2", "--trans-range: range must be 1 or 3 numbers"),
         ("--seed", "-1", "--seed: expected a non-negative integer, got '-1'"),
         ("--repulsion", "maybe", "--repulsion: cannot parse boolean from 'maybe'"),
+        *(("--threads", v, f"--threads: expected 1 (the solver is single-threaded), got '{v}'")
+          for v in ("2", "0", "-5", "abc")),
     ])
     def test_malformed_flag_names_the_flag(self, pair, tmp_path, capsys, flag, value, message):
         src, ref = pair
@@ -445,54 +431,49 @@ class TestBench:
         printed = json.loads(capsys.readouterr().out)
         stored = json.loads(out_file.read_text())
         assert printed == stored
-        assert len(stored["runs"]) == 1
-        run = stored["runs"][0]
-        assert run["workers"] == 1
-        assert run["speedup"] == 1.0
-        assert set(run["phases"]) == {"sampling", "transform", "matching",
-                                      "gradients", "update"}
+        assert set(stored) == {"scene", "points", "particles", "iterations", "total_seconds",
+                               "phases", "phase_coverage", "certified_share", "mean_pose"}
+        assert (stored["scene"], stored["points"]) == ("blob", 2000)
+        assert (stored["particles"], stored["iterations"]) == (20, 40)
+        assert set(stored["phases"]) == {"sampling", "transform", "matching",
+                                         "gradients", "update"}
         # the five phases account for nearly all of the wall time
-        assert run["phase_coverage"] > 0.95
-        assert 0.5 < run["certified_share"] <= 1.0
-
-    def test_thread_plan_and_output_stability(self, capsys, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # keep 3 threads unclamped
-        rc = main(["bench", "--scene", "ring", "--points", "600",
-                   "--particles", "8", "--iterations", "10",
-                   "--batch-size", "60", "--threads", "3",
-                   "--trans-range", "0.05", "--rot-range", "0.02"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        workers = [r["workers"] for r in payload["runs"]]
-        assert workers == [1, 2, 3]
-        poses = [r["mean_pose"] for r in payload["runs"]]
-        assert poses[1] == poses[0]
-        assert poses[2] == poses[0]
-        assert all("speedup" in r for r in payload["runs"])
+        assert stored["total_seconds"] > 0
+        assert stored["phase_coverage"] > 0.95
+        assert 0.5 < stored["certified_share"] <= 1.0
+        assert len(stored["mean_pose"]) == 6
 
 
-class TestThreads:
-    """The clamp is checked on _threads itself, so no thread is started."""
+class TestThreadsFlag:
+    """--threads stays on the command line but accepts only 1: the solver
+    is single-threaded."""
 
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _threads({"threads": 64}) == 2
-        monkeypatch.setenv(ENV_THREADS, "64")
-        assert _threads({"threads": None}) == 2
-        assert _threads({"threads": 1}) == 1
+    @pytest.mark.parametrize("command, samples, fast", [
+        ("register", "samples.csv", _FAST),
+        ("ground-truth", "mc_samples.csv", _GT_FAST),
+    ])
+    def test_one_thread_leaves_outputs_unchanged(self, pair, tmp_path, command, samples, fast):
+        src, ref = pair
+        ini = tmp_path / "threads.ini"
+        ini.write_text(f"[{command}]\nthreads = 1\n")
+        written = []
+        for name, extra in (("plain", []), ("flag", ["--threads", "1"]),
+                            ("ini", ["--config", str(ini)])):
+            out = tmp_path / name
+            assert main([command, "--source", str(src), "--reference", str(ref),
+                         "--out", str(out), *fast, *extra]) == 0
+            written.append((out / samples).read_bytes())
+        assert written[1] == written[0]
+        assert written[2] == written[0]
 
-    def test_floor_and_default(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _threads({"threads": 4}) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert _threads({"threads": 0}) == 1
-        assert _threads({"threads": -3}) == 1
-        assert _threads({"threads": None}) == 1
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "many")
-        with pytest.raises(InputError):
-            _threads({"threads": None})
+    def test_other_config_value_is_bad_input(self, pair, tmp_path, capsys):
+        src, ref = pair
+        ini = tmp_path / "threads.ini"
+        ini.write_text("[register]\nthreads = 4\n")
+        rc = main(["register", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "o"), "--config", str(ini)])
+        assert rc == 2
+        assert f"{ini}: threads: expected 1" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -281,9 +281,11 @@ class TestVoxelDownsample:
         assert len(out) == 1
         np.testing.assert_allclose(out.points[0], pts.mean(axis=0), atol=1e-15)
 
-    def test_validation(self):
-        with pytest.raises(InputError):
-            voxel_downsample(PointCloud([[0, 0, 0]]), 0.0)
+    def test_validation(self, rng):
+        cloud = PointCloud(rng.uniform(0, 1, (100, 3)))
+        for voxel in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InputError, match="positive and finite"):
+                voxel_downsample(cloud, voxel)
 
     def test_normals_dropped(self, rng):
         pts = rng.uniform(0, 1, (20, 3))

@@ -17,8 +17,6 @@ from stein_icp import (
     sample_minibatch,
 )
 
-from stein_icp.correspondence import _KD_POINTS_PER_THREAD, _kd_threads
-
 from oracles import linear_scan_nn
 
 
@@ -45,15 +43,6 @@ class TestQueryAgainstLinearScan:
         index = build_index(PointCloud([[1.0, 2.0, 3.0]]))
         dist, idx = index.query(rng.uniform(-1, 1, (5, 3)))
         np.testing.assert_array_equal(idx, np.zeros(5, dtype=int))
-
-    def test_workers_do_not_change_results(self, rng):
-        ref = rng.uniform(-1, 1, (400, 3))
-        queries = rng.uniform(-1, 1, (500, 3))
-        index = build_index(PointCloud(ref))
-        d1, i1 = index.query(queries, workers=1)
-        d4, i4 = index.query(queries, workers=4)
-        np.testing.assert_array_equal(i1, i4)
-        np.testing.assert_array_equal(d1, d4)
 
 
 class TestTieBreaking:
@@ -94,10 +83,10 @@ class TestTieBreaking:
         np.testing.assert_array_equal(idx, [0, 2])
 
 
-def _warm_query(index, queries, workers=1):
+def _warm_query(index, queries):
     """Query twice: the second pass runs on the cells the first one filled."""
-    cold = index.query(queries, workers=workers)
-    dist, idx = index.query(queries, workers=workers)
+    cold = index.query(queries)
+    dist, idx = index.query(queries)
     np.testing.assert_array_equal(dist, cold[0])
     np.testing.assert_array_equal(idx, cold[1])
     return dist, idx
@@ -205,27 +194,17 @@ class TestCertifiedGrid:
         assert dist[0] == np.linalg.norm(ref[0])
 
     def test_workers_on_a_warm_index(self, rng):
-        """The far points all miss the grid, enough of them that the kd-tree
-        query of the misses runs on more than one thread."""
+        """Near and far points in one call on a warm index: the far points
+        lie outside the grid and all go to the kd-tree, the near ones are
+        mostly certified, and every point gets the kd-tree's answer."""
         ref = _surface(rng, 1000)
         near = ref[rng.integers(0, 1000, 2000)] + rng.normal(0, 0.02, (2000, 3))
-        far = rng.uniform(5, 6, (3 * _KD_POINTS_PER_THREAD, 3))
+        far = rng.uniform(5, 6, (3000, 3))
         queries = np.vstack([near, far])
-        assert _kd_threads(len(far), 4) == 3
-        one, four = build_index(PointCloud(ref)), build_index(PointCloud(ref))
-        d1, i1 = _warm_query(one, queries, workers=1)
-        d4, i4 = _warm_query(four, queries, workers=4)
-        np.testing.assert_array_equal(i1, i4)
-        np.testing.assert_array_equal(d1, d4)
-        assert one.certified == four.certified > 0
-        _assert_kd_answer(ref, queries, d4, i4)
-
-    def test_small_kd_queries_run_on_one_thread(self):
-        assert _kd_threads(1, 8) == 1
-        assert _kd_threads(_KD_POINTS_PER_THREAD - 1, 8) == 1
-        assert _kd_threads(2 * _KD_POINTS_PER_THREAD, 8) == 2
-        assert _kd_threads(100 * _KD_POINTS_PER_THREAD, 8) == 8
-        assert _kd_threads(100 * _KD_POINTS_PER_THREAD, 1) == 1
+        index = build_index(PointCloud(ref))
+        dist, idx = _warm_query(index, queries)
+        assert 0 < index.certified <= 2 * len(near) < index.queried
+        _assert_kd_answer(ref, queries, dist, idx)
 
     @settings(max_examples=80, deadline=None)
     @given(lattice_clouds, lattice_clouds, st.integers(min_value=0, max_value=2**32 - 1))

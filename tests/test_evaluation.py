@@ -369,6 +369,32 @@ class TestMcGroundTruth:
         with pytest.raises(NumericalError):
             mc_ground_truth(far, ref, 4, cfg)
 
+    @pytest.mark.parametrize("n, failed, survivors", [
+        (3, 2, None),
+        (5, 3, None),
+        (4, 3, None),
+        (1, 1, None),
+        (4, 2, 2),
+    ])
+    def test_more_than_half_failing_raises(self, rng, monkeypatch, n, failed, survivors):
+        """The engine is stubbed to fail a chosen number of restarts: more
+        than half failing raises, exactly half keeps the survivors."""
+        from stein_icp import stein
+
+        mask = np.arange(n) < failed
+        particles = rng.normal(0, 0.01, (n, 6))
+        monkeypatch.setattr(stein, "run_particle_engine", lambda *a, **k: stein.EngineResult(
+            particles=particles, cost_trace=np.zeros(1), failed=mask))
+        src, ref = self._scene(rng)
+        cfg = IcpConfig(batch_size=40, iterations=5)
+        if survivors is None:
+            with pytest.raises(NumericalError, match=f"{failed} of {n} restarts failed"):
+                mc_ground_truth(src, ref, n, cfg)
+        else:
+            dist = mc_ground_truth(src, ref, n, cfg)
+            assert len(dist) == survivors
+            np.testing.assert_array_equal(dist.samples[:, :3], particles[~mask, :3])
+
     def test_validation(self, rng):
         src, ref = self._scene(rng)
         cfg = IcpConfig(batch_size=40, iterations=5)

@@ -242,13 +242,13 @@ class TestIcpConfigValidation:
         {"eps": 0.0},
         {"max_dist": -0.5},
         {"likelihood_scale": -1.0},
-        {"workers": 0},
         {"step_size": float("nan")},
         {"step_size": float("inf")},
         {"eps": float("nan")},
         {"likelihood_scale": float("inf")},
         {"max_dist": float("nan")},
         {"seed": -1},
+        {"max_dist": float("inf")},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):

@@ -388,20 +388,6 @@ class TestParticleEngine:
         with pytest.raises(InputError):
             run_stein_icp(ref, ref, cfg, initial_particles=np.zeros((2, 6)))
 
-    def test_worker_count_does_not_change_output(self, rng):
-        ref = _wavy_cloud(rng, 400)
-        src = transform_cloud(ref, Pose6D(0.04, 0.0, -0.02))
-
-        def run(workers):
-            cfg = SteinConfig(particles=8, batch_size=80, step_size=0.02,
-                              iterations=15, seed=9, trans_range=0.1,
-                              rot_range=0.05, workers=workers)
-            return run_stein_icp(src, ref, cfg).samples
-
-        base = run(1)
-        np.testing.assert_array_equal(run(3), base)
-        np.testing.assert_array_equal(run(4), base)
-
     def test_shared_batch_feeds_every_particle_the_same_draws(self, rng):
         """With independent (non-interacting) updates, co-located restarts
         separate under per-particle batches and stay identical under a
