@@ -6,6 +6,12 @@ named after the command); explicit flags override file values, and unknown
 config keys are rejected. Exit codes: 0 success, 1 numerical failure,
 2 bad input. The solver is single-threaded and data-parallel over
 particles; --threads accepts only 1.
+
+Each solver option is the IcpConfig/SteinConfig field of the same name
+(the prior options map onto PriorConfig's fields) and takes that field's
+dataclass default; this module holds only its parser. register runs one
+solve path: --method sgd is a one-particle Stein run without a prior
+(sgd_equivalent_config), which reproduces run_sgd_icp bit for bit.
 """
 
 from __future__ import annotations
@@ -16,12 +22,13 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .cloud import estimate_normals, load_cloud, transform_cloud, write_cloud
+from .cloud import estimate_normals, load_cloud, write_cloud
 from .errors import InputError, NumericalError
 from .evaluation import (
     ANGULAR_DIMS,
@@ -34,8 +41,9 @@ from .evaluation import (
 )
 from .geometry import Pose6D
 from .odometry import build_trajectory, ellipse_rows, trajectory_rows
-from .sgd import IcpConfig, run_sgd_icp
-from .stein import PriorConfig, SteinConfig, run_stein_icp
+from .sgd import IcpConfig
+from .stein import (UNIFORM_PRIOR, PriorConfig, SteinConfig, run_stein_icp,
+                    sgd_equivalent_config)
 from .synthetic import BLOCK_GAP, make_scene
 
 __all__ = ["main"]
@@ -50,6 +58,10 @@ def _parse_floats(s, n: int) -> tuple:
     if len(vals) != n:
         raise InputError(f"expected {n} comma-separated numbers, got {len(vals)} in {s!r}")
     return tuple(vals)
+
+
+_parse_pose = partial(_parse_floats, n=6)
+_parse_triple = partial(_parse_floats, n=3)
 
 
 def _parse_range(s):
@@ -95,52 +107,51 @@ _EXPECTED = {int: "an integer", float: "a number", _parse_natural: "a non-negati
              _parse_threads: "1 (the solver is single-threaded)"}
 
 
-# Per-command option registry: dest -> (parser, default). The same parsers
-# digest config-file strings, so file values and flags behave identically.
-_COMMON_ICP = {
-    "metric": (str, "point"),
-    "batch_size": (int, 300),
-    "step_size": (float, 0.01),
-    "iterations": (int, 100),
-    "max_dist": (float, None),
-    "optimizer": (str, "adam"),
-    "likelihood_scale": (float, None),
-    "seed": (_parse_natural, 0),
+# Parser of each solver option. An option is the IcpConfig/SteinConfig field
+# of the same name, or the PriorConfig field _PRIOR_FIELDS names, and its
+# default is that field's dataclass default. The same parsers digest
+# config-file strings, so file values and flags behave identically.
+_SOLVER_PARSERS = {
+    "metric": str, "batch_size": int, "step_size": float, "iterations": int,
+    "max_dist": float, "optimizer": str, "likelihood_scale": float,
+    "seed": _parse_natural,
+    "particles": int, "bandwidth": _parse_bandwidth, "repulsion": _parse_bool,
+    "shared_batch": _parse_bool, "init_center": _parse_pose,
+    "trans_range": _parse_range, "rot_range": _parse_range,
+    "prior": str, "prior_mean": _parse_pose, "prior_variance": _parse_triple,
+    "prior_kappa": _parse_triple,
+}
+_PRIOR_FIELDS = {"prior": "kind", "prior_mean": "mean",
+                 "prior_variance": "trans_variance", "prior_kappa": "kappa"}
+_SOLVER_DEFAULTS = {**{f.name: f.default for f in fields(SteinConfig)},
+                    **{opt: getattr(UNIFORM_PRIOR, name) for opt, name in _PRIOR_FIELDS.items()}}
+
+
+def _solver_options(names) -> dict:
+    return {name: (_SOLVER_PARSERS[name], _SOLVER_DEFAULTS[name]) for name in names}
+
+
+_ICP = _solver_options(f.name for f in fields(IcpConfig))
+_STEIN = _solver_options(f.name for f in fields(SteinConfig))
+_INIT = _solver_options(("init_center", "trans_range", "rot_range"))
+_PRIOR = _solver_options(_PRIOR_FIELDS)
+
+# Every command that solves also takes these, as (parser, default).
+_RUN = {
     "threads": (_parse_threads, 1),   # validated only: the solver is single-threaded
     "normals_k": (int, 10),
-}
-
-_STEIN_EXTRA = {
-    "particles": (int, 100),
-    "bandwidth": (_parse_bandwidth, "median"),
-    "repulsion": (_parse_bool, True),
-    "direction_sum": (_parse_bool, False),
-    "shared_batch": (_parse_bool, False),
-    "init_center": (lambda s: _parse_floats(s, 6), (0.0,) * 6),
-    "trans_range": (_parse_range, 1.0),
-    "rot_range": (_parse_range, 0.1745),
-}
-
-_PRIOR = {
-    "prior": (str, "uniform"),
-    "prior_mean": (lambda s: _parse_floats(s, 6), (0.0,) * 6),
-    "prior_variance": (lambda s: _parse_floats(s, 3), (1.0, 1.0, 1.0)),
-    "prior_kappa": (lambda s: _parse_floats(s, 3), (1.0, 1.0, 1.0)),
 }
 
 _OPTIONS = {
     "register": {
         "source": (str, None), "reference": (str, None),
         "method": (str, "stein"), "out": (str, "."), "trace": (_parse_bool, False),
-        **_COMMON_ICP, **_STEIN_EXTRA, **_PRIOR,
+        **_STEIN, **_PRIOR, **_RUN,
     },
     "ground-truth": {
         "source": (str, None), "reference": (str, None),
         "runs": (int, 1000), "out": (str, "."),
-        "init_center": (lambda s: _parse_floats(s, 6), (0.0,) * 6),
-        "trans_range": (_parse_range, 1.0),
-        "rot_range": (_parse_range, 0.1745),
-        **_COMMON_ICP,
+        **_ICP, **_INIT, **_RUN,
     },
     "evaluate": {
         "posterior": (str, None), "reference_samples": (str, None),
@@ -149,17 +160,17 @@ _OPTIONS = {
     "odometry": {
         "frames": (str, None), "pattern": (str, "*"),
         "out": (str, "."), "level": (float, 0.95), "order": (int, 2),
-        **_COMMON_ICP, **_STEIN_EXTRA,
+        **_STEIN, **_RUN,
     },
     "bench": {
         "scene": (str, "blob"), "points": (_parse_natural, 5000), "noise": (float, 0.005),
         "out": (str, None),
-        **_COMMON_ICP, **_STEIN_EXTRA,
+        **_STEIN, **_RUN,
     },
     "synth": {
         "scene": (str, "blob"), "points": (_parse_natural, 5000), "noise": (float, 0.005),
         "out": (str, "."), "format": (str, "ply"),
-        "true_pose": (lambda s: _parse_floats(s, 6), None),
+        "true_pose": (_parse_pose, None),
         "seed": (_parse_natural, 0),
     },
 }
@@ -245,35 +256,18 @@ def _effective(args) -> dict:
 def _load_pair(cfg: dict):
     source = load_cloud(cfg["source"])
     reference = load_cloud(cfg["reference"])
-    if cfg.get("metric") == "plane" and reference.normals is None:
-        reference = estimate_normals(reference, k=cfg.get("normals_k", 10))
+    if cfg["metric"] == "plane" and reference.normals is None:
+        reference = estimate_normals(reference, k=cfg["normals_k"])
     return source, reference
 
 
-def _icp_config(cfg: dict) -> IcpConfig:
-    return IcpConfig(
-        metric=cfg["metric"], batch_size=cfg["batch_size"], step_size=cfg["step_size"],
-        iterations=cfg["iterations"], max_dist=cfg["max_dist"], optimizer=cfg["optimizer"],
-        likelihood_scale=cfg["likelihood_scale"], seed=cfg["seed"],
-    )
-
-
-def _stein_config(cfg: dict) -> SteinConfig:
-    return SteinConfig(
-        **vars(_icp_config(cfg)),
-        particles=cfg["particles"], bandwidth=cfg["bandwidth"],
-        repulsion=cfg["repulsion"], direction_sum=cfg["direction_sum"],
-        shared_batch=cfg["shared_batch"], init_center=tuple(cfg["init_center"]),
-        trans_range=cfg["trans_range"], rot_range=cfg["rot_range"],
-    )
+def _config(cls, cfg: dict):
+    """An IcpConfig or SteinConfig from the options named after its fields."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
 def _prior_config(cfg: dict) -> PriorConfig:
-    if cfg.get("prior", "uniform") == "uniform":
-        return PriorConfig()
-    return PriorConfig(kind="informed", mean=tuple(cfg["prior_mean"]),
-                       trans_variance=tuple(cfg["prior_variance"]),
-                       kappa=tuple(cfg["prior_kappa"]))
+    return PriorConfig(**{name: cfg[opt] for opt, name in _PRIOR_FIELDS.items()})
 
 
 def _write_samples(samples: np.ndarray, path: Path) -> None:
@@ -323,28 +317,18 @@ def _print_pose(label: str, pose: np.ndarray) -> None:
 
 
 def cmd_register(cfg: dict) -> int:
+    if cfg["method"] not in ("stein", "sgd"):
+        raise InputError(f"method must be 'stein' or 'sgd', got {cfg['method']!r}")
+    config, prior = _config(SteinConfig, cfg), _prior_config(cfg)
+    if cfg["method"] == "sgd":
+        config, prior = sgd_equivalent_config(config, config.init_center), UNIFORM_PRIOR
     source, reference = _load_pair(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    prior = _prior_config(cfg)
-    if cfg["method"] == "stein":
-        dist, engine = run_stein_icp(source, reference, _stein_config(cfg), prior,
-                                     full_output=True)
-        trace_poses = engine.particle_trace.mean(axis=1) if engine.particle_trace is not None else None
-        cost_trace = engine.cost_trace
-        samples = dist.samples
-    elif cfg["method"] == "sgd":
-        pose, diag = run_sgd_icp(source, reference, Pose6D.from_array(cfg["init_center"]),
-                                 _icp_config(cfg))
-        dist = PoseDistribution.from_samples(pose.to_array().reshape(1, 6))
-        trace_poses = diag.pose_trace
-        cost_trace = diag.cost_trace
-        samples = dist.samples
-    else:
-        raise InputError(f"method must be 'stein' or 'sgd', got {cfg['method']!r}")
+    dist, engine = run_stein_icp(source, reference, config, prior, full_output=True)
     elapsed = time.perf_counter() - start
-    _write_samples(samples, out / "samples.csv")
+    _write_samples(dist.samples, out / "samples.csv")
     with open(out / "summary.json", "w") as fh:
         json.dump(_summary_payload(dist), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -352,11 +336,11 @@ def cmd_register(cfg: dict) -> int:
         with open(out / "trace.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "cost"] + list(DIMENSION_NAMES))
-            for t in range(len(cost_trace)):
-                pose_row = trace_poses[t + 1] if trace_poses is not None else [float("nan")] * 6
-                writer.writerow([t, _fmt(cost_trace[t])] + [_fmt(v) for v in pose_row])
+            mean_poses = engine.particle_trace.mean(axis=1)
+            for t, cost in enumerate(engine.cost_trace):
+                writer.writerow([t, _fmt(cost)] + [_fmt(v) for v in mean_poses[t + 1]])
     _print_pose("mean pose", dist.mean)
-    print(f"wrote {out / 'samples.csv'} ({len(samples)} samples) in {elapsed:.2f}s")
+    print(f"wrote {out / 'samples.csv'} ({len(dist)} samples) in {elapsed:.2f}s")
     return 0
 
 
@@ -366,7 +350,7 @@ def cmd_ground_truth(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     dist = mc_ground_truth(
-        source, reference, cfg["runs"], _icp_config(cfg),
+        source, reference, cfg["runs"], _config(IcpConfig, cfg),
         trans_range=cfg["trans_range"], rot_range=cfg["rot_range"],
         center=cfg["init_center"],
     )
@@ -422,7 +406,7 @@ def cmd_odometry(cfg: dict) -> int:
         clouds = [c if c.normals is not None else estimate_normals(c, k=cfg["normals_k"])
                   for c in clouds]
     steps = []
-    base = _stein_config(cfg)
+    base = _config(SteinConfig, cfg)
     for i in range(1, len(clouds)):
         # Frame i registered onto frame i-1; seeds decorrelate across steps.
         step_cfg = replace(base, seed=base.seed + i)
@@ -454,7 +438,7 @@ def cmd_bench(cfg: dict) -> int:
     source, reference, _ = make_scene(cfg["scene"], n=cfg["points"], noise=cfg["noise"],
                                       seed=cfg["seed"])
     start = time.perf_counter()
-    dist, engine = run_stein_icp(source, reference, _stein_config(cfg), full_output=True)
+    dist, engine = run_stein_icp(source, reference, _config(SteinConfig, cfg), full_output=True)
     total = time.perf_counter() - start
     counts = engine.match_counts
     payload = {

@@ -48,13 +48,13 @@ class NeighborIndex:
     The first query that lands in a cell fills it: the ids C of the 7
     reference points nearest the cell center c, and D, the distance from c
     to the 8th (inf when the reference has no 8th). For a query q in the
-    cell, let eps = |q - c|; by the triangle inequality every reference
-    point outside C is at least D - eps from q. The distances to C are
+    cell, let r = |q - c|; by the triangle inequality every reference
+    point outside C is at least D - r from q. The distances to C are
     computed as the kd-tree computes them, sqrt((dx*dx + dy*dy) + dz*dz),
     so they are its values bit for bit. Let d1 < d2 be the best two and
     gap = 1e-12 * max(d1, 1) the kd path's tie tolerance. The point is
-    certified when d2 - d1 > gap and d1 + gap + eps < D - 1e-9 * max(D, 1),
-    the slack covering the rounding of eps, d1 and D. Then one reference
+    certified when d2 - d1 > gap and d1 + gap + r < D - 1e-9 * max(D, 1),
+    the slack covering the rounding of r, d1 and D. Then one reference
     point is at d1 and every other one is farther than d1 + gap, so the
     kd-tree's two nearest are that candidate and a point it does not call
     tied: it returns that candidate at distance d1. Every other point, on
@@ -173,9 +173,9 @@ class NeighborIndex:
         np.sqrt(d2, out=d2)
         off = q - (self._origin[:, None] + (cell + 0.5) * self._h)
         off *= off
-        eps = np.sqrt(off[0] + off[1] + off[2])
+        r = np.sqrt(off[0] + off[1] + off[2])
         gap = _TIE_RTOL * np.maximum(d1, 1.0)
-        ok = (d2 - d1 > gap) & (d1 + gap + eps < self._bound[slot])
+        ok = (d2 - d1 > gap) & (d1 + gap + r < self._bound[slot])
         sel = rows[ok]
         hit[sel] = True
         dist[sel] = d1[ok]

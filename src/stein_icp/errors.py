@@ -2,10 +2,13 @@
 
 Two families matter to callers: bad input (files, configs, shapes) and
 numerical failure during a run. The CLI maps the first to exit code 2 and
-the second to exit code 1.
+the second to exit code 1. check_count is the integer check the configs
+share.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class RegistrationError(Exception):
@@ -30,3 +33,12 @@ class DivergedError(NumericalError):
 
 class MatchRejectionError(NumericalError):
     """Every correspondence in a batch was rejected (clouds do not overlap)."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise InputError unless value is an integer >= minimum. numpy integers
+    count; a bool or a float (even 3.0) does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputError(f"{name} must be >= {minimum}, got {value}")

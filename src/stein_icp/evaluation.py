@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .cloud import PointCloud
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_count
 from .geometry import invert, wrap_angle
 
 __all__ = [
@@ -102,15 +102,11 @@ def fit_gaussian(samples) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _mean_cov(d, size=None):
+def _mean_cov(d):
     if isinstance(d, PoseDistribution):
         return d.mean, d.covariance
     mean, cov = d
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if size is not None and mean.shape != (size,):
-        raise InputError(f"expected mean of length {size}, got {mean.shape}")
-    return mean, cov
+    return np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
 
 
 def kl_gaussian(p, q, angular_dims=ANGULAR_DIMS) -> float:
@@ -297,8 +293,6 @@ def relative_pose_error(estimated, ground_truth, delta: int = 1):
 # --------------------------------------------------------------------------
 # Monte-Carlo ground truth
 
-_STREAM_MC_INIT = 2
-
 
 def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
                     *, trans_range=1.0, rot_range=0.1745,
@@ -311,10 +305,10 @@ def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
     batch so the nearest-neighbor queries vectorize. A restart that fails
     numerically is dropped; more than half failing is an error.
     """
-    from .stein import run_particle_engine, sample_initial_particles, uniform_init_bounds
+    from .stein import (_STREAM_MC_INIT, run_particle_engine, sample_initial_particles,
+                        uniform_init_bounds)
 
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_count("n", n, 1)
     bounds = uniform_init_bounds(center, trans_range, rot_range)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_MC_INIT]))
     inits = sample_initial_particles(n, bounds, rng)

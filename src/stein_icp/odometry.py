@@ -5,7 +5,7 @@ transforms gives the trajectory, and composing covariances through the
 SE(3) adjoint propagates the uncertainty. Perturbations are modeled on
 the left (world frame):
 
-    T_noisy = Exp(eps) T,   eps ~ N(0, Sigma),
+    T_noisy = Exp(xi) T,   xi ~ N(0, Sigma),
 
 so accumulating a step with covariance S through an accumulated transform
 T_acc adds Ad(T_acc) S Ad(T_acc)^T. A fourth-order correction (curly-wedge

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .correspondence import MiniBatch
-from .errors import InputError
+from .errors import InputError, check_count
 from .geometry import Pose6D, rotation_from_euler, rotation_partials, transform_stacked
 
 __all__ = [
@@ -56,7 +56,10 @@ class IcpConfig:
     step; None means "use the source cloud size", which puts the gradient
     on the scale of a data log-likelihood. Adam normalizes that scale away;
     the plain "sgd" optimizer with likelihood_scale=1.0 exposes the literal
-    textbook update theta <- theta - eta * g.
+    textbook update theta <- theta - eta * g. Adam runs at adam_step's
+    default moment decays 0.9 and 0.999 and denominator floor 1e-8, the
+    published constants. batch_size, iterations and seed are integers; a
+    bool or a float is rejected.
     """
 
     metric: str = "point"
@@ -65,34 +68,24 @@ class IcpConfig:
     iterations: int = 100
     max_dist: float | None = None
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     likelihood_scale: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.metric not in METRICS:
             raise InputError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.batch_size < 1:
-            raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_count("batch_size", self.batch_size, 1)
         if not 0 < self.step_size < np.inf:
             raise InputError(f"step_size must be positive and finite, got {self.step_size}")
-        if self.iterations < 1:
-            raise InputError(f"iterations must be >= 1, got {self.iterations}")
+        check_count("iterations", self.iterations, 1)
         if self.optimizer not in ("adam", "sgd"):
             raise InputError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InputError("beta1 and beta2 must lie in [0, 1)")
-        if not 0 < self.eps < np.inf:
-            raise InputError(f"eps must be positive and finite, got {self.eps}")
         if self.max_dist is not None and not 0 <= self.max_dist < np.inf:
             raise InputError(f"max_dist must be non-negative and finite, got {self.max_dist}")
         if self.likelihood_scale is not None and not 0 <= self.likelihood_scale < np.inf:
             raise InputError("likelihood_scale must be non-negative and finite, "
                              f"got {self.likelihood_scale}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed, 0)
 
 
 # --------------------------------------------------------------------------

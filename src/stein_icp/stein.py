@@ -25,7 +25,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .correspondence import build_index, match_stacked, sample_minibatch
-from .errors import DivergedError, InputError, MatchRejectionError
+from .errors import DivergedError, InputError, MatchRejectionError, check_count
 from .evaluation import PoseDistribution
 from .geometry import rotation_from_euler, rotation_partials, transform_stacked, wrap_angle
 from .sgd import AdamState, IcpConfig, adam_step, stacked_cost_gradients
@@ -50,6 +50,7 @@ ParticleSet = np.ndarray  # (K, 6) float64, one pose per row
 # Sub-stream labels under the run seed; keeps every random draw addressable.
 _STREAM_INIT = 0
 _STREAM_PARTICLE = 1
+_STREAM_MC_INIT = 2      # evaluation.mc_ground_truth's restart draws
 _STREAM_SHARED = 3
 
 _BANDWIDTH_FLOOR = 1e-8
@@ -59,18 +60,19 @@ _BANDWIDTH_FLOOR = 1e-8
 class SteinConfig(IcpConfig):
     """Stein run parameters on top of the base ICP knobs.
 
-    init_center / trans_range / rot_range define per-dimension uniform
-    init intervals center +- range (ranges may be scalars or 3-sequences).
-    bandwidth is "median" or a fixed positive float used for both blocks.
-    direction_sum switches the particle aggregation from the default mean
-    to a plain sum; repulsion=False drops the kernel-gradient term (the
-    deliberately collapsed baseline used in evaluations).
+    particles is the integer swarm size K. init_center / trans_range /
+    rot_range define per-dimension uniform init intervals center +- range
+    (ranges may be scalars or 3-sequences). bandwidth is "median" or a
+    fixed positive float used for both blocks. The update direction is
+    always the kernel mean over the K particles (stein_direction);
+    repulsion=False drops the kernel-gradient term (the deliberately
+    collapsed baseline used in evaluations), and shared_batch draws one
+    minibatch per iteration for every particle.
     """
 
     particles: int = 100
     bandwidth: object = "median"
     repulsion: bool = True
-    direction_sum: bool = False
     shared_batch: bool = False
     init_center: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     trans_range: object = 1.0
@@ -78,8 +80,7 @@ class SteinConfig(IcpConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.particles < 1:
-            raise InputError(f"particles must be >= 1, got {self.particles}")
+        check_count("particles", self.particles, 1)
         if not (self.bandwidth == "median"
                 or (isinstance(self.bandwidth, (int, float))
                     and not isinstance(self.bandwidth, bool) and 0 < self.bandwidth < np.inf)):
@@ -210,21 +211,22 @@ def median_bandwidth(block: np.ndarray, angular: bool = False) -> float:
 
 def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
                     prior: PriorConfig, h_trans, h_rot,
-                    *, average: bool = True, repulsion: bool = True) -> np.ndarray:
+                    *, repulsion: bool = True) -> np.ndarray:
     """Update direction for every particle, shape (K, 6).
 
     For target particle i and source particles j, with driving term
     d_j = -likelihood_grads[j] + grad log prior(theta_j):
 
-        phi[i] = agg_j ( d_j * k(theta_j, theta_i) + grad_j k(theta_j, theta_i) )
+        phi[i] = (1/K) sum_j ( d_j * k(theta_j, theta_i) + grad_j k(theta_j, theta_i) )
 
     computed blockwise: a squared-exponential kernel exp(-||delta||^2 / h)
     on translation differences [:3] and on wrapped angle differences [3:].
     h_trans and h_rot are each a positive float or "median", which takes
     median_bandwidth of that block from the same pairwise planes the kernel
-    uses. agg is the mean over j by default, the bare sum when
-    average=False. repulsion=False drops the grad_j k term, which makes
-    co-located particles move in lockstep and collapse.
+    uses. The direction is always the mean over the K source particles,
+    the SVGD update of Liu & Wang (2016). repulsion=False drops the
+    grad_j k term, which makes co-located particles move in lockstep and
+    collapse.
     """
     theta = np.atleast_2d(np.asarray(particles, dtype=float))
     g = np.atleast_2d(np.asarray(likelihood_grads, dtype=float))
@@ -245,8 +247,7 @@ def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
         if repulsion:
             att -= (2.0 / h) * np.einsum("cij,ij->ic", delta, kmat)
         out[:, sl] = att
-    if average:
-        out /= K
+    out /= K
     return out
 
 
@@ -302,9 +303,9 @@ class EngineResult:
 
 
 def _stein_params(config: IcpConfig):
-    if isinstance(config, SteinConfig):
-        return config.bandwidth, config.repulsion, not config.direction_sum, config.shared_batch
-    return "median", True, True, False
+    """Kernel and batch settings; a plain IcpConfig runs at SteinConfig's defaults."""
+    stein = config if isinstance(config, SteinConfig) else SteinConfig()
+    return stein.bandwidth, stein.repulsion, stein.shared_batch
 
 
 def run_particle_engine(source: PointCloud, reference: PointCloud,
@@ -335,7 +336,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     N = len(source)
     m = config.batch_size
     scale = float(N) if config.likelihood_scale is None else float(config.likelihood_scale)
-    bandwidth, repulsion, average, shared_batch = _stein_params(config)
+    bandwidth, repulsion, shared_batch = _stein_params(config)
     use_plane = config.metric == "plane"
     index = build_index(reference)
 
@@ -405,7 +406,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
 
         if interacting:
             dirs = stein_direction(th, scale * grads, prior, bandwidth, bandwidth,
-                                   average=average, repulsion=repulsion)
+                                   repulsion=repulsion)
         else:
             dirs = -scale * grads
         timings["gradients"] += time.perf_counter() - t0
@@ -415,8 +416,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
             # Freezing is permanent, so every live particle has taken
             # exactly `it` steps before this one.
             step, state = adam_step(AdamState(adam_m[live], adam_v[live], t=it), -dirs,
-                                    config.step_size, config.beta1, config.beta2,
-                                    config.eps)
+                                    config.step_size)
             adam_m[live] = state.m
             adam_v[live] = state.v
         else:

@@ -143,11 +143,11 @@ def naive_median_bandwidth(block, angular=False):
     return max(float(np.median(sq)) / np.log(K), 1e-8)
 
 
-def naive_stein_direction(particles, grads, prior, h_trans, h_rot,
-                          average=True, repulsion=True):
+def naive_stein_direction(particles, grads, prior, h_trans, h_rot, repulsion=True):
     """Double loop over (target, source) particle pairs built from the
-    kernel functions above; the vectorized version must match this.
-    h_trans / h_rot may be "median", which takes naive_median_bandwidth."""
+    kernel functions above, averaged over the sources; the vectorized
+    version must match this. h_trans / h_rot may be "median", which takes
+    naive_median_bandwidth."""
     theta = np.atleast_2d(np.asarray(particles, dtype=float))
     g = np.atleast_2d(np.asarray(grads, dtype=float))
     K = theta.shape[0]
@@ -166,9 +166,7 @@ def naive_stein_direction(particles, grads, prior, h_trans, h_rot,
             if repulsion:
                 out[i, :3] += grad_t
                 out[i, 3:] += grad_r
-    if average:
-        out /= K
-    return out
+    return out / K
 
 
 def two_point_samples(mean, n=400):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from stein_icp import PointCloud, load_cloud, write_cloud
+from stein_icp import IcpConfig, PointCloud, Pose6D, load_cloud, run_sgd_icp, write_cloud
 from stein_icp.cli import main
 
 
@@ -108,20 +108,42 @@ class TestRegister:
         assert lines[0] == "iteration,cost,x,y,z,roll,pitch,yaw"
         assert len(lines) == 1 + 15
 
-    def test_sgd_method_gives_single_sample(self, pair, tmp_path):
-        src, ref = pair
-        out = tmp_path / "sgd"
-        assert _register(src, ref, out, "--method", "sgd") == 0
-        lines = (out / "samples.csv").read_text().strip().splitlines()
-        assert len(lines) == 2
-
     def test_non_finite_config_value_is_bad_input(self, pair, tmp_path):
         src, ref = pair
         assert _register(src, ref, tmp_path / "nan", "--step-size", "nan") == 2
 
-    def test_unknown_method(self, pair, tmp_path):
+    def test_sgd_method_gives_single_sample(self, pair, tmp_path):
+        """--method sgd is the one-particle engine run: its one sample and
+        its trace equal run_sgd_icp's pose and traces bit for bit."""
         src, ref = pair
-        assert _register(src, ref, tmp_path / "m", "--method", "em") == 2
+        out = tmp_path / "sgd"
+        assert _register(src, ref, out, "--method", "sgd", "--trace", "true") == 0
+        pose, diag = run_sgd_icp(load_cloud(src), load_cloud(ref), Pose6D(),
+                                 IcpConfig(batch_size=60, iterations=15))
+        samples = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(samples, pose.to_array()[None])
+        trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(trace[:, 0], np.arange(15))
+        np.testing.assert_array_equal(trace[:, 1], diag.cost_trace)
+        np.testing.assert_array_equal(trace[:, 2:], diag.pose_trace[1:])
+
+    def test_unknown_method(self, pair, tmp_path, capsys):
+        """The method is checked before any cloud is read."""
+        _, ref = pair
+        rc = main(["register", "--source", str(tmp_path / "absent.ply"),
+                   "--reference", str(ref), "--out", str(tmp_path / "o"), "--method", "em"])
+        assert rc == 2
+        assert "method must be 'stein' or 'sgd', got 'em'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["stein", "sgd"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--prior", "gaussian"], "prior kind must be 'uniform' or 'informed'"),
+        (["--prior", "informed", "--prior-variance=-1,1,1"], "trans_variance must be"),
+    ])
+    def test_prior_flags_are_validated(self, pair, tmp_path, capsys, method, flags, message):
+        src, ref = pair
+        assert _register(src, ref, tmp_path / "p", "--method", method, *flags) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_source_file(self, pair, tmp_path):
         _, ref = pair

@@ -398,8 +398,9 @@ class TestMcGroundTruth:
     def test_validation(self, rng):
         src, ref = self._scene(rng)
         cfg = IcpConfig(batch_size=40, iterations=5)
-        with pytest.raises(InputError):
-            mc_ground_truth(src, ref, 0, cfg)
+        for n in (0, 2.5, True):
+            with pytest.raises(InputError, match="n must be"):
+                mc_ground_truth(src, ref, n, cfg)
         with pytest.raises(InputError, match="init_center"):
             mc_ground_truth(src, ref, 2, cfg, center=(float("nan"), 0, 0, 0, 0, 0))
 

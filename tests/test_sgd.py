@@ -237,22 +237,28 @@ class TestIcpConfigValidation:
         {"step_size": -1.0},
         {"iterations": 0},
         {"optimizer": "lbfgs"},
-        {"beta1": 1.0},
-        {"beta2": -0.1},
-        {"eps": 0.0},
         {"max_dist": -0.5},
         {"likelihood_scale": -1.0},
         {"step_size": float("nan")},
         {"step_size": float("inf")},
-        {"eps": float("nan")},
         {"likelihood_scale": float("inf")},
         {"max_dist": float("nan")},
         {"seed": -1},
         {"max_dist": float("inf")},
+        {"batch_size": 2.5},
+        {"batch_size": True},
+        {"iterations": 2.5},
+        {"iterations": 3.0},
+        {"seed": True},
+        {"seed": 1.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):
             IcpConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = IcpConfig(batch_size=np.int64(5), iterations=np.int32(3), seed=np.uint8(7))
+        assert (cfg.batch_size, cfg.iterations, cfg.seed) == (5, 3, 7)
 
     def test_defaults_valid(self):
         cfg = IcpConfig()

@@ -178,14 +178,13 @@ def full_circle_swarm(rng):
 class TestSteinDirection:
     @pytest.mark.parametrize("K", [1, 2, 5, 20])
     @pytest.mark.parametrize("repulsion", [True, False])
-    @pytest.mark.parametrize("average", [True, False])
-    def test_matches_double_loop_oracle(self, rng, K, repulsion, average):
+    @pytest.mark.parametrize("fixed_h", [True, False])
+    def test_matches_double_loop_oracle(self, rng, K, repulsion, fixed_h):
         theta = rng.uniform(-2, 2, (K, 6))
         grads = rng.normal(size=(K, 6))
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, 0.7, 0.3,
-                              average=average, repulsion=repulsion)
-        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, 0.7, 0.3,
-                                       average=average, repulsion=repulsion)
+        h = (0.7, 0.3) if fixed_h else ("median", "median")
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, *h, repulsion=repulsion)
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, *h, repulsion=repulsion)
         np.testing.assert_allclose(phi, oracle, rtol=1e-11, atol=1e-13)
 
     def test_matches_oracle_with_informed_prior(self, rng):
@@ -318,6 +317,9 @@ class TestSteinConfig:
         {"rot_range": float("nan")},
         {"bandwidth": True},
         {"bandwidth": float("inf")},
+        {"particles": True},
+        {"particles": 2.0},
+        {"iterations": 2.5},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):
