@@ -18,6 +18,7 @@ yaw); `ParticleSet` is an alias documenting that contract.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 
@@ -187,12 +188,22 @@ def _pairwise(x: np.ndarray, angular: bool):
     return delta, sq
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(K: int) -> np.ndarray:
+    """Flat indices of the entries i < j of a (K, K) matrix, row by row
+    (np.triu_indices order); read-only, since every caller shares it."""
+    i, j = np.triu_indices(K, k=1)
+    flat = i * K + j
+    flat.flags.writeable = False
+    return flat
+
+
 def _median_heuristic(sq: np.ndarray) -> float:
     """Median of the squared distances over distinct pairs, over log K."""
     K = sq.shape[0]
     if K < 2:
         return 1.0
-    med = float(np.median(sq[np.triu_indices(K, k=1)]))
+    med = float(np.median(np.take(sq, _upper_pairs(K))))
     return max(med / np.log(K), _BANDWIDTH_FLOOR)
 
 
