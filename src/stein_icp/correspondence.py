@@ -1,4 +1,4 @@
-"""Nearest-neighbor search and mini-batch assembly.
+"""Nearest-neighbor search, mini-batch sampling and mini-batch assembly.
 
 The index wraps a kd-tree and guarantees two things the optimizer relies
 on: queries are exact (never approximate), and exact distance ties resolve
@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .errors import InputError, MatchRejectionError
 
-__all__ = ["NeighborIndex", "build_index", "sample_minibatch", "match_stacked", "match_batch",
+__all__ = ["NeighborIndex", "build_index", "ReshuffledBatches", "match_stacked", "match_batch",
            "MiniBatch"]
 
 _TIE_RTOL = 1e-12
@@ -229,11 +229,35 @@ def build_index(reference: PointCloud) -> NeighborIndex:
     return NeighborIndex(reference, cKDTree(reference.points))
 
 
-def sample_minibatch(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly sample m distinct indices out of n, without replacement."""
-    if m < 1 or m > n:
-        raise InputError(f"batch size must satisfy 1 <= m <= {n}, got {m}")
-    return rng.choice(n, size=m, replace=False)
+class ReshuffledBatches:
+    """Minibatches of m out of n source indices by random reshuffling.
+
+    Each stream (one Generator per row) walks through epochs of n // m
+    batches. At the first batch of an epoch every requested row draws
+    rng.permutation(n) from its own stream into a preallocated (rows, n)
+    int32 table; batch e of the epoch is columns [e*m, (e+1)*m) of that
+    row. Within an epoch a row's batches are disjoint, and the n mod m
+    leftover indices sit that epoch out. A row's batches depend only on
+    its own stream, not on which other rows are drawn.
+    """
+
+    def __init__(self, n: int, m: int, rngs):
+        if m < 1 or m > n:
+            raise InputError(f"batch size must satisfy 1 <= m <= {n}, got {m}")
+        self._rngs = rngs
+        self._m = m
+        self._per_epoch = n // m
+        self._perms = np.empty((len(rngs), n), dtype=np.int32)
+
+    def batches(self, it: int, rows: np.ndarray) -> np.ndarray:
+        """The (len(rows), m) int32 batches of iteration it for the given
+        rows. Iterations are taken in order from 0, and a row requested at
+        an iteration was requested at the start of that epoch."""
+        e = it % self._per_epoch
+        if e == 0:
+            for r in rows:
+                self._perms[r] = self._rngs[r].permutation(self._perms.shape[1])
+        return self._perms[rows, e * self._m:(e + 1) * self._m]
 
 
 @dataclass(frozen=True)

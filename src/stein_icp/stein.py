@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 import numpy as np
 
 from .cloud import PointCloud
-from .correspondence import build_index, match_stacked, sample_minibatch
+from .correspondence import ReshuffledBatches, build_index, match_stacked
 from .errors import DivergedError, InputError, MatchRejectionError, check_count
 from .evaluation import PoseDistribution
 from .geometry import rotation_from_euler, rotation_partials, transform_stacked, wrap_angle
@@ -67,8 +67,10 @@ class SteinConfig(IcpConfig):
     fixed positive float used for both blocks. The update direction is
     always the kernel mean over the K particles (stein_direction);
     repulsion=False drops the kernel-gradient term (the deliberately
-    collapsed baseline used in evaluations), and shared_batch draws one
-    minibatch per iteration for every particle.
+    collapsed baseline used in evaluations). Minibatches come from random
+    reshuffling, one permutation per particle per epoch; shared_batch draws
+    one permutation per epoch for the whole swarm, so every particle sees
+    the same minibatch each iteration.
     """
 
     particles: int = 100
@@ -333,6 +335,10 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     Every iteration runs all live particles through the stacked kernels
     in one array pass: the engine is single-threaded and data-parallel
     over particles.
+    Minibatches come from random reshuffling, one permutation per particle
+    per epoch of N // batch_size iterations (ReshuffledBatches), each
+    particle from its own seed stream, so particle j's batches do not
+    depend on K; with shared_batch one stream feeds every particle.
     A particle whose moved points leave the floating-point range (no finite
     nearest-neighbor distance) has diverged.
     """
@@ -349,11 +355,11 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     scale = float(N) if config.likelihood_scale is None else float(config.likelihood_scale)
     bandwidth, repulsion, shared_batch = _stein_params(config)
     use_plane = config.metric == "plane"
+    streams = ([[config.seed, _STREAM_SHARED]] if shared_batch
+               else [[config.seed, _STREAM_PARTICLE, j] for j in range(K)])
+    sampler = ReshuffledBatches(N, m, [np.random.default_rng(np.random.SeedSequence(s))
+                                       for s in streams])
     index = build_index(reference)
-
-    part_rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PARTICLE, j]))
-                 for j in range(K)]
-    shared_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_SHARED]))
 
     active = np.ones(K, dtype=bool)
     adam_m = np.zeros((K, 6))
@@ -371,9 +377,9 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
 
         t0 = time.perf_counter()
         if shared_batch:
-            idx = np.broadcast_to(sample_minibatch(N, m, shared_rng), (live.size, m))
+            idx = np.broadcast_to(sampler.batches(it, [0]), (live.size, m))
         else:
-            idx = np.stack([sample_minibatch(N, m, part_rngs[j]) for j in live])
+            idx = sampler.batches(it, live)
         timings["sampling"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 """Nearest-neighbor index against a brute-force linear scan, tie-breaking,
-the certified cell grid against the kd-tree, and mini-batch assembly."""
+the certified cell grid against the kd-tree, the random-reshuffling
+minibatch sampler, and mini-batch assembly."""
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from stein_icp import (
     build_index,
     match_batch,
     match_stacked,
-    sample_minibatch,
 )
+from stein_icp.correspondence import ReshuffledBatches
 
 from oracles import linear_scan_nn
 
@@ -221,26 +222,59 @@ class TestCertifiedGrid:
         _assert_kd_answer(ref, queries, dist, idx)
 
 
-class TestSampleMinibatch:
-    def test_distinct_and_in_range(self, rng):
-        idx = sample_minibatch(100, 40, rng)
-        assert len(np.unique(idx)) == 40
-        assert idx.min() >= 0 and idx.max() < 100
+def _streams(count, seed=5):
+    return [np.random.default_rng([seed, r]) for r in range(count)]
 
-    def test_full_batch(self, rng):
-        idx = sample_minibatch(10, 10, rng)
-        np.testing.assert_array_equal(np.sort(idx), np.arange(10))
 
-    def test_validation(self, rng):
-        with pytest.raises(InputError):
-            sample_minibatch(10, 0, rng)
-        with pytest.raises(InputError):
-            sample_minibatch(10, 11, rng)
+class TestReshuffledBatches:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=120), st.data())
+    def test_epoch_batches_are_disjoint_and_cover(self, n, data):
+        """Within an epoch each row's batches are in range, int32, and
+        pairwise disjoint, and together cover m * (n // m) indices."""
+        m = data.draw(st.integers(min_value=1, max_value=n), label="m")
+        rows = np.arange(3)
+        sampler = ReshuffledBatches(n, m, _streams(3))
+        per_epoch = n // m
+        for epoch in range(2):
+            got = [sampler.batches(epoch * per_epoch + e, rows) for e in range(per_epoch)]
+            for batch in got:
+                assert batch.shape == (3, m) and batch.dtype == np.int32
+            drawn = np.concatenate(got, axis=1)
+            assert drawn.min() >= 0 and drawn.max() < n
+            for row in drawn:
+                assert len(np.unique(row)) == m * per_epoch
 
-    def test_seeded_reproducibility(self):
-        a = sample_minibatch(1000, 100, np.random.default_rng(5))
-        b = sample_minibatch(1000, 100, np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
+    def test_slices_one_permutation_per_epoch(self):
+        """Batch e of epoch t is slice e of the stream's t-th permutation."""
+        n, m = 23, 5
+        sampler = ReshuffledBatches(n, m, _streams(2))
+        oracle = _streams(2)
+        for epoch in range(3):
+            perms = [rng.permutation(n) for rng in oracle]
+            for e in range(n // m):
+                batch = sampler.batches(epoch * (n // m) + e, np.arange(2))
+                for r in range(2):
+                    np.testing.assert_array_equal(batch[r], perms[r][e * m:(e + 1) * m])
+
+    def test_full_batch_every_iteration(self):
+        sampler = ReshuffledBatches(10, 10, _streams(2))
+        for it in range(4):
+            for row in sampler.batches(it, np.arange(2)):
+                np.testing.assert_array_equal(np.sort(row), np.arange(10))
+
+    def test_rows_do_not_depend_on_the_rows_drawn_with_them(self):
+        """Leaving a row out (a frozen restart) changes no other row."""
+        everyone = ReshuffledBatches(50, 7, _streams(3))
+        some = ReshuffledBatches(50, 7, _streams(3))
+        for it in range(16):
+            np.testing.assert_array_equal(some.batches(it, np.array([0, 2])),
+                                          everyone.batches(it, np.arange(3))[[0, 2]])
+
+    def test_validation(self):
+        for m in (0, 11, -1):
+            with pytest.raises(InputError, match=rf"batch size must satisfy 1 <= m <= 10, got {m}"):
+                ReshuffledBatches(10, m, _streams(1))
 
 
 class TestMatchBatch:

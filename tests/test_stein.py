@@ -3,6 +3,8 @@ double-loop oracle), initialization, and the particle engine."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stein_icp import (
     DivergedError,
@@ -26,6 +28,8 @@ from stein_icp import (
     transform_cloud,
     wrap_angle,
 )
+from stein_icp import stein
+from stein_icp.correspondence import ReshuffledBatches
 
 from oracles import (
     naive_median_bandwidth,
@@ -448,11 +452,62 @@ class TestParticleEngine:
 
         assert pairwise(last.copy()) > pairwise(first.copy())
 
-    def test_batch_size_exceeding_cloud_raises(self, rng):
+    def test_batch_size_exceeding_cloud_raises(self, rng, monkeypatch):
+        """The batch size is checked before the index is built."""
         ref = _wavy_cloud(rng, 40)
         cfg = SteinConfig(particles=2, batch_size=50, iterations=2)
-        with pytest.raises(InputError):
+
+        def unreachable(reference):
+            raise AssertionError("build_index reached")
+
+        monkeypatch.setattr(stein, "build_index", unreachable)
+        with pytest.raises(InputError, match=r"batch size must satisfy 1 <= m <= 40, got 50"):
             run_stein_icp(ref, ref, cfg)
+
+    def test_particle_batches_do_not_depend_on_swarm_size(self, rng, monkeypatch):
+        """Particle j's minibatches come from its own stream: the first three
+        rows of every batch are equal at K = 3 and K = 7."""
+        ref = _wavy_cloud(rng, 200)
+        src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01))
+        cfg = SteinConfig(particles=7, batch_size=30, step_size=0.01, iterations=15,
+                          seed=9, trans_range=0.05, rot_range=0.02)
+        drawn = []
+        original = ReshuffledBatches.batches
+
+        def spy(self, it, rows):
+            batch = original(self, it, rows)
+            drawn[-1].append(batch.copy())
+            return batch
+
+        monkeypatch.setattr(ReshuffledBatches, "batches", spy)
+        init = rng.uniform(-0.05, 0.05, (7, 6))
+        for k in (3, 7):
+            drawn.append([])
+            run_particle_engine(src, ref, init[:k], cfg)
+        small, large = drawn
+        assert len(small) == len(large) == 15
+        for a, b in zip(small, large):
+            assert a.shape == (3, 30) and b.shape == (7, 30)
+            np.testing.assert_array_equal(a, b[:3])
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    def test_uncoupled_restarts_do_not_depend_on_the_stack(self, n, data):
+        """An uncoupled run on inits[:k] equals the first k rows of the run
+        on inits[:n], bit for bit, with one restart frozen on overflow."""
+        k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+        frozen = data.draw(st.integers(min_value=0, max_value=n - 1), label="frozen")
+        rng = np.random.default_rng(n * 10 + k)
+        ref = _wavy_cloud(rng, 150)
+        src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01, 0.01, 0.0, -0.02))
+        cfg = IcpConfig(batch_size=40, step_size=0.02, iterations=12, seed=4)
+        inits = rng.uniform(-0.05, 0.05, (n, 6))
+        inits[frozen, 0] = 1e300
+        whole = run_particle_engine(src, ref, inits, cfg, interacting=False)
+        part = run_particle_engine(src, ref, inits[:k], cfg, interacting=False)
+        np.testing.assert_array_equal(part.particles, whole.particles[:k])
+        np.testing.assert_array_equal(part.failed, whole.failed[:k])
+        assert whole.failed[frozen]
 
     def test_all_matches_rejected_raises(self, rng):
         ref = _wavy_cloud(rng, 100)
