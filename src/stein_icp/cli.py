@@ -254,11 +254,15 @@ def _effective(args) -> dict:
 
 
 def _load_pair(cfg: dict):
-    source = load_cloud(cfg["source"])
-    reference = load_cloud(cfg["reference"])
+    return load_cloud(cfg["source"]), _plane_ready(load_cloud(cfg["reference"]), cfg)
+
+
+def _plane_ready(reference, cfg: dict):
+    """The reference, with estimated normals when point-to-plane matching
+    needs them and it carries none."""
     if cfg["metric"] == "plane" and reference.normals is None:
         reference = estimate_normals(reference, k=cfg["normals_k"])
-    return source, reference
+    return reference
 
 
 def _config(cls, cfg: dict):
@@ -437,6 +441,7 @@ def cmd_odometry(cfg: dict) -> int:
 def cmd_bench(cfg: dict) -> int:
     source, reference, _ = make_scene(cfg["scene"], n=cfg["points"], noise=cfg["noise"],
                                       seed=cfg["seed"])
+    reference = _plane_ready(reference, cfg)
     start = time.perf_counter()
     dist, engine = run_stein_icp(source, reference, _config(SteinConfig, cfg), full_output=True)
     total = time.perf_counter() - start

@@ -145,6 +145,14 @@ class TestRegister:
         assert _register(src, ref, tmp_path / "p", "--method", method, *flags) == 2
         assert message in capsys.readouterr().err
 
+    def test_batch_size_larger_than_cloud_is_bad_input(self, tmp_path, rng, capsys):
+        cloud = tmp_path / "cloud.ply"
+        write_cloud(PointCloud(rng.uniform(-1, 1, (5000, 3))), cloud)
+        rc = main(["register", "--source", str(cloud), "--reference", str(cloud),
+                   "--out", str(tmp_path / "o"), "--batch-size", "5001"])
+        assert rc == 2
+        assert "batch size must satisfy 1 <= m <= 5000, got 5001" in capsys.readouterr().err
+
     def test_missing_source_file(self, pair, tmp_path):
         _, ref = pair
         rc = main(["register", "--source", str(tmp_path / "absent.ply"),
@@ -464,6 +472,17 @@ class TestBench:
         assert stored["phase_coverage"] > 0.95
         assert 0.5 < stored["certified_share"] <= 1.0
         assert len(stored["mean_pose"]) == 6
+
+
+    def test_plane_metric_estimates_normals(self, tmp_path, capsys):
+        out_file = tmp_path / "bench.json"
+        rc = main(["bench", "--scene", "blob", "--points", "500", "--metric", "plane",
+                   "--particles", "4", "--iterations", "5", "--batch-size", "50",
+                   "--out", str(out_file)])
+        assert rc == 0
+        stored = json.loads(out_file.read_text())
+        assert set(stored["phases"]) == {"sampling", "transform", "matching",
+                                         "gradients", "update"}
 
 
 class TestThreadsFlag:
