@@ -295,21 +295,22 @@ def relative_pose_error(estimated, ground_truth, delta: int = 1):
 
 
 def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
-                    *, trans_range=1.0, rot_range=0.1745,
-                    center=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) -> PoseDistribution:
+                    *, trans_range=None, rot_range=None, center=None) -> PoseDistribution:
     """Reference posterior from n independent SGD-ICP restarts.
 
-    Initializations are uniform per dimension in center +- range. Each
-    restart has its own seed stream and its own optimizer state and shares
-    nothing with the others; they are evaluated as one uncoupled particle
-    batch so the nearest-neighbor queries vectorize. A restart that fails
-    numerically is dropped; more than half failing is an error.
+    Initializations are uniform per dimension in center +- range; a box
+    value left at None takes SteinConfig's default (init_center,
+    trans_range, rot_range). Each restart has its own seed stream and its
+    own optimizer state and shares nothing with the others; they are
+    evaluated as one uncoupled particle batch so the nearest-neighbor
+    queries vectorize. A restart that fails numerically is dropped; more
+    than half failing is an error.
     """
-    from .stein import (_STREAM_MC_INIT, run_particle_engine, sample_initial_particles,
-                        uniform_init_bounds)
+    from .stein import _STREAM_MC_INIT, SteinConfig, run_particle_engine, sample_initial_particles
 
     check_count("n", n, 1)
-    bounds = uniform_init_bounds(center, trans_range, rot_range)
+    box = {"init_center": center, "trans_range": trans_range, "rot_range": rot_range}
+    bounds = SteinConfig(**{k: v for k, v in box.items() if v is not None}).init_bounds()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_MC_INIT]))
     inits = sample_initial_particles(n, bounds, rng)
     result = run_particle_engine(source, reference, inits, config,
