@@ -1,6 +1,7 @@
 """Static checks over the package source, with the standard library's ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,33 @@ def _unused_imports(tree: ast.Module) -> list:
     return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
 
 
+def _names_read(tree: ast.AST) -> Counter:
+    """Every name read, as a name, an attribute or an imported alias."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.asname or node.name] += 1
+    return names
+
+
+def _dead_helpers(trees: dict) -> list:
+    """Private (_name, not dunder) functions and classes, at any depth, that
+    no module reads outside the helper's own body."""
+    read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    dead = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and read[node.name] == _names_read(node)[node.name]):
+                dead.append(f"{name}:{node.lineno}: {node.name}")
+    return sorted(dead)
+
+
 def test_package_has_modules():
     assert PACKAGE / "__init__.py" in MODULES
 
@@ -41,3 +69,19 @@ def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nimport numpy as np\n"
                      "__all__ = ['tau']\nprint(np.pi, pi)\n")
     assert _unused_imports(tree) == ["line 1: os"]
+
+
+def test_no_private_helper_without_a_caller():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _dead_helpers(trees) == []
+
+
+def test_detects_a_private_helper_without_a_caller():
+    trees = {
+        "a.py": ast.parse("def _used():\n    pass\n\ndef _self_only(n):\n"
+                          "    return _self_only(n - 1)\n\nclass C:\n"
+                          "    def _method(self):\n        pass\n\n"
+                          "    def __len__(self):\n        return 0\n"),
+        "b.py": ast.parse("from a import _used\n_used()\n"),
+    }
+    assert _dead_helpers(trees) == ["a.py:4: _self_only", "a.py:8: _method"]
