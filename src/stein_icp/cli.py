@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import estimate_normals, load_cloud, write_cloud
+from .cloud import estimate_normals, format_float, load_cloud, write_cloud
 from .errors import InputError, NumericalError
 from .evaluation import (
     ANGULAR_DIMS,
@@ -40,17 +40,14 @@ from .evaluation import (
     pose_summary,
 )
 from .geometry import Pose6D
-from .odometry import build_trajectory, ellipse_rows, trajectory_rows
+from .odometry import (build_trajectory, check_level, check_order, ellipse_rows,
+                       trajectory_rows)
 from .sgd import IcpConfig
 from .stein import (UNIFORM_PRIOR, PriorConfig, SteinConfig, run_stein_icp,
                     sgd_equivalent_config)
 from .synthetic import BLOCK_GAP, make_scene
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_floats(s, n: int) -> tuple:
@@ -279,7 +276,7 @@ def _write_samples(samples: np.ndarray, path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(DIMENSION_NAMES)
         for row in np.atleast_2d(samples):
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_float(v) for v in row])
 
 
 def _read_samples(path) -> np.ndarray:
@@ -300,6 +297,13 @@ def _read_samples(path) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return np.array(rows)
+
+
+def _write_json(payload: dict, path: Path) -> None:
+    """The one writer of the JSON artifacts: indented, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _summary_payload(dist: PoseDistribution) -> dict:
@@ -333,16 +337,14 @@ def cmd_register(cfg: dict) -> int:
     dist, engine = run_stein_icp(source, reference, config, prior, full_output=True)
     elapsed = time.perf_counter() - start
     _write_samples(dist.samples, out / "samples.csv")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(_summary_payload(dist), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_summary_payload(dist), out / "summary.json")
     if cfg["trace"]:
         with open(out / "trace.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "cost"] + list(DIMENSION_NAMES))
             mean_poses = engine.particle_trace.mean(axis=1)
             for t, cost in enumerate(engine.cost_trace):
-                writer.writerow([t, _fmt(cost)] + [_fmt(v) for v in mean_poses[t + 1]])
+                writer.writerow([t] + [format_float(v) for v in (cost, *mean_poses[t + 1])])
     _print_pose("mean pose", dist.mean)
     print(f"wrote {out / 'samples.csv'} ({len(dist)} samples) in {elapsed:.2f}s")
     return 0
@@ -360,9 +362,7 @@ def cmd_ground_truth(cfg: dict) -> int:
     )
     elapsed = time.perf_counter() - start
     _write_samples(dist.samples, out / "mc_samples.csv")
-    with open(out / "mc_summary.json", "w") as fh:
-        json.dump(_summary_payload(dist), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_summary_payload(dist), out / "mc_summary.json")
     _print_pose("mc mean pose", dist.mean)
     print(f"wrote {out / 'mc_samples.csv'} ({len(dist)} of {cfg['runs']} runs) in {elapsed:.2f}s")
     return 0
@@ -374,9 +374,7 @@ def cmd_evaluate(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     report = metrics_report(posterior, reference)
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, out / "metrics.json")
     if cfg["kde"]:
         for d, name in enumerate(DIMENSION_NAMES):
             angular = d in ANGULAR_DIMS
@@ -387,13 +385,15 @@ def cmd_evaluate(cfg: dict) -> int:
                 writer = csv.writer(fh)
                 writer.writerow([name, "density"])
                 for g, v in zip(grid, dens):
-                    writer.writerow([_fmt(g), _fmt(v)])
+                    writer.writerow([format_float(g), format_float(v)])
     print(f"kl_6d={report['kl_6d']:.6g} kl_translation={report['kl_translation']:.6g} "
           f"kl_rotation={report['kl_rotation']:.6g} ovl={report['ovl']:.4f}")
     return 0
 
 
 def cmd_odometry(cfg: dict) -> int:
+    check_order(cfg["order"])
+    check_level(cfg["level"])
     frame_dir = Path(cfg["frames"])
     if not frame_dir.is_dir():
         raise InputError(f"{frame_dir} is not a directory")
@@ -406,32 +406,28 @@ def cmd_odometry(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     clouds = [load_cloud(p) for p in paths]
-    if cfg["metric"] == "plane":
-        clouds = [c if c.normals is not None else estimate_normals(c, k=cfg["normals_k"])
-                  for c in clouds]
+    # Every frame but the last is a reference; all are ready before any solve.
+    references = [_plane_ready(c, cfg) for c in clouds[:-1]]
     steps = []
     base = _config(SteinConfig, cfg)
     for i in range(1, len(clouds)):
         # Frame i registered onto frame i-1; seeds decorrelate across steps.
         step_cfg = replace(base, seed=base.seed + i)
-        steps.append(run_stein_icp(clouds[i], clouds[i - 1], step_cfg))
+        steps.append(run_stein_icp(clouds[i], references[i - 1], step_cfg))
     traj = build_trajectory(steps, order=cfg["order"])
     with open(out / "trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         cov_names = [f"cov_{i}{j}" for i in range(6) for j in range(i, 6)]
         writer.writerow(["index"] + list(DIMENSION_NAMES) + cov_names)
         for i, pose, tri in trajectory_rows(traj):
-            writer.writerow([i] + [_fmt(v) for v in pose] + [_fmt(v) for v in tri])
+            writer.writerow([i] + [format_float(v) for v in (*pose, *tri)])
     with open(out / "ellipses.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "center_x", "center_y", "semi_major", "semi_minor",
                          "angle", "level"])
         for i, (cx, cy), axes, angle, level in ellipse_rows(traj, level=cfg["level"]):
-            writer.writerow([i, _fmt(cx), _fmt(cy), _fmt(axes[0]), _fmt(axes[1]),
-                             _fmt(angle), _fmt(level)])
-    with open(out / "frames.json", "w") as fh:
-        json.dump({"frames": [p.name for p in paths], "steps": len(steps)}, fh, indent=2)
-        fh.write("\n")
+            writer.writerow([i] + [format_float(v) for v in (cx, cy, *axes, angle, level)])
+    _write_json({"frames": [p.name for p in paths], "steps": len(steps)}, out / "frames.json")
     final = traj.transforms[-1][:3, 3]
     print(f"chained {len(steps)} steps over {len(paths)} frames; "
           f"final position ({final[0]:.4f}, {final[1]:.4f}, {final[2]:.4f})")
@@ -455,11 +451,10 @@ def cmd_bench(cfg: dict) -> int:
         "certified_share": counts["certified"] / counts["queried"],
         "mean_pose": [float(v) for v in dist.mean],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg["out"]:
         Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
-        Path(cfg["out"]).write_text(text + "\n")
-    print(text)
+        _write_json(payload, Path(cfg["out"]))
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -491,9 +486,7 @@ def cmd_synth(cfg: dict) -> int:
         payload["x_modes"] = [-BLOCK_GAP / 2, BLOCK_GAP / 2]
         payload["note"] = ("two equally valid alignments: the source plate onto either "
                            "reference plate; x posterior modes at x_modes")
-    with open(out / "ground_truth.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, out / "ground_truth.json")
     print(f"wrote {cfg['scene']} scene to {out}")
     return 0
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CloudParseError, InputError
-from .geometry import Pose6D, rotation_from_euler
+from .geometry import pose_array, rotation_from_euler, transform_points
 
 __all__ = [
     "PointCloud",
@@ -77,12 +77,13 @@ class PointCloud:
 
 
 def transform_cloud(cloud: PointCloud, pose) -> PointCloud:
-    """Rigidly transform a cloud; normals rotate, translations do not move them."""
-    p = pose.to_array() if isinstance(pose, Pose6D) else np.asarray(pose, dtype=float).reshape(6)
-    R = rotation_from_euler(p[3], p[4], p[5])
-    pts = cloud.points @ R.T + p[:3]
-    nrm = cloud.normals @ R.T if cloud.normals is not None else None
-    return PointCloud(pts, nrm)
+    """Rigidly transform a cloud; normals rotate, translations do not move them.
+    pose is a Pose6D or 6 numbers (pose_array); anything else raises InputError."""
+    p = pose_array(pose)
+    points = transform_points(cloud.points, p)
+    if cloud.normals is None:
+        return PointCloud(points)
+    return PointCloud(points, cloud.normals @ rotation_from_euler(p[3], p[4], p[5]).T)
 
 
 # --------------------------------------------------------------------------
@@ -259,8 +260,9 @@ def _parse_xyz(text: str, path):
 # Writing
 
 
-def _fmt(x: float) -> str:
-    # repr gives the shortest string that round-trips the float64 exactly.
+def format_float(x: float) -> str:
+    """The text of a float in every ASCII artifact: repr, the shortest
+    string that reads back as the same float64."""
     return repr(float(x))
 
 
@@ -273,7 +275,7 @@ def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
     rows = []
     for k in range(len(cloud)):
         vals = list(cloud.points[k]) + (list(cloud.normals[k]) if has_normals else [])
-        rows.append(" ".join(_fmt(v) for v in vals))
+        rows.append(" ".join(format_float(v) for v in vals))
     if fmt == "ply":
         header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
         header += [f"property float {a}" for a in ("x", "y", "z")]

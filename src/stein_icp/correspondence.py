@@ -17,8 +17,7 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .errors import InputError, MatchRejectionError
 
-__all__ = ["NeighborIndex", "build_index", "ReshuffledBatches", "match_stacked", "match_batch",
-           "MiniBatch"]
+__all__ = ["NeighborIndex", "build_index", "match_stacked", "match_batch", "MiniBatch"]
 
 _TIE_RTOL = 1e-12
 

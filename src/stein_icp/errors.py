@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["RegistrationError", "InputError", "CloudParseError", "NumericalError",
+           "DivergedError", "MatchRejectionError"]
+
 
 class RegistrationError(Exception):
     """Base class for all package-specific errors."""

@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "Pose6D",
+    "pose_array",
     "wrap_angle",
     "rotation_from_euler",
     "rotation_partials",
@@ -63,8 +66,8 @@ class Pose6D:
 
     @classmethod
     def from_array(cls, a) -> "Pose6D":
-        a = np.asarray(a, dtype=float).reshape(6)
-        return cls(*[float(v) for v in a])
+        """The Pose6D of any pose pose_array accepts."""
+        return cls(*[float(v) for v in pose_array(a)])
 
     def to_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.roll, self.pitch, self.yaw])
@@ -86,6 +89,20 @@ class Pose6D:
     @property
     def angles(self) -> np.ndarray:
         return np.array([self.roll, self.pitch, self.yaw])
+
+
+def pose_array(pose) -> np.ndarray:
+    """The (6,) float64 array of a pose: a Pose6D, or 6 numbers in any
+    array-like whose size is 6. Anything else raises InputError."""
+    if isinstance(pose, Pose6D):
+        return pose.to_array()
+    try:
+        arr = np.asarray(pose, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"a pose is a Pose6D or 6 numbers, got {pose!r}") from None
+    if arr.size != 6:
+        raise InputError(f"a pose is a Pose6D or 6 numbers, got shape {arr.shape}")
+    return arr.reshape(6)
 
 
 def rotation_from_euler(roll, pitch, yaw) -> np.ndarray:
@@ -163,8 +180,9 @@ def rotation_partials(roll, pitch, yaw) -> np.ndarray:
 
 
 def pose_to_matrix(pose) -> np.ndarray:
-    """Homogeneous 4x4 transform for a pose (Pose6D or length-6 array)."""
-    p = pose.to_array() if isinstance(pose, Pose6D) else np.asarray(pose, dtype=float).reshape(6)
+    """Homogeneous 4x4 transform for a pose: a Pose6D or 6 numbers
+    (pose_array); anything else raises InputError."""
+    p = pose_array(pose)
     T = np.eye(4)
     T[:3, :3] = rotation_from_euler(p[3], p[4], p[5])
     T[:3, 3] = p[:3]
@@ -226,8 +244,9 @@ def invert(T: np.ndarray) -> np.ndarray:
 
 
 def transform_points(points: np.ndarray, pose) -> np.ndarray:
-    """Apply R p + t to an (N, 3) array of points."""
-    p = pose.to_array() if isinstance(pose, Pose6D) else np.asarray(pose, dtype=float).reshape(6)
+    """Apply R p + t to an (N, 3) array of points. pose is a Pose6D or 6
+    numbers (pose_array); anything else raises InputError."""
+    p = pose_array(pose)
     R = rotation_from_euler(p[3], p[4], p[5])
     return np.asarray(points, dtype=float) @ R.T + p[:3]
 

@@ -22,11 +22,10 @@ from scipy.stats import chi2
 
 from .errors import InputError
 from .evaluation import PoseDistribution
-from .geometry import Pose6D, pose_to_matrix, se3_adjoint
+from .geometry import matrix_to_pose, pose_to_matrix, se3_adjoint
 
 __all__ = [
     "TrajectoryEstimate",
-    "compound_poses",
     "compound_covariance",
     "build_trajectory",
     "confidence_ellipse",
@@ -37,39 +36,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrajectoryEstimate:
-    """World-frame trajectory: transforms (L+1, 4, 4) starting at identity,
-    and matching covariances (L+1, 6, 6) when uncertainty was propagated."""
+    """World-frame trajectory: transforms (L+1, 4, 4) starting at the
+    identity, and their covariances (L+1, 6, 6) starting at zero."""
 
     transforms: np.ndarray
-    covariances: np.ndarray | None = None
+    covariances: np.ndarray
 
     def __len__(self) -> int:
         return self.transforms.shape[0]
 
 
-def _step_matrix(step) -> np.ndarray:
-    if isinstance(step, PoseDistribution):
-        return pose_to_matrix(step.mean)
-    if isinstance(step, Pose6D):
-        return pose_to_matrix(step)
-    arr = np.asarray(step, dtype=float)
-    if arr.shape == (4, 4):
-        return arr
-    if arr.shape == (6,):
-        return pose_to_matrix(arr)
-    raise InputError(f"cannot interpret step of shape {arr.shape} as a transform")
+def check_order(order) -> None:
+    """Raise InputError unless order is 2 or 4 (compound_covariance)."""
+    if order not in (2, 4):
+        raise InputError(f"order must be 2 or 4, got {order}")
 
 
-def compound_poses(steps) -> TrajectoryEstimate:
-    """Cumulative products of the per-step mean transforms.
-
-    Accepts PoseDistributions, Pose6D, 6-vectors, or 4x4 matrices. The
-    result has length len(steps) + 1 and starts at the identity.
-    """
-    mats = [np.eye(4)]
-    for step in steps:
-        mats.append(mats[-1] @ _step_matrix(step))
-    return TrajectoryEstimate(transforms=np.stack(mats))
+def check_level(level) -> None:
+    """Raise InputError unless level is in (0, 1) (confidence_ellipse)."""
+    if not (0.0 < level < 1.0):
+        raise InputError(f"level must be in (0, 1), got {level}")
 
 
 def _op(a: np.ndarray) -> np.ndarray:
@@ -101,8 +87,7 @@ def compound_covariance(sigma_acc: np.ndarray, sigma_step: np.ndarray,
     sigma_step = np.asarray(sigma_step, dtype=float)
     if sigma_acc.shape != (6, 6) or sigma_step.shape != (6, 6):
         raise InputError("covariances must be 6x6")
-    if order not in (2, 4):
-        raise InputError(f"order must be 2 or 4, got {order}")
+    check_order(order)
     ad = se3_adjoint(accumulated)
     carried = ad @ sigma_step @ ad.T
     out = sigma_acc + carried
@@ -128,18 +113,20 @@ def compound_covariance(sigma_acc: np.ndarray, sigma_step: np.ndarray,
 def build_trajectory(steps, order: int = 2) -> TrajectoryEstimate:
     """Compose mean transforms and propagate covariances along the chain.
 
-    steps are PoseDistributions (or (matrix, covariance) pairs); the start
-    pose is the identity with zero covariance.
+    Each step is a PoseDistribution (its mean pose and covariance) or a
+    (4x4 transform, 6x6 covariance) pair; anything else raises InputError.
+    The start pose is the identity with zero covariance.
     """
     mats = [np.eye(4)]
     covs = [np.zeros((6, 6))]
     for step in steps:
         if isinstance(step, PoseDistribution):
             mat, cov = pose_to_matrix(step.mean), step.covariance
+        elif isinstance(step, (tuple, list)) and len(step) == 2 and np.shape(step[0]) == (4, 4):
+            mat, cov = np.asarray(step[0], dtype=float), step[1]
         else:
-            mat, cov = step
-            mat = _step_matrix(mat)
-            cov = np.asarray(cov, dtype=float)
+            raise InputError("a step is a PoseDistribution or a (4x4 transform, 6x6 covariance) "
+                             f"pair, got {type(step).__name__}")
         covs.append(compound_covariance(covs[-1], cov, mats[-1], order=order))
         mats.append(mats[-1] @ mat)
     return TrajectoryEstimate(transforms=np.stack(mats), covariances=np.stack(covs))
@@ -155,8 +142,7 @@ def confidence_ellipse(cov2d: np.ndarray, level: float = 0.95):
     cov2d = np.asarray(cov2d, dtype=float)
     if cov2d.shape != (2, 2):
         raise InputError(f"expected a 2x2 covariance, got {cov2d.shape}")
-    if not (0.0 < level < 1.0):
-        raise InputError(f"level must be in (0, 1), got {level}")
+    check_level(level)
     w, v = np.linalg.eigh(cov2d)
     if w[0] < -1e-12:
         raise InputError("covariance must be positive semi-definite")
@@ -173,29 +159,16 @@ _UT = np.triu_indices(6)
 
 def trajectory_rows(traj: TrajectoryEstimate):
     """Rows for the trajectory CSV: index, pose 6-vector, and the 21 upper
-    triangle covariance entries (row-major), zeros when not propagated."""
-    from .geometry import matrix_to_pose
-
+    triangle covariance entries (row-major)."""
     for i in range(len(traj)):
-        pose = matrix_to_pose(traj.transforms[i]).to_array()
-        if traj.covariances is not None:
-            tri = traj.covariances[i][_UT]
-        else:
-            tri = np.zeros(21)
-        yield i, pose, tri
+        yield i, matrix_to_pose(traj.transforms[i]).to_array(), traj.covariances[i][_UT]
 
 
-def ellipse_rows(traj: TrajectoryEstimate, level: float = 0.95, plane=(0, 1)):
-    """Rows for the ellipse CSV: index, center, axes, orientation.
-
-    plane picks the two pose dimensions (default x, y) whose marginal
-    covariance is drawn.
-    """
-    if traj.covariances is None:
-        raise InputError("trajectory has no covariances to draw ellipses from")
-    a, b = plane
+def ellipse_rows(traj: TrajectoryEstimate, level: float = 0.95):
+    """Rows for the ellipse CSV: index, (x, y) center, axes, orientation and
+    level of the confidence ellipse of each pose's x-y marginal covariance.
+    A level outside (0, 1) raises InputError."""
     for i in range(len(traj)):
-        center = traj.transforms[i][:3, 3]
-        cov = traj.covariances[i][np.ix_([a, b], [a, b])]
-        axes, angle = confidence_ellipse(cov, level)
-        yield i, (float(center[0]), float(center[1])), axes, angle, level
+        x, y = traj.transforms[i][:2, 3]
+        axes, angle = confidence_ellipse(traj.covariances[i][:2, :2], level)
+        yield i, (float(x), float(y)), axes, angle, level

@@ -33,7 +33,8 @@ import numpy as np
 from .cloud import PointCloud
 from .correspondence import MiniBatch
 from .errors import InputError, check_count
-from .geometry import Pose6D, rotation_from_euler, rotation_partials, transform_stacked
+from .geometry import (Pose6D, pose_array, rotation_from_euler, rotation_partials,
+                       transform_stacked)
 
 __all__ = [
     "IcpConfig",
@@ -162,7 +163,7 @@ def _cost_gradients(pairs: MiniBatch, pose, metric: str):
         if pairs.reference_normals is None:
             raise InputError("point-to-plane metric needs matched reference normals")
         normals = pairs.reference_normals[None]
-    p = pose.to_array() if isinstance(pose, Pose6D) else np.asarray(pose, dtype=float).reshape(6)
+    p = pose_array(pose)
     src = pairs.source_points[None]
     R = rotation_from_euler(p[3], p[4], p[5])[None]
     e = transform_stacked(R, p[None, :3], src) - pairs.reference_points[None]
@@ -192,7 +193,8 @@ def batch_gradients(pairs: MiniBatch, pose, metric: str = "point") -> np.ndarray
 
 def run_sgd_icp(source: PointCloud, reference: PointCloud, init: Pose6D,
                 config: IcpConfig):
-    """Register source onto reference starting from a single pose estimate.
+    """Register source onto reference starting from a single pose estimate,
+    init: a Pose6D or 6 numbers (pose_array); anything else raises InputError.
 
     Runs the shared particle engine with one particle and no prior, so a
     one-particle Stein run under the same seed reproduces this trajectory
@@ -201,11 +203,10 @@ def run_sgd_icp(source: PointCloud, reference: PointCloud, init: Pose6D,
     """
     from .stein import UNIFORM_PRIOR, run_particle_engine
 
-    init_arr = init.to_array() if isinstance(init, Pose6D) else np.asarray(init, float).reshape(6)
     result = run_particle_engine(
         source=source,
         reference=reference,
-        particles=init_arr.reshape(1, 6),
+        particles=pose_array(init).reshape(1, 6),
         config=config,
         prior=UNIFORM_PRIOR,
         interacting=True,

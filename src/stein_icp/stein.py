@@ -13,7 +13,7 @@ as close. Each block gets its own median-heuristic bandwidth, recomputed
 every iteration.
 
 Particles are plain (K, 6) float64 arrays ordered (x, y, z, roll, pitch,
-yaw); `ParticleSet` is an alias documenting that contract.
+yaw), one pose per row.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .cloud import PointCloud
 from .correspondence import ReshuffledBatches, build_index, match_stacked
 from .errors import DivergedError, InputError, MatchRejectionError, check_count
 from .evaluation import PoseDistribution
-from .geometry import rotation_from_euler, rotation_partials, transform_stacked, wrap_angle
+from .geometry import (pose_array, rotation_from_euler, rotation_partials, transform_stacked,
+                       wrap_angle)
 from .sgd import AdamState, IcpConfig, adam_step, stacked_cost_gradients
 
 __all__ = [
-    "ParticleSet",
     "SteinConfig",
     "PriorConfig",
     "UNIFORM_PRIOR",
@@ -40,13 +40,11 @@ __all__ = [
     "prior_gradient",
     "stein_direction",
     "sample_initial_particles",
-    "uniform_init_bounds",
     "run_stein_icp",
     "run_particle_engine",
     "EngineResult",
+    "sgd_equivalent_config",
 ]
-
-ParticleSet = np.ndarray  # (K, 6) float64, one pose per row
 
 # Sub-stream labels under the run seed; keeps every random draw addressable.
 _STREAM_INIT = 0
@@ -91,21 +89,15 @@ class SteinConfig(IcpConfig):
         self.init_bounds()
 
     def init_bounds(self) -> np.ndarray:
-        """Per-dimension [lo, hi] bounds, shape (6, 2)."""
-        return uniform_init_bounds(self.init_center, self.trans_range, self.rot_range)
-
-
-def uniform_init_bounds(center, trans_range, rot_range) -> np.ndarray:
-    """Bounds center +- range of the uniform init box, shape (6, 2).
-
-    center has 6 finite entries; each range is a scalar or 3 values,
-    non-negative and finite, for the translation and the angle block.
-    """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (6,) or not np.isfinite(center).all():
-        raise InputError("init_center must have 6 finite entries")
-    half = np.concatenate([_as_range(trans_range), _as_range(rot_range)])
-    return np.stack([center - half, center + half], axis=1)
+        """Per-dimension [lo, hi] bounds center +- range of the uniform init
+        box, shape (6, 2). init_center has 6 finite entries; each range is a
+        scalar or 3 values, non-negative and finite, for the translation and
+        the angle block."""
+        center = np.asarray(self.init_center, dtype=float)
+        if center.shape != (6,) or not np.isfinite(center).all():
+            raise InputError("init_center must have 6 finite entries")
+        half = np.concatenate([_as_range(self.trans_range), _as_range(self.rot_range)])
+        return np.stack([center - half, center + half], axis=1)
 
 
 def _as_range(r) -> np.ndarray:
@@ -493,8 +485,8 @@ def run_stein_icp(source: PointCloud, reference: PointCloud, config: SteinConfig
 
 
 def sgd_equivalent_config(config: IcpConfig, init) -> SteinConfig:
-    """SteinConfig whose one-particle run reproduces run_sgd_icp(init, config)."""
+    """SteinConfig whose one-particle run reproduces run_sgd_icp(init, config).
+    init is a Pose6D or 6 numbers (pose_array); anything else raises InputError."""
     base = {f.name: getattr(config, f.name) for f in dataclass_fields(IcpConfig)}
-    init = np.asarray(init.to_array() if hasattr(init, "to_array") else init, dtype=float)
-    return SteinConfig(**base, particles=1, init_center=tuple(init),
+    return SteinConfig(**base, particles=1, init_center=tuple(pose_array(init)),
                        trans_range=0.0, rot_range=0.0)

@@ -2,12 +2,20 @@
 file precedence, determinism of the written artifacts, and exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stein_icp import IcpConfig, PointCloud, Pose6D, load_cloud, run_sgd_icp, write_cloud
+from stein_icp import (IcpConfig, PointCloud, Pose6D, estimate_normals, load_cloud,
+                       run_sgd_icp, write_cloud)
+from stein_icp import cli
 from stein_icp.cli import main
+
+from test_cloud import bits, finite_floats
 
 
 @pytest.fixture()
@@ -360,9 +368,27 @@ class TestEvaluate:
                      "--out", str(tmp_path / "o3")]) == 2
 
 
+class TestSamplesFile:
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.lists(st.tuples(*[finite_floats] * 6), min_size=1, max_size=4))
+    def test_write_read_bitwise_property(self, rows):
+        """The samples writer and reader share the single float format:
+        every finite float64 comes back bit for bit."""
+        samples = np.array(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            cli._write_samples(samples, path)
+            back = cli._read_samples(path)
+        np.testing.assert_array_equal(bits(back), bits(samples))
+
+
+_ODO_FAST = ["--particles", "4", "--iterations", "10", "--batch-size", "50",
+             "--trans-range", "0.02", "--rot-range", "0.01"]
+
+
 class TestOdometry:
-    def _frames(self, tmp_path, rng, count, step=0.1):
-        frames = tmp_path / "frames"
+    def _frames(self, tmp_path, rng, count, step=0.1, name="frames"):
+        frames = tmp_path / name
         frames.mkdir()
         base = rng.uniform(-1, 1, (300, 3))
         base[:, 2] = 0.25 * np.sin(3 * base[:, 0]) + 0.15 * np.cos(2 * base[:, 1])
@@ -370,6 +396,52 @@ class TestOdometry:
             write_cloud(PointCloud(base + [step * i, 0.0, 0.0]),
                         frames / f"frame_{i}.ply")
         return frames
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--order", "3", "order must be 2 or 4, got 3"),
+        ("--level", "1.5", "level must be in (0, 1), got 1.5"),
+    ])
+    def test_bad_order_or_level_fails_before_any_frame_is_read(
+            self, tmp_path, rng, monkeypatch, capsys, flag, value, message):
+        frames = self._frames(tmp_path, rng, 3)
+        read = []
+        monkeypatch.setattr(cli, "load_cloud", lambda path: read.append(path))
+        out = tmp_path / "o"
+        assert main(["odometry", "--frames", str(frames), "--out", str(out),
+                     *_ODO_FAST, flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert read == []
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_plane_metric_matches_frames_with_normals(self, tmp_path, rng):
+        """Normals estimated by the command give the same bytes as frames
+        that already carry those normals."""
+        frames = self._frames(tmp_path, rng, 3, step=0.02)
+        ready = tmp_path / "ready"
+        ready.mkdir()
+        for path in sorted(frames.iterdir()):
+            write_cloud(estimate_normals(load_cloud(path), k=10), ready / path.name)
+        outputs = []
+        for name, source in (("estimated", frames), ("carried", ready)):
+            out = tmp_path / name
+            assert main(["odometry", "--frames", str(source), "--out", str(out),
+                         "--metric", "plane", "--normals-k", "10", *_ODO_FAST]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("trajectory.csv", "ellipses.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_plane_metric_small_reference_fails_before_any_solve(
+            self, tmp_path, rng, monkeypatch, capsys):
+        frames = self._frames(tmp_path, rng, 3)
+        # frame_1 is the reference of the second step only.
+        write_cloud(PointCloud(rng.uniform(-1, 1, (5, 3))), frames / "frame_1.ply")
+        solves = []
+        monkeypatch.setattr(cli, "run_stein_icp", lambda *a, **k: solves.append(a))
+        out = tmp_path / "o"
+        assert main(["odometry", "--frames", str(frames), "--out", str(out),
+                     "--metric", "plane", "--normals-k", "10", *_ODO_FAST]) == 2
+        assert "needs at least k points" in capsys.readouterr().err
+        assert solves == []
+        assert list(out.iterdir()) == []
 
     def test_identical_frames_give_identity_step(self, tmp_path, rng):
         frames = tmp_path / "same"

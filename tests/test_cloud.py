@@ -1,7 +1,12 @@
 """Point cloud container, ASCII parsers/writers, normals, downsampling."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stein_icp import (
     CloudParseError,
@@ -58,7 +63,12 @@ class TestTransformCloud:
         pts = rng.uniform(-1, 1, (30, 3))
         pose = Pose6D(0.2, -0.1, 0.4, 0.3, -0.2, 0.9)
         moved = transform_cloud(PointCloud(pts), pose)
-        np.testing.assert_allclose(moved.points, transform_points(pts, pose), atol=1e-15)
+        np.testing.assert_array_equal(moved.points, transform_points(pts, pose))
+        assert moved.normals is None
+
+    def test_rejects_a_pose_of_three_numbers(self, rng):
+        with pytest.raises(InputError):
+            transform_cloud(PointCloud(rng.uniform(-1, 1, (4, 3))), [0.1, 0.2, 0.3])
 
     def test_normals_rotate_without_translation(self, rng):
         pts = rng.uniform(-1, 1, (10, 3))
@@ -71,7 +81,55 @@ class TestTransformCloud:
         np.testing.assert_allclose(np.linalg.norm(moved.normals, axis=1), 1.0, atol=1e-12)
 
 
+# Finite float64 values, with the edge cases of the text format always in
+# reach: signed zeros, subnormals, and the largest magnitudes.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7976931348623157e308]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw float64 bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def clouds(draw):
+    """A cloud of 1-4 points; with normals, each is a unit vector or a
+    zero marker (signed zeros included)."""
+    n = draw(st.integers(1, 4))
+    points = np.array(draw(st.lists(st.tuples(finite_floats, finite_floats, finite_floats),
+                                    min_size=n, max_size=n)))
+    if not draw(st.booleans()):
+        return PointCloud(points)
+    normals = []
+    for _ in range(n):
+        v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        length = np.linalg.norm(v)
+        if length > 0.1 and draw(st.booleans()):
+            normals.append(v / length)
+        else:
+            normals.append(draw(st.sampled_from([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])))
+    return PointCloud(points, np.array(normals))
+
+
 class TestFileRoundtrip:
+    @pytest.mark.parametrize("suffix", [".ply", ".pcd", ".csv"])
+    @settings(max_examples=25, deadline=None)
+    @given(cloud=clouds())
+    def test_write_load_bitwise_property(self, suffix, cloud):
+        """The single float format reproduces every finite float64 bit for
+        bit through each cloud format, normals or zero markers included."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"cloud{suffix}"
+            write_cloud(cloud, path)
+            back = load_cloud(path)
+        np.testing.assert_array_equal(bits(back.points), bits(cloud.points))
+        if cloud.normals is None:
+            assert back.normals is None
+        else:
+            np.testing.assert_array_equal(bits(back.normals), bits(cloud.normals))
+
     @pytest.mark.parametrize("suffix,fmt", [(".ply", "ply"), (".pcd", "pcd"), (".csv", "xyz-csv")])
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_write_load_bitwise(self, tmp_path, rng, suffix, fmt, with_normals):

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from stein_icp import (
+    InputError,
     Pose6D,
     compose,
     invert,
     matrix_to_pose,
+    pose_array,
     pose_to_matrix,
     rotation_from_euler,
     rotation_partials,
@@ -216,6 +218,24 @@ class TestTransformPoints:
     def test_identity_pose(self, rng):
         pts = rng.uniform(-1, 1, (10, 3))
         np.testing.assert_allclose(transform_points(pts, Pose6D()), pts, atol=0)
+
+
+class TestPoseArray:
+    def test_accepted_forms_agree(self, rng):
+        vec = rng.uniform(-2, 2, 6)
+        want = Pose6D.from_array(vec).to_array()
+        for form in (Pose6D(*vec), vec, list(vec), tuple(vec), vec.reshape(1, 6)):
+            got = pose_array(form)
+            assert got.shape == (6,) and got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [[0.1, 0.2, 0.3], np.eye(4), np.zeros(7), "pose", None],
+                             ids=["three", "matrix", "seven", "text", "none"])
+    def test_every_pose_taker_rejects_other_input(self, bad):
+        for call in (pose_array, pose_to_matrix, Pose6D.from_array,
+                     lambda p: transform_points(np.zeros((2, 3)), p)):
+            with pytest.raises(InputError):
+                call(bad)
 
 
 class TestSkewAdjoint:

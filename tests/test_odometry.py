@@ -11,7 +11,6 @@ from stein_icp import (
     TrajectoryEstimate,
     build_trajectory,
     compound_covariance,
-    compound_poses,
     confidence_ellipse,
     ellipse_rows,
     matrix_to_pose,
@@ -29,39 +28,37 @@ def _random_step_cov(rng, trace_cap=1e-2):
     return c
 
 
+def _chain(steps):
+    """build_trajectory over mean-only steps: each with zero covariance."""
+    return build_trajectory([(pose_to_matrix(p), np.zeros((6, 6))) for p in steps])
+
+
 class TestCompoundPoses:
+    """The mean chain of build_trajectory."""
+
     def test_translation_chain_hand_values(self):
-        traj = compound_poses([Pose6D(0.1, 0, 0), Pose6D(0.1, 0, 0)])
+        traj = _chain([Pose6D(0.1, 0, 0), Pose6D(0.1, 0, 0)])
         assert len(traj) == 3
         np.testing.assert_array_equal(traj.transforms[0], np.eye(4))
         np.testing.assert_allclose(traj.transforms[1][:3, 3], [0.1, 0, 0], rtol=1e-12)
         np.testing.assert_allclose(traj.transforms[2][:3, 3], [0.2, 0, 0], rtol=1e-12)
-        assert traj.covariances is None
+        np.testing.assert_array_equal(traj.covariances, np.zeros((3, 6, 6)))
 
     def test_rotation_translation_chain(self):
         step = [1.0, 0, 0, 0, 0, np.pi / 2]
-        traj = compound_poses([step, step])
+        traj = _chain([step, step])
         np.testing.assert_allclose(traj.transforms[2][:3, 3], [1.0, 1.0, 0.0], atol=1e-12)
         # two quarter turns make a half turn
         np.testing.assert_allclose(traj.transforms[2][:3, :3],
                                    pose_to_matrix([0, 0, 0, 0, 0, np.pi])[:3, :3],
                                    atol=1e-12)
 
-    def test_step_type_equivalence(self, rng):
-        vec = rng.uniform(-0.3, 0.3, 6)
-        as_pose = compound_poses([Pose6D.from_array(vec)])
-        as_vec = compound_poses([vec])
-        as_mat = compound_poses([pose_to_matrix(vec)])
-        dist = PoseDistribution(samples=vec.reshape(1, 6), mean=vec,
-                                covariance=np.eye(6))
-        as_dist = compound_poses([dist])
-        np.testing.assert_array_equal(as_pose.transforms, as_vec.transforms)
-        np.testing.assert_array_equal(as_pose.transforms, as_mat.transforms)
-        np.testing.assert_array_equal(as_pose.transforms, as_dist.transforms)
-
     def test_rejects_bad_step(self):
-        with pytest.raises(InputError):
-            compound_poses([np.zeros(5)])
+        bad = [(np.zeros(5), np.zeros((6, 6))), (np.zeros(6), np.zeros((6, 6))), np.zeros(6),
+               Pose6D(0.1, 0, 0), (np.eye(4), np.zeros((6, 6)), np.zeros((6, 6)))]
+        for step in bad:
+            with pytest.raises(InputError):
+                build_trajectory([step])
 
 
 class TestCompoundCovariance:
@@ -210,11 +207,6 @@ class TestExportRows:
             full = full + full.T - np.diag(np.diag(full))
             np.testing.assert_allclose(full, traj.covariances[i], rtol=1e-12, atol=1e-15)
 
-    def test_trajectory_rows_without_covariances(self):
-        traj = compound_poses([Pose6D(0.1, 0, 0)])
-        rows = list(trajectory_rows(traj))
-        np.testing.assert_array_equal(rows[0][2], np.zeros(21))
-
     def test_ellipse_rows_match_direct_computation(self, rng):
         traj = self._traj(rng)
         rows = list(ellipse_rows(traj, level=0.9))
@@ -226,16 +218,3 @@ class TestExportRows:
                 traj.covariances[i][np.ix_([0, 1], [0, 1])], 0.9)
             np.testing.assert_allclose(axes, want_axes, rtol=1e-12)
             assert angle == want_angle
-
-    def test_ellipse_rows_plane_override(self, rng):
-        traj = self._traj(rng)
-        rows = list(ellipse_rows(traj, plane=(0, 2)))
-        _, _, axes, _, _ = rows[-1]
-        want_axes, _ = confidence_ellipse(
-            traj.covariances[-1][np.ix_([0, 2], [0, 2])], 0.95)
-        np.testing.assert_allclose(axes, want_axes, rtol=1e-12)
-
-    def test_ellipse_rows_require_covariances(self):
-        traj = compound_poses([Pose6D(0.1, 0, 0)])
-        with pytest.raises(InputError):
-            list(ellipse_rows(traj))

@@ -85,3 +85,58 @@ def test_detects_a_private_helper_without_a_caller():
         "b.py": ast.parse("from a import _used\n_used()\n"),
     }
     assert _dead_helpers(trees) == ["a.py:4: _self_only", "a.py:8: _method"]
+
+
+def _module_all(tree: ast.Module) -> list:
+    """The literal __all__ of a module, or [] when it declares none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _api_mismatches(trees: dict) -> list:
+    """Names on which the package and its modules disagree: re-exported by
+    __init__.py but missing from the defining module's __all__, or in a
+    module's __all__ but not re-exported. cli.main is the console entry
+    point, not a re-export."""
+    init = trees["__init__.py"]
+    exported = set(_module_all(init))
+    source = {}
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                source[alias.asname or alias.name] = f"{node.module}.py"
+    bad = []
+    for name in sorted(exported):
+        module = source.get(name)
+        if module is None or name not in _module_all(trees[module]):
+            bad.append(f"{name}: re-exported but not in the __all__ of {module}")
+    for module, tree in sorted(trees.items()):
+        if module == "__init__.py":
+            continue
+        for name in _module_all(tree):
+            if name not in exported and (module, name) != ("cli.py", "main"):
+                bad.append(f"{name}: in the __all__ of {module} but not re-exported")
+    return bad
+
+
+def test_package_and_modules_agree_on_the_public_api():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _api_mismatches(trees) == []
+
+
+def test_detects_public_api_mismatches():
+    trees = {
+        "__init__.py": ast.parse("from .a import kept, hidden\nfrom .b import X\n"
+                                 "__all__ = ['kept', 'hidden', 'X']\n"),
+        "a.py": ast.parse("__all__ = ['kept', 'orphan']\n"),
+        "b.py": ast.parse("X = 1\n"),
+        "cli.py": ast.parse("__all__ = ['main']\n"),
+    }
+    assert _api_mismatches(trees) == [
+        "X: re-exported but not in the __all__ of b.py",
+        "hidden: re-exported but not in the __all__ of a.py",
+        "orphan: in the __all__ of a.py but not re-exported",
+    ]
