@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import estimate_normals, format_float, load_cloud, write_cloud
+from .cloud import estimate_normals, format_table, load_cloud, write_cloud
 from .errors import InputError, NumericalError
 from .evaluation import (
     ANGULAR_DIMS,
@@ -271,12 +271,11 @@ def _prior_config(cfg: dict) -> PriorConfig:
     return PriorConfig(**{name: cfg[opt] for opt, name in _PRIOR_FIELDS.items()})
 
 
-def _write_samples(samples: np.ndarray, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIMENSION_NAMES)
-        for row in np.atleast_2d(samples):
-            writer.writerow([format_float(v) for v in row])
+def _write_csv(header, values, path: Path, index: bool = False) -> None:
+    """The one writer of the CSV artifacts: a header row, then the float
+    table (format_table), comma separated with "\r\n" line ends."""
+    path.write_text(",".join(header) + "\r\n" + format_table(values, ",", "\r\n", index),
+                    newline="")
 
 
 def _read_samples(path) -> np.ndarray:
@@ -336,15 +335,13 @@ def cmd_register(cfg: dict) -> int:
     start = time.perf_counter()
     dist, engine = run_stein_icp(source, reference, config, prior, full_output=True)
     elapsed = time.perf_counter() - start
-    _write_samples(dist.samples, out / "samples.csv")
+    _write_csv(DIMENSION_NAMES, dist.samples, out / "samples.csv")
     _write_json(_summary_payload(dist), out / "summary.json")
     if cfg["trace"]:
-        with open(out / "trace.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "cost"] + list(DIMENSION_NAMES))
-            mean_poses = engine.particle_trace.mean(axis=1)
-            for t, cost in enumerate(engine.cost_trace):
-                writer.writerow([t] + [format_float(v) for v in (cost, *mean_poses[t + 1])])
+        mean_poses = engine.particle_trace.mean(axis=1)
+        _write_csv(["iteration", "cost", *DIMENSION_NAMES],
+                   np.column_stack([engine.cost_trace, mean_poses[1:]]), out / "trace.csv",
+                   index=True)
     _print_pose("mean pose", dist.mean)
     print(f"wrote {out / 'samples.csv'} ({len(dist)} samples) in {elapsed:.2f}s")
     return 0
@@ -361,7 +358,7 @@ def cmd_ground_truth(cfg: dict) -> int:
         center=cfg["init_center"],
     )
     elapsed = time.perf_counter() - start
-    _write_samples(dist.samples, out / "mc_samples.csv")
+    _write_csv(DIMENSION_NAMES, dist.samples, out / "mc_samples.csv")
     _write_json(_summary_payload(dist), out / "mc_summary.json")
     _print_pose("mc mean pose", dist.mean)
     print(f"wrote {out / 'mc_samples.csv'} ({len(dist)} of {cfg['runs']} runs) in {elapsed:.2f}s")
@@ -381,11 +378,7 @@ def cmd_evaluate(cfg: dict) -> int:
             if len(posterior) < 2:
                 break
             grid, dens = kde_1d(posterior.samples[:, d], angular=angular)
-            with open(out / f"kde_{name}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([name, "density"])
-                for g, v in zip(grid, dens):
-                    writer.writerow([format_float(g), format_float(v)])
+            _write_csv([name, "density"], np.column_stack([grid, dens]), out / f"kde_{name}.csv")
     print(f"kl_6d={report['kl_6d']:.6g} kl_translation={report['kl_translation']:.6g} "
           f"kl_rotation={report['kl_rotation']:.6g} ovl={report['ovl']:.4f}")
     return 0
@@ -415,18 +408,14 @@ def cmd_odometry(cfg: dict) -> int:
         step_cfg = replace(base, seed=base.seed + i)
         steps.append(run_stein_icp(clouds[i], references[i - 1], step_cfg))
     traj = build_trajectory(steps, order=cfg["order"])
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cov_names = [f"cov_{i}{j}" for i in range(6) for j in range(i, 6)]
-        writer.writerow(["index"] + list(DIMENSION_NAMES) + cov_names)
-        for i, pose, tri in trajectory_rows(traj):
-            writer.writerow([i] + [format_float(v) for v in (*pose, *tri)])
-    with open(out / "ellipses.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "center_x", "center_y", "semi_major", "semi_minor",
-                         "angle", "level"])
-        for i, (cx, cy), axes, angle, level in ellipse_rows(traj, level=cfg["level"]):
-            writer.writerow([i] + [format_float(v) for v in (cx, cy, *axes, angle, level)])
+    cov_names = [f"cov_{i}{j}" for i in range(6) for j in range(i, 6)]
+    _write_csv(["index", *DIMENSION_NAMES, *cov_names],
+               [[*pose, *tri] for _, pose, tri in trajectory_rows(traj)],
+               out / "trajectory.csv", index=True)
+    _write_csv(["index", "center_x", "center_y", "semi_major", "semi_minor", "angle", "level"],
+               [[cx, cy, *axes, angle, level]
+                for _, (cx, cy), axes, angle, level in ellipse_rows(traj, level=cfg["level"])],
+               out / "ellipses.csv", index=True)
     _write_json({"frames": [p.name for p in paths], "steps": len(steps)}, out / "frames.json")
     final = traj.transforms[-1][:3, 3]
     print(f"chained {len(steps)} steps over {len(paths)} frames; "

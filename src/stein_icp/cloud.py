@@ -16,8 +16,8 @@ All loaders reject non-finite coordinates and empty files.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +130,39 @@ def _floats(tokens, path, lineno, n):
         raise CloudParseError(f"{path}:{lineno}: {e}") from e
 
 
+def _read_body(lines, linenos, width, path, point_cols, normal_cols):
+    """(points, normals or None) from data lines numbered linenos in the
+    file: the first `width` tokens of each line, extra tokens ignored.
+
+    One pass checks every line's width, then one split of the joined body
+    and one map of float convert every token: keeping 10^5 per-line token
+    lists alive costs more than that second split. Only when this fails are
+    the lines walked again, to raise at the first bad line with its file
+    line number."""
+    widths = set(map(len, map(str.split, lines)))
+    try:
+        if min(widths, default=width) < width:
+            raise ValueError
+        if widths <= {width}:
+            tokens = " ".join(lines).split()
+        else:
+            tokens = chain.from_iterable(line.split()[:width] for line in lines)
+        table = np.fromiter(map(float, tokens), float, len(lines) * width)
+    except ValueError:
+        for line, lineno in zip(lines, linenos):
+            _floats(line.split(), path, lineno, width)
+        raise
+    table = table.reshape(len(lines), width)
+    # take, not fancy indexing, so both arrays come back C-ordered.
+    return (table.take(point_cols, axis=1),
+            table.take(normal_cols, axis=1) if normal_cols else None)
+
+
+def _columns(col: dict, names) -> list | None:
+    """Positions of the named fields, or None when one is missing."""
+    return [col[a] for a in names] if all(a in col for a in names) else None
+
+
 def _parse_ply(text: str, path):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
@@ -153,7 +186,8 @@ def _parse_ply(text: str, path):
             in_vertex_element = fields[1] == "vertex"
             if in_vertex_element:
                 try:
-                    n_vertex = int(fields[2])
+                    if (n_vertex := int(fields[2])) < 0:
+                        raise ValueError(n_vertex)
                 except (IndexError, ValueError) as e:
                     raise CloudParseError(f"{path}:{i}: bad element vertex count") from e
         elif fields[0] == "property" and in_vertex_element:
@@ -166,21 +200,12 @@ def _parse_ply(text: str, path):
         if axis not in props:
             raise CloudParseError(f"{path}: vertex element lacks property {axis!r}")
     col = {name: k for k, name in enumerate(props)}
-    has_normals = all(n in col for n in ("nx", "ny", "nz"))
 
-    body = lines[body_start:]
+    body = lines[body_start:body_start + n_vertex]
     if len(body) < n_vertex:
         raise CloudParseError(f"{path}: header promises {n_vertex} vertices, body has {len(body)}")
-    pts = np.empty((n_vertex, 3))
-    nrm = np.empty((n_vertex, 3)) if has_normals else None
-    for k in range(n_vertex):
-        lineno = body_start + 1 + k
-        tokens = body[k].split()
-        vals = _floats(tokens, path, lineno, len(props))
-        pts[k] = vals[col["x"]], vals[col["y"]], vals[col["z"]]
-        if has_normals:
-            nrm[k] = vals[col["nx"]], vals[col["ny"]], vals[col["nz"]]
-    return pts, nrm
+    return _read_body(body, range(body_start + 1, body_start + 1 + n_vertex), len(props), path,
+                      _columns(col, ("x", "y", "z")), _columns(col, ("nx", "ny", "nz")))
 
 
 def _parse_pcd(text: str, path):
@@ -198,7 +223,8 @@ def _parse_pcd(text: str, path):
             fields = tokens[1:]
         elif key == "POINTS":
             try:
-                n_points = int(tokens[1])
+                if (n_points := int(tokens[1])) < 0:
+                    raise ValueError(n_points)
             except (IndexError, ValueError) as e:
                 raise CloudParseError(f"{path}:{i}: bad POINTS count") from e
         elif key == "DATA":
@@ -214,76 +240,68 @@ def _parse_pcd(text: str, path):
         if axis not in fields:
             raise CloudParseError(f"{path}: FIELDS lacks {axis!r}")
     col = {name: k for k, name in enumerate(fields)}
-    has_normals = all(n in col for n in ("normal_x", "normal_y", "normal_z"))
 
-    rows = [r for r in lines[data_start:] if r.strip()]
+    # Blank lines in the body are skipped; each kept row keeps its file line.
+    rows = [k for k in range(data_start, len(lines)) if lines[k].strip()]
     if n_points is None:
         n_points = len(rows)
     if len(rows) < n_points:
         raise CloudParseError(f"{path}: header promises {n_points} points, body has {len(rows)}")
-    pts = np.empty((n_points, 3))
-    nrm = np.empty((n_points, 3)) if has_normals else None
-    for k in range(n_points):
-        lineno = data_start + 1 + k
-        vals = _floats(rows[k].split(), path, lineno, len(fields))
-        pts[k] = vals[col["x"]], vals[col["y"]], vals[col["z"]]
-        if has_normals:
-            nrm[k] = vals[col["normal_x"]], vals[col["normal_y"]], vals[col["normal_z"]]
-    return pts, nrm
+    rows = rows[:n_points]
+    return _read_body([lines[k] for k in rows], [k + 1 for k in rows], len(fields), path,
+                      _columns(col, ("x", "y", "z")),
+                      _columns(col, ("normal_x", "normal_y", "normal_z")))
 
 
 def _parse_xyz(text: str, path):
-    pts_rows = []
-    nrm_rows = []
-    width = None
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.replace(",", " ").split()
-        if width is None:
-            if len(tokens) not in (3, 6):
-                raise CloudParseError(f"{path}:{i}: expected 3 or 6 columns, got {len(tokens)}")
-            width = len(tokens)
-        vals = _floats(tokens, path, i, width)
-        pts_rows.append(vals[:3])
-        if width == 6:
-            nrm_rows.append(vals[3:])
-    if not pts_rows:
+    lines = text.splitlines()
+    rows = [k for k, raw in enumerate(lines) if (line := raw.strip()) and line[0] != "#"]
+    if not rows:
         raise CloudParseError(f"{path}: no data rows")
-    pts = np.array(pts_rows)
-    nrm = np.array(nrm_rows) if nrm_rows else None
-    return pts, nrm
+    data = [lines[k].replace(",", " ") for k in rows]
+    width = len(data[0].split())
+    if width not in (3, 6):
+        raise CloudParseError(f"{path}:{rows[0] + 1}: expected 3 or 6 columns, got {width}")
+    return _read_body(data, [k + 1 for k in rows], width, path, [0, 1, 2],
+                      [3, 4, 5] if width == 6 else None)
 
 
 # --------------------------------------------------------------------------
 # Writing
 
 
-def format_float(x: float) -> str:
-    """The text of a float in every ASCII artifact: repr, the shortest
-    string that reads back as the same float64."""
-    return repr(float(x))
+def format_table(values, sep: str = " ", end: str = "\n", index: bool = False) -> str:
+    """The text of an (n, w) float table, each row ended by `end`, built by
+    one %-format for the whole table. Every float is written as its repr
+    (%r): the shortest text that reads back as the same float64. index=True
+    leads each row with its row number (%d)."""
+    values = np.asarray(values, dtype=float)
+    n, w = values.shape
+    row = sep.join(["%r"] * w)
+    if index:
+        row = "%d" + sep + row
+        values = np.column_stack([np.arange(n), values])   # %d prints 3.0 as 3
+    return (row + end) * n % tuple(values.ravel().tolist())
 
 
 def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
     """Write a cloud. ASCII floats use round-trip formatting, so a
-    write/load cycle reproduces the arrays bit for bit."""
+    write/load cycle reproduces the arrays bit for bit. PLY and PCD lines
+    end in "\n"; xyz-csv is comma separated with "\r\n" line ends."""
     path = Path(path)
     fmt = _detect_format(path, format)
     has_normals = cloud.normals is not None
-    rows = []
-    for k in range(len(cloud)):
-        vals = list(cloud.points[k]) + (list(cloud.normals[k]) if has_normals else [])
-        rows.append(" ".join(format_float(v) for v in vals))
+    table = np.hstack([cloud.points, cloud.normals]) if has_normals else cloud.points
+    if fmt == "xyz-csv":
+        path.write_text(format_table(table, ",", "\r\n"), newline="")
+        return
     if fmt == "ply":
         header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
         header += [f"property float {a}" for a in ("x", "y", "z")]
         if has_normals:
             header += [f"property float {a}" for a in ("nx", "ny", "nz")]
         header.append("end_header")
-        path.write_text("\n".join(header + rows) + "\n")
-    elif fmt == "pcd":
+    else:
         names = "x y z" + (" normal_x normal_y normal_z" if has_normals else "")
         n = 6 if has_normals else 3
         header = [
@@ -299,12 +317,7 @@ def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
             f"POINTS {len(cloud)}",
             "DATA ascii",
         ]
-        path.write_text("\n".join(header + rows) + "\n")
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow(row.split())
+    path.write_text("\n".join(header) + "\n" + format_table(table))
 
 
 # --------------------------------------------------------------------------

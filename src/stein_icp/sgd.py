@@ -223,8 +223,3 @@ class IcpDiagnostics:
 
     cost_trace: np.ndarray   # (T,)
     pose_trace: np.ndarray   # (T + 1, 6) includes the initial pose
-
-    def rows(self):
-        """Iterator of (iteration, cost, pose 6-vector) for CSV export."""
-        for t in range(len(self.cost_trace)):
-            yield t, float(self.cost_trace[t]), self.pose_trace[t + 1]

@@ -4,14 +4,15 @@ file precedence, determinism of the written artifacts, and exit codes."""
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stein_icp import (IcpConfig, PointCloud, Pose6D, estimate_normals, load_cloud,
-                       run_sgd_icp, write_cloud)
+from stein_icp import (IcpConfig, PointCloud, Pose6D, PoseDistribution, estimate_normals,
+                       load_cloud, run_sgd_icp, write_cloud)
 from stein_icp import cli
 from stein_icp.cli import main
 
@@ -377,7 +378,7 @@ class TestSamplesFile:
         samples = np.array(rows)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "samples.csv"
-            cli._write_samples(samples, path)
+            cli._write_csv(["x", "y", "z", "roll", "pitch", "yaw"], samples, path)
             back = cli._read_samples(path)
         np.testing.assert_array_equal(bits(back), bits(samples))
 
@@ -519,6 +520,82 @@ class TestOdometry:
         assert main(["odometry", "--frames", str(frames), "--pattern", "",
                      "--out", str(tmp_path / "o")]) == 2
         assert "--pattern:" in capsys.readouterr().err
+
+
+_ODD = [[-0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5], [1.0, -1e-300, 0.5, 3.0, -0.0, 1e-05]]
+
+
+class TestArtifactBytes:
+    """The bytes of every CSV artifact, pinned as literals written before the
+    bulk codec: a header row, floats as repr (nan, -0.0, 5e-324 and 1e+16
+    included), a leading integer index where the file has one, "\r\n" ends.
+    The solvers are stubbed with fixed results, so only the writers are
+    under test."""
+
+    @pytest.fixture
+    def frames(self, tmp_path, rng):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for name in ("a.ply", "b.ply"):
+            write_cloud(PointCloud(rng.uniform(-1, 1, (20, 3))), frames / name)
+        return frames
+
+    def test_register_samples_and_trace(self, frames, tmp_path, monkeypatch):
+        dist = PoseDistribution(samples=np.array(_ODD), mean=np.zeros(6),
+                                covariance=0.01 * np.eye(6))
+        trace = np.array([[[0.0] * 6], _ODD[:1], [[0.25, -1.0, 2.0, 0.0, 1e-05, 0.1]]])
+        engine = SimpleNamespace(cost_trace=np.array([0.1, np.nan]), particle_trace=trace)
+        monkeypatch.setattr(cli, "run_stein_icp", lambda *args, **kwargs: (dist, engine))
+        out = tmp_path / "reg"
+        assert main(["register", "--source", str(frames / "a.ply"), "--reference",
+                     str(frames / "b.ply"), "--trace", "1", "--out", str(out)]) == 0
+        assert (out / "samples.csv").read_bytes() == (
+            b"x,y,z,roll,pitch,yaw\r\n-0.0,5e-324,1e+16,1e-05,0.1,-2.5\r\n"
+            b"1.0,-1e-300,0.5,3.0,-0.0,1e-05\r\n")
+        assert (out / "trace.csv").read_bytes() == (
+            b"iteration,cost,x,y,z,roll,pitch,yaw\r\n0,0.1,0.0,5e-324,1e+16,1e-05,0.1,-2.5\r\n"
+            b"1,nan,0.25,-1.0,2.0,0.0,1e-05,0.1\r\n")
+
+    def test_evaluate_kde(self, tmp_path, rng, monkeypatch):
+        posterior = tmp_path / "post.csv"
+        posterior.write_text("\n".join(",".join(map(repr, row))
+                                       for row in rng.normal(0, 0.05, (10, 6)).tolist()))
+        grid, density = np.array([-0.0, 1e-05, 0.1]), np.array([5e-324, 1e16, 0.5])
+        monkeypatch.setattr(cli, "kde_1d", lambda *args, **kwargs: (grid, density))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--posterior", str(posterior), "--reference-samples",
+                     str(posterior), "--out", str(out)]) == 0
+        assert (out / "kde_yaw.csv").read_bytes() == (
+            b"yaw,density\r\n-0.0,5e-324\r\n1e-05,1e+16\r\n0.1,0.5\r\n")
+
+    def test_odometry_trajectory_and_ellipses(self, frames, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_stein_icp", lambda *args, **kwargs: None)
+        monkeypatch.setattr(cli, "build_trajectory",
+                            lambda steps, order: SimpleNamespace(transforms=[np.eye(4)] * 2))
+        monkeypatch.setattr(cli, "trajectory_rows", lambda traj: iter([
+            (0, np.array(_ODD[0]), np.arange(21) / 7.0),
+            (1, np.array(_ODD[1]), -np.arange(21) * 1e-05)]))
+        monkeypatch.setattr(cli, "ellipse_rows", lambda traj, level: iter([
+            (0, (-0.0, 5e-324), np.array([1e16, 1e-05]), 0.1, level),
+            (1, (1.5, -2.0), np.array([0.3, 0.2]), -0.0, level)]))
+        out = tmp_path / "odo"
+        assert main(["odometry", "--frames", str(frames), "--out", str(out)]) == 0
+        cov_names = ",".join(f"cov_{i}{j}" for i in range(6) for j in range(i, 6)).encode()
+        assert (out / "trajectory.csv").read_bytes() == (
+            b"index,x,y,z,roll,pitch,yaw," + cov_names + b"\r\n"
+            b"0,-0.0,5e-324,1e+16,1e-05,0.1,-2.5,0.0,0.14285714285714285,0.2857142857142857,"
+            b"0.42857142857142855,0.5714285714285714,0.7142857142857143,0.8571428571428571,"
+            b"1.0,1.1428571428571428,1.2857142857142858,1.4285714285714286,1.5714285714285714,"
+            b"1.7142857142857142,1.8571428571428572,2.0,2.142857142857143,2.2857142857142856,"
+            b"2.4285714285714284,2.5714285714285716,2.7142857142857144,2.857142857142857\r\n"
+            b"1,1.0,-1e-300,0.5,3.0,-0.0,1e-05,0.0,-1e-05,-2e-05,-3.0000000000000004e-05,"
+            b"-4e-05,-5e-05,-6.000000000000001e-05,-7.000000000000001e-05,-8e-05,-9e-05,"
+            b"-0.0001,-0.00011,-0.00012000000000000002,-0.00013000000000000002,"
+            b"-0.00014000000000000001,-0.00015000000000000001,-0.00016,-0.00017,-0.00018,"
+            b"-0.00019,-0.0002\r\n")
+        assert (out / "ellipses.csv").read_bytes() == (
+            b"index,center_x,center_y,semi_major,semi_minor,angle,level\r\n"
+            b"0,-0.0,5e-324,1e+16,1e-05,0.1,0.95\r\n1,1.5,-2.0,0.3,0.2,-0.0,0.95\r\n")
 
 
 class TestBench:

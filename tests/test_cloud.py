@@ -21,6 +21,7 @@ from stein_icp import (
     voxel_downsample,
     write_cloud,
 )
+from stein_icp.cloud import format_table
 
 
 class TestPointCloudValidation:
@@ -166,6 +167,52 @@ class TestFileRoundtrip:
             load_cloud(tmp_path / "nope.ply")
 
 
+# The bytes each writer produced before the bulk codec, kept as literals: the
+# text of a float is its repr (-0.0, 5e-324 and 1e+16 included), PLY and PCD
+# lines end in "\n", xyz-csv is comma separated with "\r\n" ends.
+_ODD_POINTS = [[-0.0, 5e-324, 1e16], [1e-05, 0.1, -2.5]]
+_ODD_NORMALS = [[0.0, 0.0, 1.0], [-0.0, 0.6, 0.8]]
+_PLY_HEAD = (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+             b"property float y\nproperty float z\n")
+_PCD_HEAD = b"# .PCD v0.7 - Point Cloud Data file format\nVERSION 0.7\n"
+_PCD_TAIL = b"WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n"
+_WRITTEN = {
+    (".ply", False): _PLY_HEAD + b"end_header\n-0.0 5e-324 1e+16\n1e-05 0.1 -2.5\n",
+    (".ply", True): (_PLY_HEAD + b"property float nx\nproperty float ny\nproperty float nz\n"
+                     b"end_header\n-0.0 5e-324 1e+16 0.0 0.0 1.0\n"
+                     b"1e-05 0.1 -2.5 -0.0 0.6 0.8\n"),
+    (".pcd", False): (_PCD_HEAD + b"FIELDS x y z\nSIZE 8 8 8\nTYPE F F F\nCOUNT 1 1 1\n"
+                      + _PCD_TAIL + b"-0.0 5e-324 1e+16\n1e-05 0.1 -2.5\n"),
+    (".pcd", True): (_PCD_HEAD + b"FIELDS x y z normal_x normal_y normal_z\n"
+                     b"SIZE 8 8 8 8 8 8\nTYPE F F F F F F\nCOUNT 1 1 1 1 1 1\n"
+                     + _PCD_TAIL + b"-0.0 5e-324 1e+16 0.0 0.0 1.0\n"
+                     b"1e-05 0.1 -2.5 -0.0 0.6 0.8\n"),
+    (".csv", False): b"-0.0,5e-324,1e+16\r\n1e-05,0.1,-2.5\r\n",
+    (".csv", True): b"-0.0,5e-324,1e+16,0.0,0.0,1.0\r\n1e-05,0.1,-2.5,-0.0,0.6,0.8\r\n",
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(width=st.integers(1, 6), values=st.lists(st.floats(), max_size=24), index=st.booleans())
+def test_format_table_equals_per_value_repr(width, values, index):
+    """The one-template table text is the per-value repr text it replaced,
+    for every float64: nan, infinities, -0.0 and subnormals included."""
+    table = np.array(values[:len(values) // width * width]).reshape(-1, width)
+    expected = "".join(",".join([str(i)] * index + [repr(v) for v in row]) + "\r\n"
+                       for i, row in enumerate(table.tolist()))
+    assert format_table(table, ",", "\r\n", index) == expected
+
+
+@pytest.mark.parametrize("suffix,with_normals", sorted(_WRITTEN), ids=str)
+def test_written_bytes_are_pinned(tmp_path, suffix, with_normals):
+    cloud = PointCloud(_ODD_POINTS, _ODD_NORMALS if with_normals else None)
+    path = tmp_path / f"cloud{suffix}"
+    write_cloud(cloud, path)
+    assert path.read_bytes() == _WRITTEN[suffix, with_normals]
+    back = load_cloud(path)
+    np.testing.assert_array_equal(bits(back.points), bits(cloud.points))
+
+
 class TestPlyParser:
     def test_extra_properties_and_faces_skipped(self, tmp_path):
         text = "\n".join([
@@ -209,6 +256,8 @@ class TestPlyParser:
          "end_header\n0 0\n", "lacks property"),
         ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
          "property float z\n0 0 0\n", "end_header"),
+        ("ply\nformat ascii 1.0\nelement vertex -1\nproperty float x\nproperty float y\n"
+         "property float z\nend_header\n0 0 0\n0 0 0\n", "bad element vertex count"),
     ])
     def test_malformed_headers(self, tmp_path, text, fragment):
         path = tmp_path / "bad.ply"
@@ -244,11 +293,20 @@ class TestPcdParser:
         ("FIELDS x y\nDATA ascii\n0 0\n", "lacks"),
         ("FIELDS x y z\nPOINTS 2\nDATA ascii\n0 0 0\n", "promises"),
         ("FIELDS x y z\nDATA binary\n", "ascii"),
+        ("FIELDS x y z\nPOINTS -1\nDATA ascii\n0 0 0\n0 0 0\n", "bad POINTS count"),
     ])
     def test_malformed(self, tmp_path, text, fragment):
         path = tmp_path / "bad.pcd"
         path.write_text(text)
         with pytest.raises(CloudParseError, match=fragment):
+            load_cloud(path)
+
+    def test_error_line_counts_blank_body_lines(self, tmp_path):
+        """Blank body lines are skipped but still counted: the bad value
+        sits on file line 7."""
+        path = tmp_path / "gap.pcd"
+        path.write_text("FIELDS x y z\nDATA ascii\n1 2 3\n\n\n4 5 6\n7 eight 9\n")
+        with pytest.raises(CloudParseError, match=r"gap\.pcd:7: could not convert"):
             load_cloud(path)
 
 
@@ -281,6 +339,113 @@ class TestXyzParser:
         path = tmp_path / "a.csv"
         path.write_text("1 2 3\nx y z\n")
         with pytest.raises(CloudParseError, match=r"a\.csv:2"):
+            load_cloud(path)
+
+
+class TestBulkBody:
+    """Bodies of 5000 rows, long enough for the one-pass parse, keep the
+    per-line rules: the first n tokens are read and extras ignored, and a
+    short line or a bad token is reported at its own file line."""
+
+    N = 5000
+    BAD = 3990   # data row a test breaks
+
+    @pytest.fixture
+    def table(self, rng):
+        return rng.uniform(-2.0, 2.0, (self.N, 6))
+
+    def _ply(self, tmp_path, rows):
+        """A PLY with an extra uchar property and two face lines after the
+        vertices; returns the path and the file line of row BAD."""
+        header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}",
+                  "property float x", "property float y", "property float z",
+                  "property uchar red", "element face 2",
+                  "property list uchar int vertex_indices", "end_header"]
+        path = tmp_path / "big.ply"
+        path.write_text("\n".join(header + rows + ["3 0 1 2", "3 2 3 4"]) + "\n")
+        return path, len(header) + 1 + self.BAD
+
+    def _ply_rows(self, table):
+        return [" ".join(map(repr, row)) + " 255" for row in table[:, :3].tolist()]
+
+    def test_ply_extra_property_and_faces(self, tmp_path, table):
+        path, _ = self._ply(tmp_path, self._ply_rows(table))
+        cloud = load_cloud(path)
+        np.testing.assert_array_equal(bits(cloud.points), bits(table[:, :3]))
+        assert cloud.normals is None
+
+    def test_ply_extra_tokens_are_ignored(self, tmp_path, table):
+        rows = self._ply_rows(table)
+        rows[self.BAD] += " 9 junk"
+        path, _ = self._ply(tmp_path, rows)
+        np.testing.assert_array_equal(bits(load_cloud(path).points), bits(table[:, :3]))
+
+    def test_ply_short_line_names_its_line(self, tmp_path, table):
+        rows = self._ply_rows(table)
+        rows[self.BAD] = "1.0 2.0"
+        path, line = self._ply(tmp_path, rows)
+        with pytest.raises(CloudParseError, match=rf"big\.ply:{line}: expected 4 values, got 2$"):
+            load_cloud(path)
+
+    def test_ply_bad_token_names_its_line(self, tmp_path, table):
+        rows = self._ply_rows(table)
+        rows[self.BAD] = "1.0 oops 3.0 255"
+        path, line = self._ply(tmp_path, rows)
+        with pytest.raises(CloudParseError,
+                           match=rf"big\.ply:{line}: could not convert string to float: 'oops'$"):
+            load_cloud(path)
+
+    def test_first_bad_line_wins(self, tmp_path, table):
+        """A bad token before a short line is the error reported."""
+        rows = self._ply_rows(table)
+        rows[self.BAD] = "1.0 oops 3.0 255"
+        rows[self.BAD + 500] = "1.0"
+        path, line = self._ply(tmp_path, rows)
+        with pytest.raises(CloudParseError, match=rf"big\.ply:{line}: could not convert"):
+            load_cloud(path)
+
+    def test_pcd_blank_lines_keep_file_line_numbers(self, tmp_path, table):
+        rows = [" ".join(map(repr, row)) for row in table[:, :3].tolist()]
+        rows[self.BAD] = "1.0 2.0 nine"
+        body = []
+        for k, row in enumerate(rows):
+            body += [row, ""] if k % 100 == 99 else [row]   # a blank line every 100 rows
+        path = tmp_path / "big.pcd"
+        path.write_text("FIELDS x y z\nDATA ascii\n" + "\n".join(body) + "\n")
+        line = 2 + self.BAD + self.BAD // 100 + 1
+        with pytest.raises(CloudParseError, match=rf"big\.pcd:{line}: could not convert"):
+            load_cloud(path)
+
+    def _xyz_lines(self, table):
+        """Six columns separated by commas, spaces or both, with comments
+        and blank lines mixed in; returns the lines and the file line of
+        row BAD."""
+        lines, line_of_bad = ["# x y z nx ny nz"], None
+        for k, row in enumerate(table.tolist()):
+            text = [", ".join, " ".join, ",".join][k % 3](map(repr, row))
+            if k % 250 == 0:
+                lines += ["", "  # a comment"]
+            lines.append(text)
+            if k == self.BAD:
+                line_of_bad = len(lines)
+        return lines, line_of_bad
+
+    def test_xyz_mixed_separators_comments_and_blanks(self, tmp_path, table):
+        table[:, 3:] /= np.linalg.norm(table[:, 3:], axis=1, keepdims=True)
+        lines, _ = self._xyz_lines(table)
+        path = tmp_path / "big.xyz"
+        path.write_text("\n".join(lines) + "\n")
+        cloud = load_cloud(path)
+        np.testing.assert_array_equal(bits(cloud.points), bits(table[:, :3]))
+        np.testing.assert_array_equal(bits(cloud.normals), bits(table[:, 3:]))
+
+    def test_xyz_narrow_row_names_its_line(self, tmp_path, table):
+        """The width is the first data line's; a later 3-column row is short."""
+        lines, line = self._xyz_lines(table)
+        lines[line - 1] = "1,2,3"
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CloudParseError, match=rf"big\.csv:{line}: expected 6 values, got 3$"):
             load_cloud(path)
 
 

@@ -140,3 +140,52 @@ def test_detects_public_api_mismatches():
         "hidden: re-exported but not in the __all__ of a.py",
         "orphan: in the __all__ of a.py but not re-exported",
     ]
+
+
+# The one float text of the package: cloud.format_table's %r template.
+TABLE_WRITER = ("cloud.py", "format_table")
+
+
+def _codec_breaches(trees: dict) -> list:
+    """Every reference to csv.writer (as an attribute or an import), and every
+    repr( call or '%r' template outside the table writer."""
+    bad = []
+    for name, tree in trees.items():
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (name, node.name) == TABLE_WRITER:
+                allowed.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            where = f"{name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+                bad.append(f"{where}: csv.writer")
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                bad += [f"{where}: csv.writer" for a in node.names if a.name == "writer"]
+            elif id(node) in allowed:
+                continue
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "repr"):
+                bad.append(f"{where}: repr(")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "%r" in node.value):
+                bad.append(f"{where}: %r")
+    return bad
+
+
+def test_one_text_codec():
+    """Tables are written only by cloud.format_table: no csv.writer, and no
+    other float-to-text formatting, anywhere in the package."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _codec_breaches(trees) == []
+
+
+def test_detects_a_second_text_codec():
+    trees = {
+        "cloud.py": ast.parse("def format_table(v):\n    return '%r' % v + repr(v)\n"),
+        "cli.py": ast.parse("import csv\nfrom csv import writer\n"
+                            "w = csv.writer(fh)\ns = repr(1.0) + ('%r,%r' % (a, b))\n"
+                            "ok = f'{s!r}' + '%d' % 3\n"),
+    }
+    assert _codec_breaches(trees) == ["cli.py:2: csv.writer", "cli.py:3: csv.writer",
+                                      "cli.py:4: repr(", "cli.py:4: %r"]

@@ -283,20 +283,17 @@ class TestRunSgdIcp:
         np.testing.assert_allclose(est[:3], target[:3], atol=0.02)
         assert diag.cost_trace[-1] < diag.cost_trace[0]
 
-    def test_diagnostics_shapes_and_rows(self, rng):
+    def test_diagnostics_shapes(self, rng):
+        """One cost per iteration, and the pose trace runs from the initial
+        pose to the returned one."""
         ref = self._clouds(rng, 200)
         cfg = IcpConfig(batch_size=50, step_size=0.01, iterations=7, seed=1)
         pose, diag = run_sgd_icp(ref, ref, Pose6D(0.02, 0, 0), cfg)
         assert diag.cost_trace.shape == (7,)
+        assert np.isfinite(diag.cost_trace).all()
         assert diag.pose_trace.shape == (8, 6)
         np.testing.assert_array_equal(diag.pose_trace[0], [0.02, 0, 0, 0, 0, 0])
         np.testing.assert_array_equal(pose.to_array(), diag.pose_trace[-1])
-        rows = list(diag.rows())
-        assert len(rows) == 7
-        t0, c0, p0 = rows[0]
-        assert t0 == 0
-        assert c0 == diag.cost_trace[0]
-        np.testing.assert_array_equal(p0, diag.pose_trace[1])
 
     def test_seeded_determinism(self, rng):
         ref = self._clouds(rng, 300)
