@@ -1,6 +1,6 @@
 """Command line interface.
 
-Subcommands: register, ground-truth, evaluate, odometry, bench, synth.
+Subcommands: register, ground-truth, evaluate, odometry, synth.
 Every command reads an optional INI config file (--config FILE, section
 named after the command); explicit flags override file values, and unknown
 config keys are rejected. Exit codes: 0 success, 1 numerical failure,
@@ -12,6 +12,11 @@ Each solver option is the IcpConfig/SteinConfig field of the same name
 dataclass default; this module holds only its parser. register runs one
 solve path: --method sgd is a one-particle Stein run without a prior
 (sgd_equivalent_config), which reproduces run_sgd_icp bit for bit.
+Next to its samples and summary, register writes diagnostics.json: the
+solve's wall time (seconds), the engine loop's own time (engine_seconds),
+the five phase times on that loop's clock (phases) and the share of matched
+points the cell grid certified (certified_share). Timings stay out of
+summary.json, which is byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -139,63 +144,15 @@ _RUN = {
     "normals_k": (int, 10),
 }
 
-_OPTIONS = {
-    "register": {
-        "source": (str, None), "reference": (str, None),
-        "method": (str, "stein"), "out": (str, "."), "trace": (_parse_bool, False),
-        **_STEIN, **_PRIOR, **_RUN,
-    },
-    "ground-truth": {
-        "source": (str, None), "reference": (str, None),
-        "runs": (int, 1000), "out": (str, "."),
-        **_ICP, **_INIT, **_RUN,
-    },
-    "evaluate": {
-        "posterior": (str, None), "reference_samples": (str, None),
-        "out": (str, "."), "kde": (_parse_bool, True),
-    },
-    "odometry": {
-        "frames": (str, None), "pattern": (str, "*"),
-        "out": (str, "."), "level": (float, 0.95), "order": (int, 2),
-        **_STEIN, **_RUN,
-    },
-    "bench": {
-        "scene": (str, "blob"), "points": (_parse_natural, 5000), "noise": (float, 0.005),
-        "out": (str, None),
-        **_STEIN, **_RUN,
-    },
-    "synth": {
-        "scene": (str, "blob"), "points": (_parse_natural, 5000), "noise": (float, 0.005),
-        "out": (str, "."), "format": (str, "ply"),
-        "true_pose": (_parse_pose, None),
-        "seed": (_parse_natural, 0),
-    },
-}
-
-_REQUIRED = {
-    "register": ("source", "reference"),
-    "ground-truth": ("source", "reference"),
-    "evaluate": ("posterior", "reference_samples"),
-    "odometry": ("frames",),
-    "bench": (),
-    "synth": (),
-}
-
-_HELP = {
-    "register": "estimate the pose posterior aligning --source onto --reference",
-    "ground-truth": "Monte-Carlo reference posterior from many independent restarts",
-    "evaluate": "compare a posterior sample set against a reference sample set",
-    "odometry": "chain pairwise registrations over a frame directory",
-    "bench": "time the register pipeline phases and the grid's certified share",
-    "synth": "write a synthetic benchmark scene with known ground truth",
-}
+# The default of an option a command cannot run without.
+REQUIRED = object()
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stein-icp", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for cmd, opts in _OPTIONS.items():
-        p = sub.add_parser(cmd, help=_HELP[cmd])
+    for cmd, (handler, opts) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=handler.__doc__)
         p.add_argument("--config", default=None, help="INI config file")
         for dest in opts:
             flag = "--" + dest.replace("_", "-")
@@ -214,9 +171,9 @@ def _parse_option(label: str, parse, raw):
         raise InputError(f"{label}: expected {expected}, got {raw!r}") from None
 
 
-def _effective(args) -> dict:
-    """Merge flag values over config-file values over defaults."""
-    opts = _OPTIONS[args.command]
+def _effective(args, opts: dict) -> dict:
+    """Merge flag values over config-file values over the defaults of the
+    command's options, opts; a REQUIRED option left unset is bad input."""
     merged = {}
     file_vals = {}
     if args.config:
@@ -244,8 +201,8 @@ def _effective(args) -> dict:
             merged[dest] = _parse_option(f"{args.config}: {flag[2:]}", parse, file_vals[dest])
         else:
             merged[dest] = default
-    for dest in _REQUIRED[args.command]:
-        if merged[dest] is None:
+    for dest, value in merged.items():
+        if value is REQUIRED:
             raise InputError(f"--{dest.replace('_', '-')} is required")
     return merged
 
@@ -324,6 +281,7 @@ def _print_pose(label: str, pose: np.ndarray) -> None:
 
 
 def cmd_register(cfg: dict) -> int:
+    """estimate the pose posterior aligning --source onto --reference"""
     if cfg["method"] not in ("stein", "sgd"):
         raise InputError(f"method must be 'stein' or 'sgd', got {cfg['method']!r}")
     config, prior = _config(SteinConfig, cfg), _prior_config(cfg)
@@ -337,6 +295,11 @@ def cmd_register(cfg: dict) -> int:
     elapsed = time.perf_counter() - start
     _write_csv(DIMENSION_NAMES, dist.samples, out / "samples.csv")
     _write_json(_summary_payload(dist), out / "summary.json")
+    counts = engine.match_counts
+    _write_json({"seconds": elapsed, "engine_seconds": engine.loop_seconds,
+                 "phases": engine.timings,
+                 "certified_share": counts["certified"] / counts["queried"]},
+                out / "diagnostics.json")
     if cfg["trace"]:
         mean_poses = engine.particle_trace.mean(axis=1)
         _write_csv(["iteration", "cost", *DIMENSION_NAMES],
@@ -348,6 +311,7 @@ def cmd_register(cfg: dict) -> int:
 
 
 def cmd_ground_truth(cfg: dict) -> int:
+    """Monte-Carlo reference posterior from many independent restarts"""
     source, reference = _load_pair(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -366,6 +330,7 @@ def cmd_ground_truth(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
+    """compare a posterior sample set against a reference sample set"""
     posterior = PoseDistribution.from_samples(_read_samples(cfg["posterior"]))
     reference = PoseDistribution.from_samples(_read_samples(cfg["reference_samples"]))
     out = Path(cfg["out"])
@@ -385,6 +350,7 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_odometry(cfg: dict) -> int:
+    """chain pairwise registrations over a frame directory"""
     check_order(cfg["order"])
     check_level(cfg["level"])
     frame_dir = Path(cfg["frames"])
@@ -423,31 +389,8 @@ def cmd_odometry(cfg: dict) -> int:
     return 0
 
 
-def cmd_bench(cfg: dict) -> int:
-    source, reference, _ = make_scene(cfg["scene"], n=cfg["points"], noise=cfg["noise"],
-                                      seed=cfg["seed"])
-    reference = _plane_ready(reference, cfg)
-    start = time.perf_counter()
-    dist, engine = run_stein_icp(source, reference, _config(SteinConfig, cfg), full_output=True)
-    total = time.perf_counter() - start
-    counts = engine.match_counts
-    payload = {
-        "scene": cfg["scene"], "points": cfg["points"],
-        "particles": cfg["particles"], "iterations": cfg["iterations"],
-        "total_seconds": total,
-        "phases": dict(engine.timings),
-        "phase_coverage": sum(engine.timings.values()) / total if total > 0 else 1.0,
-        "certified_share": counts["certified"] / counts["queried"],
-        "mean_pose": [float(v) for v in dist.mean],
-    }
-    if cfg["out"]:
-        Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
-        _write_json(payload, Path(cfg["out"]))
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 def cmd_synth(cfg: dict) -> int:
+    """write a synthetic benchmark scene with known ground truth"""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     kwargs = {"n": cfg["points"], "noise": cfg["noise"], "seed": cfg["seed"]}
@@ -480,13 +423,34 @@ def cmd_synth(cfg: dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "register": cmd_register,
-    "ground-truth": cmd_ground_truth,
-    "evaluate": cmd_evaluate,
-    "odometry": cmd_odometry,
-    "bench": cmd_bench,
-    "synth": cmd_synth,
+# Each command once: its handler, whose docstring is its help line, and its
+# options as {dest: (parser, default)}.
+_COMMANDS = {
+    "register": (cmd_register, {
+        "source": (str, REQUIRED), "reference": (str, REQUIRED),
+        "method": (str, "stein"), "out": (str, "."), "trace": (_parse_bool, False),
+        **_STEIN, **_PRIOR, **_RUN,
+    }),
+    "ground-truth": (cmd_ground_truth, {
+        "source": (str, REQUIRED), "reference": (str, REQUIRED),
+        "runs": (int, 1000), "out": (str, "."),
+        **_ICP, **_INIT, **_RUN,
+    }),
+    "evaluate": (cmd_evaluate, {
+        "posterior": (str, REQUIRED), "reference_samples": (str, REQUIRED),
+        "out": (str, "."), "kde": (_parse_bool, True),
+    }),
+    "odometry": (cmd_odometry, {
+        "frames": (str, REQUIRED), "pattern": (str, "*"),
+        "out": (str, "."), "level": (float, 0.95), "order": (int, 2),
+        **_STEIN, **_RUN,
+    }),
+    "synth": (cmd_synth, {
+        "scene": (str, "blob"), "points": (_parse_natural, 5000), "noise": (float, 0.005),
+        "out": (str, "."), "format": (str, "ply"),
+        "true_pose": (_parse_pose, None),
+        "seed": (_parse_natural, 0),
+    }),
 }
 
 
@@ -496,9 +460,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    handler, opts = _COMMANDS[args.command]
     try:
-        cfg = _effective(args)
-        return _DISPATCH[args.command](cfg)
+        return handler(_effective(args, opts))
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 1

@@ -302,6 +302,8 @@ class EngineResult:
     cost_trace: np.ndarray            # (T,) mean batch cost over live particles
     failed: np.ndarray                # (K,) bool
     timings: dict = field(default_factory=dict)
+    # Wall time of the iteration loop, on the clock the phase timings use.
+    loop_seconds: float = 0.0
     particle_trace: np.ndarray | None = None   # (T + 1, K, 6) when recorded
     # Points the matcher queried and those its cell grid certified.
     match_counts: dict = field(default_factory=dict)
@@ -362,6 +364,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         trace[0] = theta
     timings = {k: 0.0 for k in ("sampling", "transform", "matching", "gradients", "update")}
 
+    loop_start = time.perf_counter()
     for it in range(config.iterations):
         live = np.flatnonzero(active)
         if live.size == 0:
@@ -444,9 +447,10 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
 
         if trace is not None:
             trace[it + 1] = theta
+    loop_seconds = time.perf_counter() - loop_start
 
     return EngineResult(particles=theta, cost_trace=cost_trace, failed=~active,
-                        timings=timings, particle_trace=trace,
+                        timings=timings, loop_seconds=loop_seconds, particle_trace=trace,
                         match_counts={"queried": index.queried,
                                       "certified": index.certified})
 
@@ -464,7 +468,8 @@ def run_stein_icp(source: PointCloud, reference: PointCloud, config: SteinConfig
     Initial particles are uniform draws inside config.init_bounds(), or
     prior draws when an informed prior is supplied, or exactly the given
     initial_particles array. With full_output=True the EngineResult
-    (timings, cost trace, trace) rides along as a second return value.
+    (timings, loop time, cost trace, trace) rides along as a second return
+    value.
     """
     if initial_particles is None:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_INIT]))

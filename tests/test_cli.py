@@ -1,6 +1,8 @@
 """End-to-end command line checks: every subcommand on small inputs, config
 file precedence, determinism of the written artifacts, and exit codes."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stein_icp import (IcpConfig, PointCloud, Pose6D, PoseDistribution, estimate_normals,
-                       load_cloud, run_sgd_icp, write_cloud)
+from stein_icp import (IcpConfig, InputError, PointCloud, Pose6D, PoseDistribution,
+                       SteinConfig, estimate_normals, load_cloud, run_sgd_icp, write_cloud)
 from stein_icp import cli
 from stein_icp.cli import main
 
@@ -35,6 +37,19 @@ _FAST = ["--particles", "6", "--iterations", "15", "--batch-size", "60",
          "--trans-range", "0.05", "--rot-range", "0.02"]
 _GT_FAST = ["--runs", "4", "--iterations", "15", "--batch-size", "60",
             "--trans-range", "0.05", "--rot-range", "0.02"]
+
+
+# The numeric options of _SOLVER_PARSERS, each a SteinConfig field.
+_NUMERIC_SOLVER_OPTIONS = ("batch_size", "step_size", "iterations", "max_dist",
+                           "likelihood_scale", "seed", "particles", "bandwidth")
+
+
+class _ConfigAccepted(Exception):
+    """Raised in place of reading the clouds: every option was accepted."""
+
+
+def _stop_before_loading(cfg):
+    raise _ConfigAccepted
 
 
 def _register(src, ref, out, *extra):
@@ -78,9 +93,8 @@ class TestSynth:
     def test_negative_point_count_is_bad_input(self, tmp_path, capsys):
         assert main(["synth", "--points", "-5", "--out", str(tmp_path / "n")]) == 2
         assert "--points: expected a non-negative integer" in capsys.readouterr().err
-        for cmd in ("synth", "bench"):
-            assert main([cmd, "--noise", "-1", "--out", str(tmp_path / cmd)]) == 2
-            assert "noise must be non-negative" in capsys.readouterr().err
+        assert main(["synth", "--noise", "-1", "--out", str(tmp_path / "synth")]) == 2
+        assert "noise must be non-negative" in capsys.readouterr().err
 
     def test_unknown_scene(self, tmp_path):
         assert main(["synth", "--scene", "torus", "--out", str(tmp_path / "t")]) == 2
@@ -99,7 +113,12 @@ class TestRegister:
         assert set(summary["mean"]) == {"x", "y", "z", "roll", "pitch", "yaw"}
         assert len(summary["covariance"]) == 6
         assert "mean pose" in capsys.readouterr().out
-        assert not (out / "trace.csv").exists()
+        artifacts = {"samples.csv", "summary.json", "diagnostics.json"}
+        assert {p.name for p in out.iterdir()} == artifacts
+        assert _register(src, ref, tmp_path / "traced", "--trace", "1") == 0
+        assert {p.name for p in (tmp_path / "traced").iterdir()} == artifacts | {"trace.csv"}
+        assert _register(src, ref, tmp_path / "sgd", "--method", "sgd") == 0
+        assert {p.name for p in (tmp_path / "sgd").iterdir()} == artifacts
 
     def test_reruns_are_byte_identical(self, pair, tmp_path):
         src, ref = pair
@@ -153,6 +172,35 @@ class TestRegister:
         src, ref = pair
         assert _register(src, ref, tmp_path / "p", "--method", method, *flags) == 2
         assert message in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(_NUMERIC_SOLVER_OPTIONS),
+           value=st.one_of(st.integers(), st.floats(),
+                           st.sampled_from([0, -1, 0.0, -0.0, 2.5, -2.5, 1e-300,
+                                            float("nan"), float("inf"), float("-inf")])))
+    def test_cli_and_library_reject_the_same_values(self, name, value):
+        """register exits 2 naming the option exactly when the config
+        rejects the value. The clouds are never read: an accepted value
+        reaches the stubbed loader and stops there."""
+        try:
+            SteinConfig(**{name: value})
+            rejected = False
+        except InputError:
+            rejected = True
+        flag = "--" + name.replace("_", "-")
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(cli, "_load_pair", _stop_before_loading)
+            try:
+                rc = main(["register", "--source", "s.ply", "--reference", "r.ply",
+                           f"{flag}={value!r}"])
+            except _ConfigAccepted:
+                rc = None
+        if rejected:
+            assert rc == 2
+            assert flag in err.getvalue() or f"{name} " in err.getvalue()
+        else:
+            assert rc is None, err.getvalue()
 
     def test_batch_size_larger_than_cloud_is_bad_input(self, tmp_path, rng, capsys):
         cloud = tmp_path / "cloud.ply"
@@ -544,7 +592,9 @@ class TestArtifactBytes:
         dist = PoseDistribution(samples=np.array(_ODD), mean=np.zeros(6),
                                 covariance=0.01 * np.eye(6))
         trace = np.array([[[0.0] * 6], _ODD[:1], [[0.25, -1.0, 2.0, 0.0, 1e-05, 0.1]]])
-        engine = SimpleNamespace(cost_trace=np.array([0.1, np.nan]), particle_trace=trace)
+        engine = SimpleNamespace(cost_trace=np.array([0.1, np.nan]), particle_trace=trace,
+                                 timings={}, loop_seconds=0.0,
+                                 match_counts={"queried": 2, "certified": 1})
         monkeypatch.setattr(cli, "run_stein_icp", lambda *args, **kwargs: (dist, engine))
         out = tmp_path / "reg"
         assert main(["register", "--source", str(frames / "a.ply"), "--reference",
@@ -598,40 +648,37 @@ class TestArtifactBytes:
             b"0,-0.0,5e-324,1e+16,1e-05,0.1,0.95\r\n1,1.5,-2.0,0.3,0.2,-0.0,0.95\r\n")
 
 
-class TestBench:
-    def test_single_thread_run(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
-        rc = main(["bench", "--scene", "blob", "--points", "2000",
+PHASES = {"sampling", "transform", "matching", "gradients", "update"}
+
+
+class TestDiagnostics:
+    """register's diagnostics.json: the solve's wall time, the engine loop's
+    own time, the phase times on that loop's clock and the grid's share."""
+
+    def test_phases_cover_the_engine_loop(self, tmp_path):
+        scene = tmp_path / "scene"
+        assert main(["synth", "--scene", "blob", "--points", "2000", "--out", str(scene)]) == 0
+        out = tmp_path / "reg"
+        rc = main(["register", "--source", str(scene / "source.ply"),
+                   "--reference", str(scene / "reference.ply"), "--out", str(out),
                    "--particles", "20", "--iterations", "40",
                    "--batch-size", "100", "--threads", "1",
-                   "--trans-range", "0.05", "--rot-range", "0.02",
-                   "--out", str(out_file)])
+                   "--trans-range", "0.05", "--rot-range", "0.02"])
         assert rc == 0
-        printed = json.loads(capsys.readouterr().out)
-        stored = json.loads(out_file.read_text())
-        assert printed == stored
-        assert set(stored) == {"scene", "points", "particles", "iterations", "total_seconds",
-                               "phases", "phase_coverage", "certified_share", "mean_pose"}
-        assert (stored["scene"], stored["points"]) == ("blob", 2000)
-        assert (stored["particles"], stored["iterations"]) == (20, 40)
-        assert set(stored["phases"]) == {"sampling", "transform", "matching",
-                                         "gradients", "update"}
-        # the five phases account for nearly all of the wall time
-        assert stored["total_seconds"] > 0
-        assert stored["phase_coverage"] > 0.95
-        assert 0.5 < stored["certified_share"] <= 1.0
-        assert len(stored["mean_pose"]) == 6
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert set(diag) == {"seconds", "engine_seconds", "phases", "certified_share"}
+        assert set(diag["phases"]) == PHASES
+        # the five phases account for nearly all of the engine loop's time
+        assert sum(diag["phases"].values()) / diag["engine_seconds"] > 0.95
+        assert 0.5 < diag["certified_share"] <= 1.0
+        assert 0 < diag["engine_seconds"] <= diag["seconds"]
 
-
-    def test_plane_metric_estimates_normals(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
-        rc = main(["bench", "--scene", "blob", "--points", "500", "--metric", "plane",
-                   "--particles", "4", "--iterations", "5", "--batch-size", "50",
-                   "--out", str(out_file)])
-        assert rc == 0
-        stored = json.loads(out_file.read_text())
-        assert set(stored["phases"]) == {"sampling", "transform", "matching",
-                                         "gradients", "update"}
+    def test_plane_metric_estimates_normals(self, pair, tmp_path):
+        src, ref = pair
+        assert load_cloud(ref).normals is None
+        out = tmp_path / "plane"
+        assert _register(src, ref, out, "--metric", "plane") == 0
+        assert set(json.loads((out / "diagnostics.json").read_text())["phases"]) == PHASES
 
 
 class TestThreadsFlag:
@@ -670,3 +717,22 @@ class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "stein-icp" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["register"], "--source is required"),
+        (["register", "--source", "s.ply"], "--reference is required"),
+        (["ground-truth", "--reference", "r.ply"], "--source is required"),
+        (["evaluate", "--posterior", "p.csv"], "--reference-samples is required"),
+        (["odometry"], "--frames is required"),
+        # a malformed value is reported before a missing option
+        (["register", "--iterations", "abc"], "--iterations: expected an integer, got 'abc'"),
+    ])
+    def test_missing_required_option(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--scene", "blob"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

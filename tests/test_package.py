@@ -189,3 +189,48 @@ def test_detects_a_second_text_codec():
     }
     assert _codec_breaches(trees) == ["cli.py:2: csv.writer", "cli.py:3: csv.writer",
                                       "cli.py:4: repr(", "cli.py:4: %r"]
+
+
+def _declared_commands(tree: ast.Module) -> set:
+    """The keys of the cli module's _COMMANDS table: the parser adds one
+    subcommand per key."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_COMMANDS" for t in node.targets)):
+            return {key.value for key in node.value.keys}
+    return set()
+
+
+def _command_list_mismatches(cli_tree: ast.Module, readme: str) -> list:
+    """Commands on which the parser, the Subcommands: line of the cli
+    docstring and README's `stein-icp <cmd>` lines disagree."""
+    commands = _declared_commands(cli_tree)
+    line = next((line for line in ast.get_docstring(cli_tree).splitlines()
+                 if line.startswith("Subcommands:")), "")
+    listed = {
+        "cli docstring": {n.strip(" .") for n in line.removeprefix("Subcommands:").split(",")
+                          if n.strip(" .")},
+        "README": {line.split()[1] for line in readme.splitlines()
+                   if line.startswith("stein-icp ")},
+    }
+    bad = []
+    for where, names in listed.items():
+        bad += [f"{where}: {n} is not a command" for n in sorted(names - commands)]
+        bad += [f"{where}: {n} is missing" for n in sorted(commands - names)]
+    return bad
+
+
+def test_one_list_of_commands():
+    cli = PACKAGE / "cli.py"
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    assert _command_list_mismatches(ast.parse(cli.read_text(), filename=str(cli)), readme) == []
+
+
+def test_detects_a_command_list_mismatch():
+    tree = ast.parse('"""Tool.\n\nSubcommands: run, bench.\n"""\n'
+                     "_COMMANDS = {'run': (run, {}), 'synth': (synth, {})}\n")
+    readme = "# tool\n\n```bash\nstein-icp run --x 1\nstein-icp bench\n```\n"
+    assert _command_list_mismatches(tree, readme) == [
+        "cli docstring: bench is not a command", "cli docstring: synth is missing",
+        "README: bench is not a command", "README: synth is missing",
+    ]

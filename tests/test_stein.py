@@ -380,6 +380,8 @@ class TestParticleEngine:
         assert not result.failed.any()
         assert set(result.timings) == {"sampling", "transform", "matching",
                                        "gradients", "update"}
+        # the phases are disjoint slices of the loop, timed on its clock
+        assert 0 < sum(result.timings.values()) <= result.loop_seconds
         assert dist.samples.shape == (4, 6)
 
     def test_explicit_initial_particles(self, rng):
