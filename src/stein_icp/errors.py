@@ -2,11 +2,13 @@
 
 Two families matter to callers: bad input (files, configs, shapes) and
 numerical failure during a run. The CLI maps the first to exit code 2 and
-the second to exit code 1. check_count is the integer check the configs
-share.
+the second to exit code 1. check_count and check_real are the integer and
+real-number checks the configs share.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -45,3 +47,20 @@ def check_count(name: str, value, minimum: int) -> None:
         raise InputError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InputError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value, *, zero_ok: bool = False) -> None:
+    """Raise InputError unless value is a real number, not a bool, whose
+    float() is finite and > 0 (>= 0 with zero_ok). The engine reads these
+    values through float(), so an int beyond the float range (10**400)
+    fails here instead of as an OverflowError mid-run."""
+    bound = "non-negative" if zero_ok else "positive"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a {bound} finite number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InputError(f"{name} must be {bound} and finite, got an integer beyond "
+                         "the float range") from None
+    if not (0 <= number < np.inf if zero_ok else 0 < number < np.inf):
+        raise InputError(f"{name} must be {bound} and finite, got {value}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .correspondence import MiniBatch
-from .errors import InputError, check_count
+from .errors import InputError, check_count, check_real
 from .geometry import (Pose6D, pose_array, rotation_from_euler, rotation_partials,
                        transform_stacked)
 
@@ -76,16 +76,14 @@ class IcpConfig:
         if self.metric not in METRICS:
             raise InputError(f"metric must be one of {METRICS}, got {self.metric!r}")
         check_count("batch_size", self.batch_size, 1)
-        if not 0 < self.step_size < np.inf:
-            raise InputError(f"step_size must be positive and finite, got {self.step_size}")
+        check_real("step_size", self.step_size)
         check_count("iterations", self.iterations, 1)
         if self.optimizer not in ("adam", "sgd"):
             raise InputError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.max_dist is not None and not 0 <= self.max_dist < np.inf:
-            raise InputError(f"max_dist must be non-negative and finite, got {self.max_dist}")
-        if self.likelihood_scale is not None and not 0 <= self.likelihood_scale < np.inf:
-            raise InputError("likelihood_scale must be non-negative and finite, "
-                             f"got {self.likelihood_scale}")
+        if self.max_dist is not None:
+            check_real("max_dist", self.max_dist, zero_ok=True)
+        if self.likelihood_scale is not None:
+            check_real("likelihood_scale", self.likelihood_scale, zero_ok=True)
         check_count("seed", self.seed, 0)
 
 

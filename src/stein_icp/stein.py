@@ -12,21 +12,30 @@ angle differences so that nearly-equal angles across the +-pi seam count
 as close. Each block gets its own median-heuristic bandwidth, recomputed
 every iteration.
 
+The kernel layer visits each particle pair once. Per block it computes
+the K(K-1)/2 squared distances in condensed (pdist) form, takes the median
+from one single-kth partition, applies exp to the condensed vector and
+expands it to the symmetric K x K kernel matrix. The repulsion needs no
+(3, K, K) difference planes: sum_j (x_j - x_i) k_ij = (k x)_i - x_i
+sum_j k_ij comes from one matrix product, and an angle column whose
+spread reaches pi corrects the pairs whose difference wraps.
+
 Particles are plain (K, 6) float64 arrays ordered (x, y, z, roll, pitch,
 yaw), one pose per row.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .cloud import PointCloud
 from .correspondence import ReshuffledBatches, build_index, match_stacked
-from .errors import DivergedError, InputError, MatchRejectionError, check_count
+from .errors import (DivergedError, InputError, MatchRejectionError, check_count,
+                     check_real)
 from .evaluation import PoseDistribution
 from .geometry import (pose_array, rotation_from_euler, rotation_partials, transform_stacked,
                        wrap_angle)
@@ -53,6 +62,7 @@ _STREAM_MC_INIT = 2      # evaluation.mc_ground_truth's restart draws
 _STREAM_SHARED = 3
 
 _BANDWIDTH_FLOOR = 1e-8
+_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,11 @@ class SteinConfig(IcpConfig):
     def __post_init__(self):
         super().__post_init__()
         check_count("particles", self.particles, 1)
-        if not (self.bandwidth == "median"
-                or (isinstance(self.bandwidth, (int, float))
-                    and not isinstance(self.bandwidth, bool) and 0 < self.bandwidth < np.inf)):
-            raise InputError("bandwidth must be 'median' or a positive finite number")
+        if isinstance(self.bandwidth, str):
+            if self.bandwidth != "median":
+                raise InputError(f"bandwidth must be 'median' or a number, got {self.bandwidth!r}")
+        else:
+            check_real("bandwidth", self.bandwidth)
         self.init_bounds()
 
     def init_bounds(self) -> np.ndarray:
@@ -165,40 +176,54 @@ def prior_gradient(prior: PriorConfig, particles: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Pairwise planes and the median bandwidth
+# Condensed pair distances and the median bandwidth
 
 
-def _pairwise(x: np.ndarray, angular: bool):
-    """Pairwise differences of the rows of x, (K, c), as contiguous planes
-    delta[c, i, j] = x[j, c] - x[i, c], shape (c, K, K), wrapped to
-    [-pi, pi) when angular, and their squared norms, shape (K, K)."""
-    cols = np.ascontiguousarray(x.T)
-    delta = cols[:, None, :] - cols[:, :, None]
-    if angular:
-        delta = wrap_angle(delta)
-    sq = delta[0] * delta[0]
-    for plane in delta[1:]:
-        sq += plane * plane
-    return delta, sq
+def _wrapping_columns(x: np.ndarray, angular: bool) -> np.ndarray:
+    """Which columns of x, (K, c), take the angle wrap: the angular ones
+    (already in [-pi, pi)) whose spread reaches pi, since only there can a
+    pairwise difference leave [-pi, pi). Shape (c,), bool."""
+    if not angular:
+        return np.zeros(x.shape[1], dtype=bool)
+    return x.max(axis=0) - x.min(axis=0) >= np.pi
 
 
-@functools.lru_cache(maxsize=8)
-def _upper_pairs(K: int) -> np.ndarray:
-    """Flat indices of the entries i < j of a (K, K) matrix, row by row
-    (np.triu_indices order); read-only, since every caller shares it."""
-    i, j = np.triu_indices(K, k=1)
-    flat = i * K + j
-    flat.flags.writeable = False
-    return flat
+def _condensed_sq(x: np.ndarray, wraps: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of x, (K, c), over the pairs
+    i < j in pdist order, shape (K(K-1)/2,). A column flagged in wraps
+    measures the shorter way round the circle, min(|d|, 2 pi - |d|), which
+    equals |wrap_angle(d)| for |d| < 2 pi. The columns add up in order, as
+    a column-by-column sum would round them."""
+    lead = int(np.argmax(wraps)) if wraps.any() else x.shape[1]
+    K = x.shape[0]
+    sq = pdist(x[:, :lead], "sqeuclidean") if lead else np.zeros(K * (K - 1) // 2)
+    for c in range(lead, x.shape[1]):
+        d = pdist(x[:, c:c + 1], "cityblock")
+        if wraps[c]:
+            np.minimum(d, _TWO_PI - d, out=d)
+        d *= d
+        sq += d
+    return sq
 
 
-def _median_heuristic(sq: np.ndarray) -> float:
-    """Median of the squared distances over distinct pairs, over log K."""
-    K = sq.shape[0]
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array that holds no NaN, bit for bit, from one
+    single-kth partition: for an even count the lower middle value is the
+    largest entry below the partition point. (np.median partitions at two
+    kths and the last entry, which costs several times more.)"""
+    half = values.size // 2
+    part = np.partition(values, half)
+    if values.size % 2:
+        return float(part[half])
+    return (float(part[:half].max()) + float(part[half])) / 2.0
+
+
+def _median_heuristic(sq: np.ndarray, K: int) -> float:
+    """Median of the condensed squared distances over log K, floored at
+    1e-8; 1 for a single particle."""
     if K < 2:
         return 1.0
-    med = float(np.median(np.take(sq, _upper_pairs(K))))
-    return max(med / np.log(K), _BANDWIDTH_FLOOR)
+    return max(_median(sq) / np.log(K), _BANDWIDTH_FLOOR)
 
 
 def median_bandwidth(block: np.ndarray, angular: bool = False) -> float:
@@ -207,11 +232,23 @@ def median_bandwidth(block: np.ndarray, angular: bool = False) -> float:
     stein_direction computes for h="median". One particle gives h = 1;
     coincident particles hit the 1e-8 floor."""
     block = np.atleast_2d(np.asarray(block, dtype=float))
-    return _median_heuristic(_pairwise(block, angular)[1])
+    if angular:
+        block = wrap_angle(block)
+    sq = _condensed_sq(block, _wrapping_columns(block, angular))
+    return _median_heuristic(sq, block.shape[0])
 
 
 # --------------------------------------------------------------------------
 # Stein direction
+
+
+def _wrap_turns(col: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """sum_j n_ij k_ij for one wrapping angle column, shape (K,), where
+    n_ij = +1 if col_j > col_i + pi and -1 if col_j < col_i - pi: the turn
+    the wrap takes off pair (i, j)'s difference col_j - col_i."""
+    n = ((col > col[:, None] + np.pi).view(np.int8)
+         - (col < col[:, None] - np.pi).view(np.int8))     # (K, K)
+    return np.einsum("ij,ij->i", kmat, n)
 
 
 def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
@@ -227,11 +264,22 @@ def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
     computed blockwise: a squared-exponential kernel exp(-||delta||^2 / h)
     on translation differences [:3] and on wrapped angle differences [3:].
     h_trans and h_rot are each a positive float or "median", which takes
-    median_bandwidth of that block from the same pairwise planes the kernel
-    uses. The direction is always the mean over the K source particles,
-    the SVGD update of Liu & Wang (2016). repulsion=False drops the
-    grad_j k term, which makes co-located particles move in lockstep and
-    collapse.
+    the median heuristic of that block (median_bandwidth) from the same
+    pair distances the kernel uses. The direction is always the mean over
+    the K source particles, the SVGD update of Liu & Wang (2016).
+    repulsion=False drops the grad_j k term, which makes co-located
+    particles move in lockstep and collapse.
+
+    Each pairwise quantity is computed once per pair i < j: the squared
+    distances in condensed (pdist) form, the median from one partition,
+    and exp of the condensed vector, expanded to the symmetric kernel
+    matrix with a unit diagonal. The attraction is kmat @ d. The repulsion
+    sum_j grad_j k = -(2/h) sum_j (x_j - x_i) k_ij comes from the one
+    product kmat @ [x | 1], since sum_j (x_j - x_i) k_ij = (k x)_i - x_i
+    sum_j k_ij; an angle column whose spread reaches pi also subtracts
+    2 pi sum_j n_ij k_ij, with n_ij = +-1 on the pairs whose difference
+    wraps. Angles are wrapped to [-pi, pi) on entry, so unwrapped input
+    gives the same direction. A single particle gets its driving term.
     """
     theta = np.atleast_2d(np.asarray(particles, dtype=float))
     g = np.atleast_2d(np.asarray(likelihood_grads, dtype=float))
@@ -239,19 +287,41 @@ def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
         raise InputError(f"particles {theta.shape} and gradients {g.shape} must both be (K, 6)")
     K = theta.shape[0]
     driving = -g + prior_gradient(prior, theta)
+    if K == 1:
+        # k(theta, theta) = 1 and the repulsion vanishes. Adding 0.0 turns
+        # -0.0 into 0.0, as the product 1 * d does on the general path.
+        return driving + 0.0
 
     out = np.empty_like(theta)
-    for sl, h, angular in ((slice(0, 3), h_trans, False), (slice(3, 6), h_rot, True)):
-        # delta[:, i, j] = x_j - x_i (gradient is taken in the source particle j).
-        delta, kmat = _pairwise(theta[:, sl], angular)
+    blocks = ((slice(0, 3), theta[:, :3], h_trans, False),
+              (slice(3, 6), wrap_angle(theta[:, 3:]), h_rot, True))
+    for sl, x, h, angular in blocks:
+        wraps = _wrapping_columns(x, angular)
+        sq = _condensed_sq(x, wraps)
         if h == "median":
-            h = _median_heuristic(kmat)
-        kmat /= -h
-        np.exp(kmat, out=kmat)                                  # (K, K), symmetric
+            h = _median_heuristic(sq, K)
+        sq /= -h
+        kmat = squareform(np.exp(sq, out=sq), checks=False)    # (K, K), symmetric
+        np.fill_diagonal(kmat, 1.0)
+        # A product of its own: OpenBLAS rounds these columns differently
+        # inside a wider right-hand side, and the attraction keeps its bits.
         att = kmat @ driving[:, sl]
         if repulsion:
-            att -= (2.0 / h) * np.einsum("cij,ij->ic", delta, kmat)
+            # Columns taken relative to particle 0 keep (k x)_i and
+            # x_i sum_j k_ij small, so their difference cancels no digits
+            # when the swarm is far from the origin.
+            rhs = np.ones((K, 4))
+            xc = np.subtract(x, x[0], out=rhs[:, :3])
+            kx = kmat @ rhs
+            rep = kx[:, :3] - xc * kx[:, 3:]
+            for c in np.flatnonzero(wraps):
+                rep[:, c] -= _TWO_PI * _wrap_turns(x[:, c], kmat)
+            att -= (2.0 / h) * rep
         out[:, sl] = att
+        # Free this block's arrays before the next block allocates its own:
+        # the lower peak lets the allocator reuse its pages rather than
+        # fault in fresh ones.
+        del sq, kmat
     out /= K
     return out
 

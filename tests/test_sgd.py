@@ -256,6 +256,13 @@ class TestIcpConfigValidation:
         with pytest.raises(InputError):
             IcpConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["step_size", "max_dist", "likelihood_scale"])
+    def test_rejects_an_int_beyond_the_float_range(self, field):
+        """10**400 compares below inf as a Python int, but float() of it
+        overflows, as the engine's arithmetic would."""
+        with pytest.raises(InputError, match=rf"^{field} must be .* beyond the float range"):
+            IcpConfig(**{field: 10**400})
+
     def test_accepts_numpy_integers(self):
         cfg = IcpConfig(batch_size=np.int64(5), iterations=np.int32(3), seed=np.uint8(7))
         assert (cfg.batch_size, cfg.iterations, cfg.seed) == (5, 3, 7)

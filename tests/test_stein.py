@@ -1,6 +1,9 @@
 """Kernels, bandwidth heuristic, the particle update direction (against a
 double-loop oracle), initialization, and the particle engine."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from stein_icp import (
     PriorConfig,
     SteinConfig,
     UNIFORM_PRIOR,
+    estimate_normals,
     median_bandwidth,
     prior_gradient,
     run_particle_engine,
@@ -121,6 +125,20 @@ class TestMedianBandwidth:
         # without the wrap the same block looks far apart
         assert median_bandwidth(block, angular=False) > 10.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False),
+                              st.sampled_from([0.0, 1.0, 2.5, np.inf, -np.inf])),
+                    min_size=1, max_size=40))
+    def test_one_kth_median_equals_numpy(self, values):
+        """Bit for bit, odd and even counts, with ties and infinities.
+        -0.0 becomes 0.0: which of two tied zeros a partition returns is
+        unspecified, and squared distances are never -0.0."""
+        arr = np.array(values, dtype=float) + 0.0
+        with np.errstate(invalid="ignore"):        # the mean of -inf and inf
+            expected = np.median(arr)
+        got = stein._median(arr)
+        assert np.array_equal(got, expected, equal_nan=True), (got, expected)
+
     @pytest.mark.parametrize("angular", [False, True])
     def test_matches_pair_loop_oracle_on_full_circle(self, full_circle_swarm, angular):
         """Yaw spread over the whole circle, as on the ring scene: many
@@ -209,6 +227,84 @@ class TestSteinDirection:
         oracle = naive_stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR,
                                        "median", "median", repulsion=repulsion)
         np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
+
+    def test_matches_oracle_at_ring_size(self, rng):
+        """K=256 as on the ring scene: yaw over the whole circle takes the
+        wrap, roll and pitch stay narrow and do not."""
+        theta = rng.uniform(-0.2, 0.2, (256, 6))
+        theta[:, 5] = rng.uniform(-np.pi, np.pi, 256)
+        grads = rng.normal(size=(256, 6))
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+        np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("repulsion", [True, False])
+    def test_matches_oracle_when_every_angle_wraps(self, rng, repulsion):
+        theta = rng.uniform(-0.5, 0.5, (40, 6))
+        theta[:, 3:] = rng.uniform(-np.pi, np.pi, (40, 3))
+        grads = rng.normal(size=(40, 6))
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median",
+                              repulsion=repulsion)
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median",
+                                       repulsion=repulsion)
+        np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [(0.7, 0.3), ("median", "median")])
+    def test_matches_oracle_across_the_seam(self, rng, h):
+        """Two particles 0.2 rad apart across +-pi in every angle: each is
+        repelled away from the seam, not across the circle."""
+        theta = np.zeros((2, 6))
+        theta[:, :3] = rng.uniform(-0.1, 0.1, (2, 3))
+        theta[0, 3:] = np.pi - 0.1
+        theta[1, 3:] = -np.pi + 0.1
+        grads = rng.normal(size=(2, 6))
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, *h)
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, *h)
+        np.testing.assert_allclose(phi, oracle, rtol=1e-11, atol=1e-13)
+        repel = stein_direction(theta, np.zeros((2, 6)), UNIFORM_PRIOR, *h)
+        assert (repel[0, 3:] < 0).all() and (repel[1, 3:] > 0).all()
+
+    def test_matches_oracle_on_unwrapped_angles(self, rng):
+        """Angles given as their wrapped values plus whole turns, up to
+        +-3 turns, give the oracle's direction and the wrapped input's."""
+        theta = rng.uniform(-0.3, 0.3, (30, 6))
+        theta[:, 3:] = rng.uniform(-np.pi, np.pi, (30, 3))
+        grads = rng.normal(size=(30, 6))
+        unwrapped = theta.copy()
+        unwrapped[:, 3:] += 2.0 * np.pi * rng.integers(-3, 4, (30, 3))
+        prior = PriorConfig(kind="informed", kappa=(1.0, 2.0, 0.5))
+        phi = stein_direction(unwrapped, grads, prior, "median", "median")
+        np.testing.assert_allclose(
+            phi, naive_stein_direction(unwrapped, grads, prior, "median", "median"),
+            rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            phi, stein_direction(theta, grads, prior, "median", "median"),
+            rtol=1e-10, atol=1e-12)
+
+    def test_matches_oracle_far_from_the_origin(self, rng):
+        """A tight swarm 1000 m out: the repulsion's two product terms are
+        large next to their difference, and still meet the oracle."""
+        theta = rng.normal(0.0, 1e-3, (20, 6))
+        theta[:, :3] += 1000.0
+        grads = rng.normal(size=(20, 6))
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+        np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
+
+    def test_peak_memory_stays_below_six_kernel_matrices(self, rng):
+        """tracemalloc's peak over one K=512 call, every angle wrapping, is
+        at most 6 (K, K) float64 arrays: no (3, K, K) difference planes."""
+        K = 512
+        theta = rng.uniform(-0.3, 0.3, (K, 6))
+        theta[:, 3:] = rng.uniform(-np.pi, np.pi, (K, 3))
+        grads = rng.normal(size=(K, 6))
+        tracemalloc.start()
+        try:
+            stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * K * K
 
     def test_median_equals_explicit_bandwidths(self, rng, full_circle_swarm):
         grads = rng.normal(size=(64, 6))
@@ -329,6 +425,10 @@ class TestSteinConfig:
         with pytest.raises(InputError):
             SteinConfig(**kwargs)
 
+    def test_rejects_a_bandwidth_beyond_the_float_range(self):
+        with pytest.raises(InputError, match=r"^bandwidth must be .* beyond the float range"):
+            SteinConfig(bandwidth=10**400)
+
     def test_inherits_base_validation(self):
         with pytest.raises(InputError):
             SteinConfig(metric="bogus")
@@ -353,6 +453,35 @@ class TestParticleEngine:
         init = Pose6D(0.01, 0.0, 0.0, 0.0, 0.0, -0.02)
         cfg = IcpConfig(batch_size=100, step_size=0.02, iterations=30, seed=21)
         pose, diag = run_sgd_icp(src, ref, init, cfg)
+        dist, result = run_stein_icp(src, ref, sgd_equivalent_config(cfg, init),
+                                     full_output=True)
+        np.testing.assert_array_equal(result.particle_trace[:, 0, :], diag.pose_trace)
+        np.testing.assert_array_equal(result.cost_trace, diag.cost_trace)
+        np.testing.assert_array_equal(dist.samples[0], pose.to_array())
+
+    @settings(max_examples=30, deadline=None)
+    @given(metric=st.sampled_from(["point", "plane"]),
+           optimizer=st.sampled_from(["adam", "sgd"]),
+           max_dist=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
+           batch_size=st.integers(min_value=1, max_value=120),
+           seed=st.integers(min_value=0, max_value=2**63))
+    def test_one_particle_run_is_sgd_icp(self, metric, optimizer, max_dist, batch_size,
+                                        seed):
+        """The engine invariant: a one-particle Stein run on
+        sgd_equivalent_config reproduces run_sgd_icp bit for bit, or fails
+        with the same error."""
+        ref = estimate_normals(_wavy_cloud(np.random.default_rng(8), 120))
+        src = transform_cloud(ref, Pose6D(0.04, -0.03, 0.02, 0.03, -0.02, 0.05))
+        init = Pose6D(0.01, 0.0, -0.01, 0.0, 0.01, -0.02)
+        cfg = IcpConfig(metric=metric, batch_size=batch_size, step_size=0.01, iterations=10,
+                        max_dist=max_dist, optimizer=optimizer, likelihood_scale=1.0,
+                        seed=seed)
+        try:
+            pose, diag = run_sgd_icp(src, ref, init, cfg)
+        except (DivergedError, MatchRejectionError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                run_stein_icp(src, ref, sgd_equivalent_config(cfg, init))
+            return
         dist, result = run_stein_icp(src, ref, sgd_equivalent_config(cfg, init),
                                      full_output=True)
         np.testing.assert_array_equal(result.particle_trace[:, 0, :], diag.pose_trace)
