@@ -118,7 +118,7 @@ _SOLVER_PARSERS = {
     "max_dist": float, "optimizer": str, "likelihood_scale": float,
     "seed": _parse_natural,
     "particles": int, "bandwidth": _parse_bandwidth, "repulsion": _parse_bool,
-    "shared_batch": _parse_bool, "init_center": _parse_pose,
+    "init_center": _parse_pose,
     "trans_range": _parse_range, "rot_range": _parse_range,
     "prior": str, "prior_mean": _parse_pose, "prior_variance": _parse_triple,
     "prior_kappa": _parse_triple,

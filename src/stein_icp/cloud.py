@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CloudParseError, InputError
+from .errors import CloudParseError, InputError, check_real
 from .geometry import pose_array, rotation_from_euler, transform_points
 
 __all__ = [
@@ -372,8 +372,7 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     deterministic regardless of input order. Normals are dropped
     (recompute after downsampling if needed).
     """
-    if not 0 < voxel < np.inf:
-        raise InputError(f"voxel size must be positive and finite, got {voxel}")
+    check_real("voxel size", voxel)
     pts = cloud.points
     origin = pts.min(axis=0)
     keys = np.floor((pts - origin) / voxel).astype(np.int64)

@@ -1,4 +1,4 @@
-"""Nearest-neighbor search, mini-batch sampling and mini-batch assembly.
+"""Nearest-neighbor search, mini-batch sampling and stacked matching.
 
 The index wraps a kd-tree and guarantees two things the optimizer relies
 on: queries are exact (never approximate), and exact distance ties resolve
@@ -9,15 +9,13 @@ the kd-tree's own (see NeighborIndex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .errors import InputError, MatchRejectionError
+from .errors import InputError
 
-__all__ = ["NeighborIndex", "build_index", "match_stacked", "match_batch", "MiniBatch"]
+__all__ = ["NeighborIndex", "build_index", "match_stacked"]
 
 _TIE_RTOL = 1e-12
 
@@ -259,27 +257,6 @@ class ReshuffledBatches:
         return self._perms[rows, e * self._m:(e + 1) * self._m]
 
 
-@dataclass(frozen=True)
-class MiniBatch:
-    """Matched correspondences for one gradient evaluation.
-
-    All arrays share the same leading length: pairs that survived any
-    rejection filtering. `source_points` are the untransformed source
-    coordinates (the rotation gradient needs them), `transformed` are the
-    same points under the pose that was used for matching.
-    """
-
-    indices: np.ndarray            # (m,) source indices
-    source_points: np.ndarray      # (m, 3)
-    transformed: np.ndarray        # (m, 3)
-    reference_points: np.ndarray   # (m, 3)
-    distances: np.ndarray          # (m,)
-    reference_normals: np.ndarray | None = None  # (m, 3) when requested
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
 def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | None = None,
                   *, with_normals: bool = False):
     """Match a (K, m, 3) stack of points to their nearest reference points.
@@ -308,38 +285,3 @@ def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | No
         normals = index.reference.normals[ref_idx]
         keep &= np.einsum("...i,...i->...", normals, normals) > 0.5
     return index.reference.points[ref_idx], normals, dist, keep
-
-
-def match_batch(
-    transformed: np.ndarray,
-    index: NeighborIndex,
-    max_dist: float | None = None,
-    *,
-    indices: np.ndarray | None = None,
-    source_points: np.ndarray | None = None,
-    with_normals: bool = False,
-) -> MiniBatch:
-    """Match transformed batch points to their nearest reference points.
-
-    The one-pose view of match_stacked: rejected pairs are dropped, and
-    dropping every pair raises MatchRejectionError. with_normals attaches
-    the surviving pairs' normals.
-    """
-    transformed = np.atleast_2d(np.asarray(transformed, dtype=float))
-    m = transformed.shape[0]
-    indices = np.arange(m) if indices is None else np.asarray(indices)
-    source_points = transformed if source_points is None else source_points
-    matched, normals, dist, keep = (None if a is None else a[0] for a in match_stacked(
-        transformed[None], index, max_dist, with_normals=with_normals))
-    if not keep.any():
-        raise MatchRejectionError(
-            f"all {m} correspondences rejected (max_dist={max_dist}); clouds may not overlap"
-        )
-    return MiniBatch(
-        indices=indices[keep],
-        source_points=np.asarray(source_points, dtype=float)[keep],
-        transformed=transformed[keep],
-        reference_points=matched[keep],
-        distances=dist[keep],
-        reference_normals=None if normals is None else normals[keep],
-    )

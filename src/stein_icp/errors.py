@@ -2,8 +2,8 @@
 
 Two families matter to callers: bad input (files, configs, shapes) and
 numerical failure during a run. The CLI maps the first to exit code 2 and
-the second to exit code 1. check_count and check_real are the integer and
-real-number checks the configs share.
+the second to exit code 1. check_count, check_real and real_array are the
+integer, real-number and real-array checks the configs share.
 """
 
 from __future__ import annotations
@@ -64,3 +64,13 @@ def check_real(name: str, value, *, zero_ok: bool = False) -> None:
                          "the float range") from None
     if not (0 <= number < np.inf if zero_ok else 0 < number < np.inf):
         raise InputError(f"{name} must be {bound} and finite, got {value}")
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """value as a float64 array. An entry that is not a number, or an int
+    beyond the float range (10**400), raises InputError naming the field
+    instead of numpy's TypeError, ValueError or OverflowError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must hold real numbers within the float range") from None

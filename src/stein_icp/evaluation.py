@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from .cloud import PointCloud
-from .errors import InputError, NumericalError, check_count
+from .errors import InputError, NumericalError, check_count, check_real
 from .geometry import invert, wrap_angle
 
 __all__ = [
@@ -219,6 +219,7 @@ def kde_1d(samples, bandwidth: float | None = None, grid_size: int = 512,
     kernel wrapped around the circle, so the density is periodic and
     integrates to one over the circle.
     """
+    check_count("grid_size", grid_size, 1)
     x = np.asarray(samples, dtype=float).reshape(-1)
     n = x.size
     if n < 2:
@@ -233,8 +234,8 @@ def kde_1d(samples, bandwidth: float | None = None, grid_size: int = 512,
         bandwidth = 0.9 * spread * n ** (-0.2)
         if bandwidth <= 0:
             bandwidth = 1e-9
-    elif bandwidth <= 0:
-        raise InputError(f"bandwidth must be positive, got {bandwidth}")
+    else:
+        check_real("bandwidth", bandwidth)
     h = float(bandwidth)
     norm = 1.0 / (n * h * np.sqrt(2.0 * np.pi))
     if angular:

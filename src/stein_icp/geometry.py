@@ -24,7 +24,6 @@ __all__ = [
     "rotation_partials",
     "pose_to_matrix",
     "matrix_to_pose",
-    "compose",
     "invert",
     "transform_points",
     "transform_stacked",
@@ -71,24 +70,6 @@ class Pose6D:
 
     def to_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.roll, self.pitch, self.yaw])
-
-    def wrapped(self) -> "Pose6D":
-        return Pose6D(
-            self.x,
-            self.y,
-            self.z,
-            wrap_angle(self.roll),
-            wrap_angle(self.pitch),
-            wrap_angle(self.yaw),
-        )
-
-    @property
-    def translation(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.array([self.roll, self.pitch, self.yaw])
 
 
 def pose_array(pose) -> np.ndarray:
@@ -226,11 +207,6 @@ def matrix_to_pose(T: np.ndarray) -> Pose6D:
         yaw = np.arctan2(-R[0, 1], R[1, 1])
     x, y, z = T[:3, 3]
     return Pose6D(float(x), float(y), float(z), wrap_angle(roll), wrap_angle(pitch), wrap_angle(yaw))
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two homogeneous transforms, a applied after b."""
-    return np.asarray(a) @ np.asarray(b)
 
 
 def invert(T: np.ndarray) -> np.ndarray:

@@ -117,6 +117,7 @@ def build_trajectory(steps, order: int = 2) -> TrajectoryEstimate:
     (4x4 transform, 6x6 covariance) pair; anything else raises InputError.
     The start pose is the identity with zero covariance.
     """
+    check_order(order)
     mats = [np.eye(4)]
     covs = [np.zeros((6, 6))]
     for step in steps:

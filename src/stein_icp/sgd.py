@@ -20,8 +20,8 @@ Equivalently, g is the exact gradient of half the batch cost.
 
 `stacked_cost_gradients` is the one implementation of this arithmetic: it
 evaluates K particles' batches at once, with a mask of the pairs that
-survived matching. The particle engine runs it on all live particles at
-once; `residual_cost` and `batch_gradients` are its K=1 views on a MiniBatch.
+survived matching, and the particle engine runs it on all live particles
+at once. A single pose is the K=1 stack; run_sgd_icp is the engine at K=1.
 """
 
 from __future__ import annotations
@@ -31,18 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .correspondence import MiniBatch
 from .errors import InputError, check_count, check_real
-from .geometry import (Pose6D, pose_array, rotation_from_euler, rotation_partials,
-                       transform_stacked)
+from .geometry import Pose6D, pose_array
 
 __all__ = [
     "IcpConfig",
     "AdamState",
     "adam_step",
     "stacked_cost_gradients",
-    "residual_cost",
-    "batch_gradients",
     "run_sgd_icp",
 ]
 
@@ -149,40 +145,6 @@ def stacked_cost_gradients(residuals: np.ndarray, mask: np.ndarray,
     g[:, :3] = p.sum(axis=1)
     g[:, 3:] = np.matmul(partials.reshape(K, 3, 9), moment.reshape(K, 9, 1))[:, :, 0]
     return sq.sum(axis=1) / count, g / count[:, None]
-
-
-def _cost_gradients(pairs: MiniBatch, pose, metric: str):
-    if len(pairs) == 0:
-        raise InputError("cannot evaluate cost or gradients on an empty batch")
-    if metric not in METRICS:
-        raise InputError(f"unknown metric {metric!r}")
-    normals = None
-    if metric == "plane":
-        if pairs.reference_normals is None:
-            raise InputError("point-to-plane metric needs matched reference normals")
-        normals = pairs.reference_normals[None]
-    p = pose_array(pose)
-    src = pairs.source_points[None]
-    R = rotation_from_euler(p[3], p[4], p[5])[None]
-    e = transform_stacked(R, p[None, :3], src) - pairs.reference_points[None]
-    partials = rotation_partials(p[3], p[4], p[5])[None]
-    cost, g = stacked_cost_gradients(e, np.ones(e.shape[:2], dtype=bool), src, partials,
-                                     normals)
-    return float(cost[0]), g[0]
-
-
-def residual_cost(pairs: MiniBatch, pose, metric: str = "point") -> float:
-    """Mean squared residual of the matched pairs at the given pose."""
-    return _cost_gradients(pairs, pose, metric)[0]
-
-
-def batch_gradients(pairs: MiniBatch, pose, metric: str = "point") -> np.ndarray:
-    """Half-quadratic gradient of the batch cost, as a 6-vector.
-
-    See the module docstring for the exact form; the finite-difference
-    identity is g = d(cost/2)/d(pose).
-    """
-    return _cost_gradients(pairs, pose, metric)[1]
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from scipy.spatial.distance import pdist, squareform
 from .cloud import PointCloud
 from .correspondence import ReshuffledBatches, build_index, match_stacked
 from .errors import (DivergedError, InputError, MatchRejectionError, check_count,
-                     check_real)
+                     check_real, real_array)
 from .evaluation import PoseDistribution
 from .geometry import (pose_array, rotation_from_euler, rotation_partials, transform_stacked,
                        wrap_angle)
@@ -59,7 +59,6 @@ __all__ = [
 _STREAM_INIT = 0
 _STREAM_PARTICLE = 1
 _STREAM_MC_INIT = 2      # evaluation.mc_ground_truth's restart draws
-_STREAM_SHARED = 3
 
 _BANDWIDTH_FLOOR = 1e-8
 _TWO_PI = 2.0 * np.pi
@@ -76,15 +75,13 @@ class SteinConfig(IcpConfig):
     always the kernel mean over the K particles (stein_direction);
     repulsion=False drops the kernel-gradient term (the deliberately
     collapsed baseline used in evaluations). Minibatches come from random
-    reshuffling, one permutation per particle per epoch; shared_batch draws
-    one permutation per epoch for the whole swarm, so every particle sees
-    the same minibatch each iteration.
+    reshuffling, one permutation per particle per epoch, each particle from
+    its own seed stream.
     """
 
     particles: int = 100
     bandwidth: object = "median"
     repulsion: bool = True
-    shared_batch: bool = False
     init_center: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     trans_range: object = 1.0
     rot_range: object = 0.1745
@@ -104,21 +101,22 @@ class SteinConfig(IcpConfig):
         box, shape (6, 2). init_center has 6 finite entries; each range is a
         scalar or 3 values, non-negative and finite, for the translation and
         the angle block."""
-        center = np.asarray(self.init_center, dtype=float)
+        center = real_array("init_center", self.init_center)
         if center.shape != (6,) or not np.isfinite(center).all():
             raise InputError("init_center must have 6 finite entries")
-        half = np.concatenate([_as_range(self.trans_range), _as_range(self.rot_range)])
+        half = np.concatenate([_as_range("trans_range", self.trans_range),
+                               _as_range("rot_range", self.rot_range)])
         return np.stack([center - half, center + half], axis=1)
 
 
-def _as_range(r) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
+def _as_range(name: str, r) -> np.ndarray:
+    arr = np.atleast_1d(real_array(name, r))
     if arr.shape == (1,):
         arr = np.repeat(arr, 3)
     if arr.shape != (3,):
-        raise InputError(f"range must be a scalar or 3 values, got shape {arr.shape}")
+        raise InputError(f"{name} must be a scalar or 3 values, got shape {arr.shape}")
     if not ((arr >= 0) & (arr < np.inf)).all():
-        raise InputError("init ranges must be non-negative and finite")
+        raise InputError(f"{name} must be non-negative and finite")
     return arr
 
 
@@ -143,9 +141,9 @@ class PriorConfig:
     def __post_init__(self):
         if self.kind not in ("uniform", "informed"):
             raise InputError(f"prior kind must be 'uniform' or 'informed', got {self.kind!r}")
-        mean = np.asarray(self.mean, dtype=float)
-        tv = np.asarray(self.trans_variance, dtype=float)
-        kp = np.asarray(self.kappa, dtype=float)
+        mean = real_array("prior mean", self.mean)
+        tv = real_array("trans_variance", self.trans_variance)
+        kp = real_array("kappa", self.kappa)
         if mean.shape != (6,) or not np.isfinite(mean).all():
             raise InputError("prior mean must have 6 finite entries")
         if tv.shape != (3,) or not ((tv > 0) & (tv < np.inf)).all():
@@ -338,8 +336,7 @@ def sample_initial_particles(K: int, bounds: np.ndarray, rng: np.random.Generato
     prior is given, in which case translations are Gaussian and angles von
     Mises draws from that prior. Angles are wrapped either way.
     """
-    if K < 1:
-        raise InputError(f"K must be >= 1, got {K}")
+    check_count("K", K, 1)
     if prior is not None and prior.kind == "informed":
         mean = np.asarray(prior.mean, dtype=float)
         std = np.sqrt(np.asarray(prior.trans_variance, dtype=float))
@@ -350,11 +347,11 @@ def sample_initial_particles(K: int, bounds: np.ndarray, rng: np.random.Generato
             kappa = float(np.asarray(prior.kappa, dtype=float)[d])
             out[:, 3 + d] = rng.vonmises(mean[3 + d], kappa, size=K)
     else:
-        bounds = np.asarray(bounds, dtype=float)
+        bounds = real_array("bounds", bounds)
         if bounds.shape != (6, 2):
             raise InputError(f"bounds must be (6, 2), got {bounds.shape}")
-        if (bounds[:, 1] < bounds[:, 0]).any():
-            raise InputError("each init bound must satisfy lo <= hi")
+        if not (np.isfinite(bounds).all() and (bounds[:, 0] <= bounds[:, 1]).all()):
+            raise InputError("each init bound must be finite with lo <= hi")
         out = np.empty((K, 6))
         for d in range(6):
             out[:, d] = rng.uniform(bounds[d, 0], bounds[d, 1], size=K)
@@ -380,9 +377,9 @@ class EngineResult:
 
 
 def _stein_params(config: IcpConfig):
-    """Kernel and batch settings; a plain IcpConfig runs at SteinConfig's defaults."""
+    """Kernel settings; a plain IcpConfig runs at SteinConfig's defaults."""
     stein = config if isinstance(config, SteinConfig) else SteinConfig()
-    return stein.bandwidth, stein.repulsion, stein.shared_batch
+    return stein.bandwidth, stein.repulsion
 
 
 def run_particle_engine(source: PointCloud, reference: PointCloud,
@@ -402,7 +399,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     Minibatches come from random reshuffling, one permutation per particle
     per epoch of N // batch_size iterations (ReshuffledBatches), each
     particle from its own seed stream, so particle j's batches do not
-    depend on K; with shared_batch one stream feeds every particle.
+    depend on K.
     A particle whose moved points leave the floating-point range (no finite
     nearest-neighbor distance) has diverged.
     """
@@ -415,14 +412,12 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     theta[:, 3:] = wrap_angle(theta[:, 3:])
     K = theta.shape[0]
     N = len(source)
-    m = config.batch_size
     scale = float(N) if config.likelihood_scale is None else float(config.likelihood_scale)
-    bandwidth, repulsion, shared_batch = _stein_params(config)
+    bandwidth, repulsion = _stein_params(config)
     use_plane = config.metric == "plane"
-    streams = ([[config.seed, _STREAM_SHARED]] if shared_batch
-               else [[config.seed, _STREAM_PARTICLE, j] for j in range(K)])
-    sampler = ReshuffledBatches(N, m, [np.random.default_rng(np.random.SeedSequence(s))
-                                       for s in streams])
+    rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PARTICLE, j]))
+            for j in range(K)]
+    sampler = ReshuffledBatches(N, config.batch_size, rngs)
     index = build_index(reference)
 
     active = np.ones(K, dtype=bool)
@@ -441,10 +436,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
             break
 
         t0 = time.perf_counter()
-        if shared_batch:
-            idx = np.broadcast_to(sampler.batches(it, [0]), (live.size, m))
-        else:
-            idx = sampler.batches(it, live)
+        idx = sampler.batches(it, live)
         timings["sampling"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -7,15 +7,24 @@ tolerances stated in the tests; nothing in this module is imported by the
 package itself.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from stein_icp import (
-    MiniBatch,
-    Pose6D,
-    invert,
-    prior_gradient,
-    rotation_from_euler,
-)
+from stein_icp import invert, prior_gradient, rotation_from_euler
+
+
+@dataclass(frozen=True)
+class Pairs:
+    """Matched pairs: source points s_i, reference points r_i and, for the
+    point-to-plane metric, unit normals n_i at r_i, each (m, 3)."""
+
+    source_points: np.ndarray
+    reference_points: np.ndarray
+    reference_normals: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.source_points)
 
 
 def random_pairs(rng, m=40, with_normals=False, scale=1.0):
@@ -28,14 +37,7 @@ def random_pairs(rng, m=40, with_normals=False, scale=1.0):
     if with_normals:
         normals = rng.normal(size=(m, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return MiniBatch(
-        indices=np.arange(m),
-        source_points=src,
-        transformed=src.copy(),
-        reference_points=ref,
-        distances=np.linalg.norm(src - ref, axis=1),
-        reference_normals=normals,
-    )
+    return Pairs(src, ref, normals)
 
 
 def euler_matrix(roll, pitch, yaw):
@@ -73,7 +75,7 @@ def fd_pose_gradient(pairs, pose, metric="point", h=1e-6):
 
         g[d] = (cost(pose + h e_d) - cost(pose - h e_d)) / (4 h)
     """
-    base = np.asarray(pose.to_array() if isinstance(pose, Pose6D) else pose, dtype=float)
+    base = np.asarray(pose, dtype=float)
     g = np.empty(6)
     for d in range(6):
         hi = base.copy()

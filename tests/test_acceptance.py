@@ -17,9 +17,7 @@ from stein_icp import (
     IcpConfig,
     Pose6D,
     SteinConfig,
-    batch_gradients,
     build_trajectory,
-    compose,
     kde_1d,
     kl_gaussian,
     kl_rotation,
@@ -30,9 +28,13 @@ from stein_icp import (
     pose_summary,
     pose_to_matrix,
     relative_pose_error,
+    rotation_from_euler,
+    rotation_partials,
     run_sgd_icp,
     run_stein_icp,
     sgd_equivalent_config,
+    stacked_cost_gradients,
+    transform_stacked,
     wrap_angle,
 )
 
@@ -127,7 +129,14 @@ def test_criterion_01_analytic_gradients_match_finite_differences(rng):
         metric = "plane" if k % 2 else "point"
         pairs = oracles.random_pairs(rng, m=30, with_normals=(metric == "plane"))
         pose = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.3, 0.3, 3)])
-        analytic = batch_gradients(pairs, pose, metric)
+        # The engine's kernel on the K=1 stack of this pose, every pair kept.
+        src = pairs.source_points[None]
+        moved = transform_stacked(rotation_from_euler(*pose[3:])[None], pose[None, :3], src)
+        normals = pairs.reference_normals[None] if metric == "plane" else None
+        _, grads = stacked_cost_gradients(moved - pairs.reference_points[None],
+                                          np.ones((1, 30), dtype=bool), src,
+                                          rotation_partials(*pose[3:])[None], normals)
+        analytic = grads[0]
         numeric = oracles.fd_pose_gradient(pairs, pose, metric)
         scale = max(float(np.linalg.norm(numeric)), 1e-12)
         worst = max(worst, float(np.linalg.norm(analytic - numeric)) / scale)
@@ -246,7 +255,7 @@ def test_criterion_08_metric_identities(rng):
              for _ in range(5)]
     traj = [np.eye(4)]
     for p in poses:
-        traj.append(compose(traj[-1], pose_to_matrix(p)))
+        traj.append(traj[-1] @ pose_to_matrix(p))
     t_err, r_err = relative_pose_error(traj, [t.copy() for t in traj])
     rpe_zero = bool(np.all(t_err == 0.0) and np.all(r_err == 0.0))
     ok = (abs(kl_self) <= 1e-10 and abs(ovl_self - 1.0) <= 1e-4

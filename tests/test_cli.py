@@ -260,6 +260,19 @@ class TestRegister:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_shared_batch_is_not_an_option(self, pair, tmp_path, capsys):
+        """Every particle draws its own minibatches; neither the flag nor the
+        config key that shared one batch across the swarm exists."""
+        src, ref = pair
+        with pytest.raises(SystemExit) as exit_info:
+            _register(src, ref, tmp_path / "flag", "--shared-batch", "true")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shared-batch" in capsys.readouterr().err
+        ini = tmp_path / "shared.ini"
+        ini.write_text("[register]\nshared_batch = true\n")
+        assert _register(src, ref, tmp_path / "ini", "--config", str(ini)) == 2
+        assert "unknown config key 'shared_batch'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, line", [
         ("iterations = 3\n", 1),                                    # no section header
         ("[register]\niterations = 3\niterations = 4\n", 3),        # key given twice

@@ -506,7 +506,7 @@ class TestVoxelDownsample:
 
     def test_validation(self, rng):
         cloud = PointCloud(rng.uniform(0, 1, (100, 3)))
-        for voxel in (0.0, -1.0, float("nan"), float("inf")):
+        for voxel in (0.0, -1.0, float("nan"), float("inf"), 10**400):
             with pytest.raises(InputError, match="positive and finite"):
                 voxel_downsample(cloud, voxel)
 

@@ -1,6 +1,6 @@
 """Nearest-neighbor index against a brute-force linear scan, tie-breaking,
 the certified cell grid against the kd-tree, the random-reshuffling
-minibatch sampler, and mini-batch assembly."""
+minibatch sampler, and stacked matching."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,10 @@ from stein_icp import (
     InputError,
     MatchRejectionError,
     PointCloud,
+    SteinConfig,
     build_index,
-    match_batch,
     match_stacked,
+    run_particle_engine,
 )
 from stein_icp.correspondence import ReshuffledBatches
 
@@ -278,75 +279,79 @@ class TestReshuffledBatches:
 
 
 class TestMatchBatch:
+    """match_stacked on the one-pose batches of a K=1 stack."""
+
     def test_fields_and_lengths(self, rng):
         ref = rng.uniform(-1, 1, (60, 3))
         index = build_index(PointCloud(ref))
         pts = rng.uniform(-1, 1, (20, 3))
-        batch = match_batch(pts, index)
-        assert len(batch) == 20
-        np.testing.assert_array_equal(batch.indices, np.arange(20))
-        np.testing.assert_array_equal(batch.transformed, pts)
-        np.testing.assert_array_equal(batch.source_points, pts)
+        matched, normals, dist, keep = match_stacked(pts[None], index)
+        assert matched.shape == (1, 20, 3) and dist.shape == keep.shape == (1, 20)
+        assert keep.all()
         d, i = index.query(pts)
-        np.testing.assert_array_equal(batch.reference_points, ref[i])
-        np.testing.assert_array_equal(batch.distances, d)
-        assert batch.reference_normals is None
+        np.testing.assert_array_equal(matched[0], ref[i])
+        np.testing.assert_array_equal(dist[0], d)
+        assert normals is None
 
     def test_max_dist_filters(self):
         ref = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         index = build_index(PointCloud(ref))
-        pts = np.array([[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]])
-        batch = match_batch(pts, index, max_dist=1.0)
-        assert len(batch) == 1
-        np.testing.assert_array_equal(batch.indices, [0])
+        pts = np.array([[[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]]])
+        keep = match_stacked(pts, index, max_dist=1.0)[3]
+        np.testing.assert_array_equal(keep, [[True, False]])
 
     def test_all_rejected_raises(self):
-        index = build_index(PointCloud([[0.0, 0.0, 0.0]]))
+        """A batch with no surviving pair is an all-False mask row, and the
+        engine stops on it with MatchRejectionError."""
+        reference = PointCloud([[0.0, 0.0, 0.0]])
+        index = build_index(reference)
+        keep = match_stacked(np.array([[[5.0, 5.0, 5.0]]]), index, max_dist=0.1)[3]
+        assert not keep.any()
+        cfg = SteinConfig(particles=1, batch_size=1, iterations=1, max_dist=0.1)
         with pytest.raises(MatchRejectionError):
-            match_batch(np.array([[5.0, 5.0, 5.0]]), index, max_dist=0.1)
+            run_particle_engine(PointCloud([[5.0, 5.0, 5.0]]), reference, np.zeros((1, 6)), cfg)
 
     def test_normals_attached_and_zero_marker_dropped(self):
         nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         ref = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         index = build_index(PointCloud(ref, nrm))
-        pts = np.array([[0.1, 0.0, 0.0], [1.9, 0.0, 0.0]])
-        batch = match_batch(pts, index, with_normals=True)
-        assert len(batch) == 1
-        np.testing.assert_array_equal(batch.reference_normals, [[0.0, 0.0, 1.0]])
+        pts = np.array([[[0.1, 0.0, 0.0], [1.9, 0.0, 0.0]]])
+        _, normals, _, keep = match_stacked(pts, index, with_normals=True)
+        np.testing.assert_array_equal(keep, [[True, False]])
+        np.testing.assert_array_equal(normals, [nrm])
 
     def test_normals_requested_but_absent(self):
         index = build_index(PointCloud([[0.0, 0.0, 0.0]]))
         with pytest.raises(InputError):
-            match_batch(np.zeros((1, 3)), index, with_normals=True)
+            match_stacked(np.zeros((1, 1, 3)), index, with_normals=True)
 
-    def test_indices_and_source_passthrough(self, rng):
-        """The optimizer passes untransformed source points alongside the
-        transformed ones; filtering must keep them aligned."""
+    def test_indices_and_source_passthrough(self):
+        """The optimizer keeps the untransformed source batch next to the
+        moved one; rejection only masks, so every output keeps the batch's
+        layout and the mask selects the source points of the kept pairs."""
         ref = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         index = build_index(PointCloud(ref))
-        src = np.array([[0.5, 0.0, 0.0], [50.0, 0.0, 0.0]])
-        moved = src + [0.01, 0, 0]
-        batch = match_batch(moved, index, max_dist=1.0,
-                            indices=np.array([7, 9]), source_points=src)
-        np.testing.assert_array_equal(batch.indices, [7])
-        np.testing.assert_array_equal(batch.source_points, [[0.5, 0.0, 0.0]])
-        np.testing.assert_array_equal(batch.transformed, [[0.51, 0.0, 0.0]])
+        src = np.array([[[0.5, 0.0, 0.0], [50.0, 0.0, 0.0]]])
+        matched, _, dist, keep = match_stacked(src + [0.01, 0, 0], index, max_dist=1.0)
+        assert matched.shape == src.shape and dist.shape == keep.shape == (1, 2)
+        np.testing.assert_array_equal(src[keep], [[0.5, 0.0, 0.0]])
+        np.testing.assert_array_equal(matched[keep], [[0.0, 0.0, 0.0]])
 
 
 class TestMatchStacked:
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_rows_against_linear_scan_and_match_batch(self, rng, with_normals):
         """Every row of a K=3 stack: the mask is exactly the max_dist and
-        zero-normal rejection of the brute-force matches, and the row
-        compressed by its mask equals match_batch on that row alone."""
+        zero-normal rejection of the brute-force matches, and the row equals
+        the match of that batch alone (a K=1 stack)."""
         ref = rng.uniform(-1, 1, (80, 3))
         nrm = rng.normal(size=(80, 3))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
         nrm[::4] = 0.0
         index = build_index(PointCloud(ref, nrm))
         pts = rng.uniform(-1.1, 1.1, (3, 25, 3))
-        matched, normals, dist, keep = match_stacked(pts, index, 0.3,
-                                                     with_normals=with_normals)
+        stacked = match_stacked(pts, index, 0.3, with_normals=with_normals)
+        matched, normals, dist, keep = stacked
         assert (normals is not None) == with_normals
         assert 0 < keep.sum() < keep.size
         for k in range(3):
@@ -357,9 +362,7 @@ class TestMatchStacked:
             np.testing.assert_array_equal(keep[k], expected)
             np.testing.assert_array_equal(matched[k], ref[oidx])
 
-            batch = match_batch(pts[k], index, 0.3, with_normals=with_normals)
-            np.testing.assert_array_equal(batch.indices, np.flatnonzero(keep[k]))
-            np.testing.assert_array_equal(batch.reference_points, matched[k][keep[k]])
-            np.testing.assert_array_equal(batch.distances, dist[k][keep[k]])
-            if with_normals:
-                np.testing.assert_array_equal(batch.reference_normals, normals[k][keep[k]])
+            alone = match_stacked(pts[k][None], index, 0.3, with_normals=with_normals)
+            for whole, row in zip(stacked, alone):
+                if whole is not None:
+                    np.testing.assert_array_equal(row[0], whole[k])

@@ -284,6 +284,20 @@ class TestKde1d:
         with pytest.raises(InputError):
             kde_1d(rng.normal(size=10), bandwidth=0.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bandwidth": float("nan")}, "bandwidth must be positive and finite, got nan"),
+        ({"bandwidth": float("inf")}, "bandwidth must be positive and finite, got inf"),
+        ({"bandwidth": 10**400}, "bandwidth must be positive and finite, got an integer"),
+        ({"bandwidth": True}, "bandwidth must be a positive finite number, got True"),
+        ({"grid_size": 0}, "grid_size must be >= 1, got 0"),
+        ({"grid_size": 2.5}, "grid_size must be an integer, got 2.5"),
+        ({"grid_size": True}, "grid_size must be an integer, got True"),
+    ])
+    def test_rejects_bad_numbers(self, rng, kwargs, message):
+        for angular in (False, True):
+            with pytest.raises(InputError, match=f"^{message}"):
+                kde_1d(rng.normal(size=10), angular=angular, **kwargs)
+
 
 def _random_trajectory(rng, L):
     mats = [np.eye(4)]

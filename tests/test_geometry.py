@@ -10,7 +10,6 @@ from scipy.spatial.transform import Rotation
 from stein_icp import (
     InputError,
     Pose6D,
-    compose,
     invert,
     matrix_to_pose,
     pose_array,
@@ -201,11 +200,6 @@ class TestComposeInvert:
         np.testing.assert_allclose(invert(T) @ T, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(T @ invert(T), np.eye(4), atol=1e-12)
 
-    def test_compose_is_matrix_product(self, rng):
-        a = pose_to_matrix(random_pose(rng))
-        b = pose_to_matrix(random_pose(rng))
-        np.testing.assert_allclose(compose(a, b), a @ b, atol=0)
-
 
 class TestTransformPoints:
     def test_matches_homogeneous(self, rng):
@@ -276,17 +270,6 @@ class TestPose6D:
     def test_array_roundtrip(self, rng):
         vec = rng.uniform(-2, 2, 6)
         np.testing.assert_allclose(Pose6D.from_array(vec).to_array(), vec, atol=0)
-
-    def test_wrapped(self):
-        p = Pose6D(1.0, 2.0, 3.0, 2 * np.pi + 0.5, 0.0, -2 * np.pi - 0.5).wrapped()
-        assert p.roll == pytest.approx(0.5, abs=1e-12)
-        assert p.yaw == pytest.approx(-0.5, abs=1e-12)
-        assert (p.x, p.y, p.z) == (1.0, 2.0, 3.0)
-
-    def test_accessors(self):
-        p = Pose6D(1, 2, 3, 0.1, 0.2, 0.3)
-        np.testing.assert_allclose(p.translation, [1, 2, 3], atol=0)
-        np.testing.assert_allclose(p.angles, [0.1, 0.2, 0.3], atol=0)
 
     def test_defaults_identity(self):
         np.testing.assert_allclose(Pose6D().to_array(), np.zeros(6), atol=0)

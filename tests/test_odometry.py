@@ -152,6 +152,11 @@ class TestBuildTrajectory:
         np.testing.assert_allclose(via_dist.transforms, via_pair.transforms, rtol=1e-12)
         np.testing.assert_allclose(via_dist.covariances, via_pair.covariances, rtol=1e-12)
 
+    def test_order_is_checked_on_entry(self):
+        """An empty chain compounds nothing, and still rejects the order."""
+        with pytest.raises(InputError, match="order must be 2 or 4, got 3"):
+            build_trajectory([], order=3)
+
 
 class TestConfidenceEllipse:
     def test_isotropic_radius_and_default_level(self):

@@ -142,6 +142,63 @@ def test_detects_public_api_mismatches():
     ]
 
 
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+# Public names with no reader in the package or the benchmark, kept on purpose.
+UNREAD_ON_PURPOSE = {
+    "median_bandwidth",     # perfbench/tracing.py wraps it by its name as a string
+    "run_sgd_icp",          # the K=1 reference the one-particle engine run must reproduce
+    "ovl_coefficient",      # the whole-pose OVL that acceptance criterion 8 grades
+    "relative_pose_error",  # the odometry error that acceptance criterion 8 grades
+    "voxel_downsample",     # ROADMAP item 5: coarse-to-fine matching is to call it
+}
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """Names loaded, as a name or an attribute, and names imported."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.asname or node.name] += 1
+    return names
+
+
+def _unread_public_names(init: ast.Module, readers: dict) -> list:
+    """Names in __init__'s __all__ that no reader module loads or imports
+    outside the name's own def or class body. __init__ itself, which
+    re-exports every name, is not a reader."""
+    read = sum((_loads(tree) for tree in readers.values()), Counter())
+    for tree in readers.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                read[node.name] -= _loads(node)[node.name]
+    return sorted(name for name in _module_all(init) if read[name] <= 0)
+
+
+def test_every_public_name_has_a_reader():
+    readers = {p: ast.parse(p.read_text(), filename=str(p))
+               for p in [*MODULES, *PERFBENCH.glob("*.py")]
+               if p.name != "__init__.py" and not p.name.startswith("test_")}
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert set(_unread_public_names(init, readers)) == UNREAD_ON_PURPOSE
+
+
+def test_detects_a_public_name_without_a_reader():
+    init = ast.parse("from .a import used, self_only, imported, unread, Const\n"
+                     "__all__ = ['used', 'self_only', 'imported', 'unread', 'Const']\n")
+    readers = {
+        "a.py": ast.parse("Const = 1\n\ndef used():\n    pass\n\n"
+                          "def self_only(n):\n    return self_only(n - 1)\n\n"
+                          "def imported():\n    pass\n\ndef unread():\n    pass\n"),
+        "b.py": ast.parse("from a import imported\nused()\n"),
+    }
+    assert _unread_public_names(init, readers) == ["Const", "self_only", "unread"]
+
+
 # The one float text of the package: cloud.format_table's %r template.
 TABLE_WRITER = ("cloud.py", "format_table")
 

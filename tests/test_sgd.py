@@ -8,12 +8,9 @@ from stein_icp import (
     AdamState,
     IcpConfig,
     InputError,
-    MiniBatch,
     PointCloud,
     Pose6D,
     adam_step,
-    batch_gradients,
-    residual_cost,
     rotation_from_euler,
     rotation_partials,
     run_sgd_icp,
@@ -22,68 +19,68 @@ from stein_icp import (
     transform_stacked,
 )
 
-from oracles import fd_pose_gradient, pair_loop_cost, random_pairs
+from oracles import Pairs, fd_pose_gradient, pair_loop_cost, random_pairs
+
+
+def _stacked_inputs(rows, poses, metric):
+    """The stacked kernel's inputs for one batch of pairs per pose, built
+    with the geometry calls the engine makes: residuals, source points,
+    rotation partials and (point-to-plane) normals, each with K rows."""
+    poses = np.atleast_2d(np.asarray(poses, dtype=float))
+    src = np.stack([r.source_points for r in rows])
+    R = rotation_from_euler(poses[:, 3], poses[:, 4], poses[:, 5])
+    e = transform_stacked(R, poses[:, :3], src) - np.stack([r.reference_points for r in rows])
+    partials = rotation_partials(poses[:, 3], poses[:, 4], poses[:, 5])
+    normals = np.stack([r.reference_normals for r in rows]) if metric == "plane" else None
+    return e, src, partials, normals
+
+
+def _single(pairs, pose, metric="point"):
+    """Cost and gradient of one pose's batch: the K=1 stack, every pair kept."""
+    e, src, partials, normals = _stacked_inputs([pairs], pose, metric)
+    cost, g = stacked_cost_gradients(e, np.ones(e.shape[:2], dtype=bool), src, partials,
+                                     normals)
+    return float(cost[0]), g[0]
 
 
 class TestResidualCost:
+    """The cost of stacked_cost_gradients on K=1 stacks."""
+
     def test_point_metric_hand_value(self, rng):
         pairs = random_pairs(rng, 1)
         pose = np.zeros(6)
         e = pairs.source_points[0] - pairs.reference_points[0]
-        assert residual_cost(pairs, pose, "point") == pytest.approx(np.sum(e * e))
+        assert _single(pairs, pose, "point")[0] == pytest.approx(np.sum(e * e))
 
     def test_zero_at_perfect_alignment(self, rng):
         pts = rng.uniform(-1, 1, (30, 3))
-        pairs = random_pairs(rng, 30)
-        aligned = type(pairs)(
-            indices=pairs.indices,
-            source_points=pts,
-            transformed=pts,
-            reference_points=pts,
-            distances=np.zeros(30),
-            reference_normals=None,
-        )
-        assert residual_cost(aligned, np.zeros(6), "point") == 0.0
+        assert _single(Pairs(pts, pts), np.zeros(6), "point")[0] == 0.0
 
     def test_plane_metric_projects_onto_normal(self):
         pairs = random_pairs(np.random.default_rng(0), 1, with_normals=True)
         n = pairs.reference_normals[0]
         e = pairs.source_points[0] - pairs.reference_points[0]
         expected = float(np.dot(n, e)) ** 2
-        assert residual_cost(pairs, np.zeros(6), "plane") == pytest.approx(expected)
+        assert _single(pairs, np.zeros(6), "plane")[0] == pytest.approx(expected)
 
     def test_plane_leq_point(self, rng):
         """Projecting onto a unit normal can only shrink the residual."""
         pairs = random_pairs(rng, 50, with_normals=True)
         pose = rng.uniform(-0.2, 0.2, 6)
-        assert residual_cost(pairs, pose, "plane") <= residual_cost(pairs, pose, "point") + 1e-12
-
-    def test_validation(self, rng):
-        pairs = random_pairs(rng, 5)
-        with pytest.raises(InputError):
-            residual_cost(pairs, np.zeros(6), "bogus")
-        with pytest.raises(InputError):
-            residual_cost(pairs, np.zeros(6), "plane")  # no normals attached
+        assert _single(pairs, pose, "plane")[0] <= _single(pairs, pose, "point")[0] + 1e-12
 
 
 class TestBatchGradients:
+    """The gradient of stacked_cost_gradients on K=1 stacks."""
+
     def test_pure_translation_hand_value(self, rng):
         """Identical pairs shifted by t: the residual is t for every pair, so
         the translation gradient is exactly t and the rotation gradient is
         t . (axis x mean source point)."""
         pts = rng.uniform(-1, 1, (40, 3))
-        pairs = random_pairs(rng, 40)
-        aligned = type(pairs)(
-            indices=pairs.indices,
-            source_points=pts,
-            transformed=pts,
-            reference_points=pts,
-            distances=np.zeros(40),
-            reference_normals=None,
-        )
         t = np.array([0.3, -0.1, 0.2])
         pose = np.concatenate([t, np.zeros(3)])
-        g = batch_gradients(aligned, pose, "point")
+        g = _single(Pairs(pts, pts), pose, "point")[1]
         np.testing.assert_allclose(g[:3], t, rtol=1e-12)
         centroid = pts.mean(axis=0)
         expected_rot = [np.dot(t, np.cross(axis, centroid))
@@ -92,16 +89,8 @@ class TestBatchGradients:
 
     def test_zero_gradient_at_optimum(self, rng):
         pts = rng.uniform(-1, 1, (25, 3))
-        pairs = random_pairs(rng, 25)
-        aligned = type(pairs)(
-            indices=pairs.indices,
-            source_points=pts,
-            transformed=pts,
-            reference_points=pts,
-            distances=np.zeros(25),
-            reference_normals=None,
-        )
-        np.testing.assert_allclose(batch_gradients(aligned, np.zeros(6)), np.zeros(6), atol=1e-15)
+        np.testing.assert_allclose(_single(Pairs(pts, pts), np.zeros(6))[1], np.zeros(6),
+                                   atol=1e-15)
 
     @pytest.mark.parametrize("metric", ["point", "plane"])
     def test_matches_finite_differences(self, rng, metric):
@@ -111,54 +100,26 @@ class TestBatchGradients:
             m = int(rng.integers(5, 60))
             pairs = random_pairs(rng, m, with_normals=(metric == "plane"))
             pose = rng.uniform(-0.4, 0.4, 6)
-            g = batch_gradients(pairs, pose, metric)
+            g = _single(pairs, pose, metric)[1]
             g_fd = fd_pose_gradient(pairs, pose, metric)
             denom = max(np.linalg.norm(g_fd), 1e-12)
             assert np.linalg.norm(g - g_fd) / denom < 1e-6
 
-    def test_accepts_pose6d(self, rng):
-        pairs = random_pairs(rng, 10)
-        pose = Pose6D(0.1, -0.2, 0.05, 0.3, -0.1, 0.2)
-        np.testing.assert_array_equal(
-            batch_gradients(pairs, pose),
-            batch_gradients(pairs, pose.to_array()),
-        )
-
-    def test_validation(self, rng):
-        pairs = random_pairs(rng, 5)
-        with pytest.raises(InputError):
-            batch_gradients(pairs, np.zeros(6), "bogus")
-        with pytest.raises(InputError):
-            batch_gradients(pairs, np.zeros(6), "plane")
-
 
 def _kept(pairs, keep):
     """The pairs of a batch that a mask keeps."""
-    return MiniBatch(
-        indices=pairs.indices[keep],
-        source_points=pairs.source_points[keep],
-        transformed=pairs.transformed[keep],
-        reference_points=pairs.reference_points[keep],
-        distances=pairs.distances[keep],
-        reference_normals=None if pairs.reference_normals is None
-        else pairs.reference_normals[keep],
-    )
+    return Pairs(pairs.source_points[keep], pairs.reference_points[keep],
+                 None if pairs.reference_normals is None else pairs.reference_normals[keep])
 
 
 class TestStackedCostGradients:
     @staticmethod
     def _stack(rng, K, m, metric):
-        """K random batches and poses, and the stacked kernel's inputs built
-        from them row by row with the same geometry calls the K=1 view makes."""
+        """K random batches and poses, and the stacked kernel's inputs."""
         rows = [random_pairs(rng, m, with_normals=(metric == "plane")) for _ in range(K)]
         poses = np.concatenate([rng.uniform(-0.5, 0.5, (K, 3)),
                                 rng.uniform(-0.3, 0.3, (K, 3))], axis=1)
-        src = np.stack([r.source_points for r in rows])
-        R = np.stack([rotation_from_euler(*p[3:]) for p in poses])
-        e = transform_stacked(R, poses[:, :3], src) - np.stack([r.reference_points for r in rows])
-        partials = np.stack([rotation_partials(*p[3:]) for p in poses])
-        normals = np.stack([r.reference_normals for r in rows]) if metric == "plane" else None
-        return rows, poses, (e, src, partials, normals)
+        return rows, poses, _stacked_inputs(rows, poses, metric)
 
     @pytest.mark.parametrize("metric", ["point", "plane"])
     def test_masked_rows_match_finite_differences(self, rng, metric):
@@ -177,12 +138,15 @@ class TestStackedCostGradients:
 
     @pytest.mark.parametrize("metric", ["point", "plane"])
     def test_rows_equal_single_pose_views_bitwise(self, rng, metric):
+        """Each row of a K=5 stack equals that row's own K=1 stack bit for
+        bit: a row does not depend on the rows stacked with it."""
         rows, poses, (e, src, partials, normals) = self._stack(rng, 5, 40, metric)
         cost, g = stacked_cost_gradients(e, np.ones((5, 40), dtype=bool), src, partials,
                                          normals)
         for k, pairs in enumerate(rows):
-            assert cost[k] == residual_cost(pairs, poses[k], metric)
-            np.testing.assert_array_equal(g[k], batch_gradients(pairs, poses[k], metric))
+            single_cost, single_g = _single(pairs, poses[k], metric)
+            assert cost[k] == single_cost
+            np.testing.assert_array_equal(g[k], single_g)
 
 
 class TestAdam:

@@ -21,6 +21,7 @@ from stein_icp import (
     SteinConfig,
     UNIFORM_PRIOR,
     estimate_normals,
+    mc_ground_truth,
     median_bandwidth,
     prior_gradient,
     run_particle_engine,
@@ -209,6 +210,19 @@ class TestSteinDirection:
         oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, *h, repulsion=repulsion)
         np.testing.assert_allclose(phi, oracle, rtol=1e-11, atol=1e-13)
 
+    @pytest.mark.parametrize("repulsion", [True, False])
+    @pytest.mark.parametrize("h", [(0.7, 0.3), ("median", "median")])
+    def test_permutation_equivariant(self, rng, h, repulsion):
+        """Relabelling the particles relabels their directions, particle 0
+        included, whose pose the repulsion's product is taken relative to."""
+        theta = rng.uniform(-2, 2, (7, 6))
+        grads = rng.normal(size=(7, 6))
+        perm = np.array([3, 0, 4, 6, 1, 2, 5])
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, *h, repulsion=repulsion)
+        phi_perm = stein_direction(theta[perm], grads[perm], UNIFORM_PRIOR, *h,
+                                   repulsion=repulsion)
+        np.testing.assert_allclose(phi_perm, phi[perm], rtol=1e-11, atol=1e-13)
+
     def test_matches_oracle_with_informed_prior(self, rng):
         prior = PriorConfig(kind="informed", mean=(0.1, 0, 0, 0, 0, 0.2),
                             trans_variance=(0.5, 0.5, 0.5), kappa=(1.0, 2.0, 0.5))
@@ -382,6 +396,19 @@ class TestSampleInitialParticles:
         b = sample_initial_particles(8, bounds, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("K", [2.5, True, 2.0])
+    def test_count_must_be_an_integer(self, rng, K):
+        with pytest.raises(InputError, match=f"^K must be an integer, got {K}"):
+            sample_initial_particles(K, SteinConfig().init_bounds(), rng)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "int_beyond_float"])
+    def test_bounds_must_be_finite(self, rng, value):
+        bounds = SteinConfig().init_bounds().astype(object)
+        bounds[2, 1] = value
+        with pytest.raises(InputError, match="bound"):
+            sample_initial_particles(3, bounds, rng)
+
     def test_validation(self, rng):
         with pytest.raises(InputError):
             sample_initial_particles(0, SteinConfig().init_bounds(), rng)
@@ -428,6 +455,25 @@ class TestSteinConfig:
     def test_rejects_a_bandwidth_beyond_the_float_range(self):
         with pytest.raises(InputError, match=r"^bandwidth must be .* beyond the float range"):
             SteinConfig(bandwidth=10**400)
+
+    @pytest.mark.parametrize("field, make", [
+        ("prior mean", lambda big: PriorConfig(mean=(0, 0, big, 0, 0, 0))),
+        ("trans_variance", lambda big: PriorConfig(trans_variance=(1, big, 1))),
+        ("kappa", lambda big: PriorConfig(kappa=big)),
+        ("init_center", lambda big: SteinConfig(init_center=(big, 0, 0, 0, 0, 0))),
+        ("trans_range", lambda big: SteinConfig(trans_range=big)),
+        ("rot_range", lambda big: SteinConfig(rot_range=(0, 0, big))),
+        ("init_center", lambda big: mc_ground_truth(
+            PointCloud(np.zeros((4, 3))), PointCloud(np.zeros((4, 3))), 4, IcpConfig(),
+            center=(0, 0, 0, big, 0, 0))),
+    ], ids=["prior_mean", "trans_variance", "kappa", "init_center", "trans_range",
+            "rot_range", "mc_ground_truth_center"])
+    def test_vector_fields_reject_an_int_beyond_the_float_range(self, field, make):
+        """numpy's float conversion of 10**400 raises OverflowError; the
+        configs name the field instead."""
+        with pytest.raises(InputError,
+                           match=f"^{field} must hold real numbers within the float range"):
+            make(10**400)
 
     def test_inherits_base_validation(self):
         with pytest.raises(InputError):
@@ -525,21 +571,16 @@ class TestParticleEngine:
         with pytest.raises(InputError):
             run_stein_icp(ref, ref, cfg, initial_particles=np.zeros((2, 6)))
 
-    def test_shared_batch_feeds_every_particle_the_same_draws(self, rng):
+    def test_colocated_restarts_separate_under_particle_batches(self, rng):
         """With independent (non-interacting) updates, co-located restarts
-        separate under per-particle batches and stay identical under a
-        shared batch. That isolates the sampling stream choice."""
+        separate: each particle draws its minibatches from its own stream."""
         ref = _wavy_cloud(rng, 300)
         src = transform_cloud(ref, Pose6D(0.03, 0.0, 0.0))
         init = np.tile(rng.uniform(-0.02, 0.02, 6), (4, 1))
-        shared = SteinConfig(particles=4, batch_size=60, iterations=8, seed=3,
-                             shared_batch=True)
-        res = run_particle_engine(src, ref, init, shared, interacting=False)
+        cfg = SteinConfig(particles=4, batch_size=60, iterations=8, seed=3)
+        res = run_particle_engine(src, ref, init, cfg, interacting=False)
         for k in range(1, 4):
-            np.testing.assert_array_equal(res.particles[k], res.particles[0])
-        split_cfg = SteinConfig(particles=4, batch_size=60, iterations=8, seed=3)
-        split = run_particle_engine(src, ref, init, split_cfg, interacting=False)
-        assert not np.array_equal(split.particles[1], split.particles[0])
+            assert not np.array_equal(res.particles[k], res.particles[0])
 
     def test_colocated_particles_move_in_lockstep_when_coupled(self, rng):
         """The kernel average hands co-located particles one common direction
@@ -553,17 +594,6 @@ class TestParticleEngine:
         dist = run_stein_icp(src, ref, cfg, initial_particles=init)
         for k in range(1, 4):
             np.testing.assert_array_equal(dist.samples[k], dist.samples[0])
-
-    def test_shared_batch_permutation_equivariance(self, rng):
-        ref = _wavy_cloud(rng, 300)
-        src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.0))
-        cfg = SteinConfig(particles=5, batch_size=60, iterations=10, seed=4,
-                          shared_batch=True)
-        init = rng.uniform(-0.05, 0.05, (5, 6))
-        perm = np.array([3, 0, 4, 1, 2])
-        out = run_stein_icp(src, ref, cfg, initial_particles=init).samples
-        out_perm = run_stein_icp(src, ref, cfg, initial_particles=init[perm]).samples
-        np.testing.assert_allclose(out_perm, out[perm], rtol=1e-9, atol=1e-12)
 
     def test_repulsion_only_spreads_particles(self, rng):
         """likelihood_scale = 0 silences the data term; with the plain sgd
