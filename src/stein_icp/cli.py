@@ -14,9 +14,10 @@ solve path: --method sgd is a one-particle Stein run without a prior
 (sgd_equivalent_config), which reproduces run_sgd_icp bit for bit.
 Next to its samples and summary, register writes diagnostics.json: the
 solve's wall time (seconds), the engine loop's own time (engine_seconds),
-the five phase times on that loop's clock (phases) and the share of matched
-points the cell grid certified (certified_share). Timings stay out of
-summary.json, which is byte-stable across reruns.
+the five phase times on that loop's clock (phases), the share of matched
+points the cell grid certified (certified_share) and the number of cells
+the grid filled (filled_cells). Timings stay out of summary.json, which is
+byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -298,7 +299,8 @@ def cmd_register(cfg: dict) -> int:
     counts = engine.match_counts
     _write_json({"seconds": elapsed, "engine_seconds": engine.loop_seconds,
                  "phases": engine.timings,
-                 "certified_share": counts["certified"] / counts["queried"]},
+                 "certified_share": counts["certified"] / counts["queried"],
+                 "filled_cells": counts["filled"]},
                 out / "diagnostics.json")
     if cfg["trace"]:
         mean_poses = engine.particle_trace.mean(axis=1)

@@ -4,7 +4,11 @@ The index wraps a kd-tree and guarantees two things the optimizer relies
 on: queries are exact (never approximate), and exact distance ties resolve
 to the lowest reference index so runs are reproducible. Most queries are
 answered from a lazily filled cell grid whose answers are certified to be
-the kd-tree's own (see NeighborIndex).
+the kd-tree's own. The grid keeps each filled cell's candidate ids as one
+row of a slot-major int32 table, and a query works on one transposed
+(3, n) copy of its points, so that certifying a point costs one row gather
+of ids and contiguous passes over (candidate, point) rows (see
+NeighborIndex for the table layout and the passes a query makes).
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ __all__ = ["NeighborIndex", "build_index", "match_stacked"]
 
 _TIE_RTOL = 1e-12
 
-# The certified cell grid. A filled cell holds the ids of the _CANDIDATES
-# reference points nearest its center (int32) and one float64 bound, 36
-# bytes, in a table grown by half as cells fill; the slot map holds one
-# int32 per cell of the padded bounding box, at most _CELL_BUDGET of them
-# (4 MiB). Coordinates are gathered from per-axis copies of the reference.
+# The certified cell grid (layout in NeighborIndex). A filled cell costs one
+# 28-byte row of candidate ids and one float64 bound, in tables grown by half
+# as cells fill; the slot map holds one int32 per cell of the padded bounding
+# box, at most _CELL_BUDGET of them (4 MiB).
 _CANDIDATES = 7
 _CELL_SPACINGS = 1.6      # cell edge in median nearest-neighbor spacings
 _SPACING_SAMPLE = 4096    # reference points the spacing is measured on
@@ -58,10 +61,31 @@ class NeighborIndex:
     a near-tie, a failed certificate, outside the grid or not finite, goes
     to the kd-tree.
 
+    Layout: a filled cell's slot is its row in a slot-major (cells, 7)
+    int32 table of candidate ids, with one float64 D per slot; an int32
+    slot map over the grid's cells points to it. Candidate coordinates are
+    gathered from per-axis copies of the reference, and cell centers c
+    from per-axis tables of origin + (cell + 0.5) * h, the one rounding of
+    the center that the fill measures D from and the certificate measures
+    r from.
+
+    A query makes these passes. Locate: one transposed (3, n) copy of the
+    points and their fractional cell coordinates; when a point lies outside
+    the grid, the rows inside it and their coordinates are gathered, else
+    (every point inside) nothing is; then the cells' flat numbers and
+    slots, filling the cells still empty. Certify, 8192 points at a time:
+    one row gather of the candidate ids, transposed to (7, p) candidate
+    rows; per axis, a gather of candidate coordinates and the squared
+    differences; one sweep over the rows for d1 and d2; the candidate at
+    d1; r from the gathered cell centers; the certificate. The kd-tree
+    answers the rest.
+
     A point with no reference point at a finite distance (its squared
-    distances overflow) gets distance inf and index len(reference), the
-    kd-tree's own marker. `queried` and `certified` count the points
-    queried and the points answered from the grid.
+    distances overflow, or a coordinate is not finite) gets distance inf
+    and index len(reference), the kd-tree's own marker; a non-finite point
+    never reaches the kd-tree, which rejects it. `queried`, `certified`
+    and `filled` count the points queried, the points answered from the
+    grid and the cells filled.
 
     query fills cells and counts as it goes, so it changes the index: one
     index must not be queried concurrently.
@@ -72,13 +96,15 @@ class NeighborIndex:
         self._tree = tree
         self.queried = 0
         self.certified = 0
+        self.filled = 0
         pts = reference.points
         self._cols = [np.ascontiguousarray(pts[:, c]) for c in range(3)]
         self._origin, self._h, self._dims = _grid_shape(pts, tree)
+        self._centers = [self._origin[c] + (np.arange(self._dims[c]) + 0.5) * self._h
+                         for c in range(3)]
         self._slots = np.full(int(np.prod(self._dims)), -1, dtype=np.int32)
-        self._ids = np.empty((min(_CANDIDATES, len(pts)), 0), dtype=np.int32)
+        self._ids = np.empty((0, min(_CANDIDATES, len(pts))), dtype=np.int32)
         self._bound = np.empty(0)
-        self._filled = 0
 
     def query(self, points: np.ndarray):
         """Nearest reference point for each query point.
@@ -93,15 +119,21 @@ class NeighborIndex:
         idx = np.empty(n, dtype=np.intp)
         hit = np.zeros(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # such points miss
-            inside, cell, slot = self._locate(points)
-            for start in range(0, len(inside), _CHUNK):
+            rows, q, cell, slot = self._locate(points)
+            for start in range(0, len(slot), _CHUNK):
                 sl = slice(start, start + _CHUNK)
-                self._certify(points, inside[sl], cell[:, sl], slot[sl], dist, idx, hit)
+                at = sl if rows is None else rows[sl]
+                hit[at], dist[at], idx[at] = self._certify(q[:, sl], cell[:, sl], slot[sl])
         miss = np.flatnonzero(~hit)
-        if miss.size:
-            dist[miss], idx[miss] = self._kd_query(points[miss])
         self.queried += n
         self.certified += n - miss.size
+        # The kd-tree rejects a non-finite coordinate; such a point has no
+        # reference point at a finite distance.
+        finite = np.isfinite(points[miss]).all(axis=1)
+        dist[miss[~finite]], idx[miss[~finite]] = np.inf, len(self.reference)
+        miss = miss[finite]
+        if miss.size:
+            dist[miss], idx[miss] = self._kd_query(points[miss])
         return dist, idx
 
     def _kd_query(self, points: np.ndarray):
@@ -127,28 +159,41 @@ class NeighborIndex:
         return dist, idx
 
     def _locate(self, points):
-        """(inside, cell, slot) of the points inside the grid: their row
-        numbers, their (3, p) cell coordinates and the table slots of their
-        cells, filling the cells that are still empty."""
-        frac = (points - self._origin) / self._h
-        inside = np.flatnonzero(((frac >= 0) & (frac < self._dims)).all(axis=1))
-        cell = frac[inside].T.astype(np.intp)
-        flat = (cell[0] * self._dims[1] + cell[1]) * self._dims[2] + cell[2]
+        """(rows, q, cell, slot) of the points inside the grid: their row
+        numbers (None when every point is inside), their (3, p) coordinate
+        rows and cell coordinates, and the table slots of their cells,
+        filling the cells that are still empty."""
+        q = np.ascontiguousarray(points.T)
+        frac = q - self._origin[:, None]
+        frac /= self._h
+        # A NaN coordinate fails both tests; an empty query passes them.
+        if ((frac.min(axis=1, initial=np.inf) >= 0).all()
+                and (frac.max(axis=1, initial=-np.inf) < self._dims).all()):
+            rows = None
+        else:
+            rows = np.flatnonzero(((frac >= 0) & (frac < self._dims[:, None])).all(axis=0))
+            q = np.take(q, rows, axis=1)
+            frac = np.take(frac, rows, axis=1)
+        cell = frac.astype(np.intp)
+        flat = cell[0] * self._dims[1]
+        flat += cell[1]
+        flat *= self._dims[2]
+        flat += cell[2]
         slot = self._slots[flat]
         empty = slot < 0
         if empty.any():
             self._fill(np.unique(flat[empty]))
             slot = self._slots[flat]
-        return inside, cell, slot.astype(np.intp)
+        return rows, q, cell, slot.astype(np.intp)
 
-    def _certify(self, points, rows, cell, slot, dist, idx, hit):
-        """Write the grid's certified answers for points[rows], which lie in
-        the given cells and table slots, into dist, idx and hit.
+    def _certify(self, q, cell, slot):
+        """(ok, dist, idx) of points with coordinate rows q, shape (3, p),
+        in the given cells and table slots: ok marks the points certified,
+        whose dist and idx are the kd-tree's answer.
 
-        Works on coordinate rows, shape (3, p), and candidate rows, (c, p),
-        so that every step is a pass over contiguous memory."""
-        q = np.ascontiguousarray(points[rows].T)
-        cand = np.take(self._ids, slot, axis=1).astype(np.intp)      # (c, p)
+        Works on coordinate rows and candidate rows, (c, p), so that every
+        step is a pass over contiguous memory."""
+        cand = np.take(self._ids, slot, axis=0).T.astype(np.intp, order="C")  # (c, p)
         sq = np.take(self._cols[0], cand)
         sq -= q[0]
         sq *= sq
@@ -165,38 +210,46 @@ class NeighborIndex:
             np.maximum(d1, row, out=tmp)
             np.minimum(d2, tmp, out=d2)
             np.minimum(d1, row, out=d1)
-        best = np.where(sq == d1, cand, len(self.reference)).min(axis=0)
+        # A certified point has exactly one candidate at d1 (else d2 == d1):
+        # the largest id marked is that candidate.
+        cand *= sq == d1
+        best = cand.max(axis=0)
         np.sqrt(d1, out=d1)
         np.sqrt(d2, out=d2)
-        off = q - (self._origin[:, None] + (cell + 0.5) * self._h)
-        off *= off
-        r = np.sqrt(off[0] + off[1] + off[2])
+        r = np.zeros(len(d1))
+        for c in range(3):
+            off = np.take(self._centers[c], cell[c])
+            np.subtract(q[c], off, out=off)
+            off *= off
+            r += off
+        np.sqrt(r, out=r)
         gap = _TIE_RTOL * np.maximum(d1, 1.0)
-        ok = (d2 - d1 > gap) & (d1 + gap + r < self._bound[slot])
-        sel = rows[ok]
-        hit[sel] = True
-        dist[sel] = d1[ok]
-        idx[sel] = best[ok]
+        d2 -= d1
+        ok = d2 > gap
+        gap += d1
+        gap += r
+        ok &= gap < np.take(self._bound, slot)
+        return ok, d1, best
 
     def _fill(self, cells: np.ndarray):
         """Store candidates and bound of the given (unfilled) flat cells."""
-        cell = np.stack(np.unravel_index(cells, tuple(self._dims)))    # (3, u)
-        centers = (self._origin[:, None] + (cell + 0.5) * self._h).T
-        d, i = self._tree.query(centers, k=self._ids.shape[0] + 1)
+        cell = np.unravel_index(cells, tuple(self._dims))
+        centers = np.column_stack([np.take(self._centers[c], cell[c]) for c in range(3)])
+        d, i = self._tree.query(centers, k=self._ids.shape[1] + 1)
         bound = d[:, -1]
         bound = np.where(bound >= 1.0, bound * (1.0 - _CERT_SLACK), bound - _CERT_SLACK)
-        start, stop = self._filled, self._filled + len(cells)
+        start, stop = self.filled, self.filled + len(cells)
         if stop > len(self._bound):
             cap = min(self._slots.size, max(stop, len(self._bound) * 3 // 2))
-            ids = np.empty((self._ids.shape[0], cap), dtype=np.int32)
-            ids[:, :start] = self._ids[:, :start]
+            ids = np.empty((cap, self._ids.shape[1]), dtype=np.int32)
+            ids[:start] = self._ids[:start]
             grown = np.empty(cap)
             grown[:start] = self._bound[:start]
             self._ids, self._bound = ids, grown
-        self._ids[:, start:stop] = i[:, :-1].T
+        self._ids[start:stop] = i[:, :-1]
         self._bound[start:stop] = bound
         self._slots[cells] = np.arange(start, stop, dtype=np.int32)
-        self._filled = stop
+        self.filled = stop
 
 
 def _grid_shape(points: np.ndarray, tree: cKDTree):

@@ -231,9 +231,12 @@ def transform_stacked(R: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.nd
     """Apply R_k p + t_k to a (K, m, 3) stack of points, one pose per row.
 
     One matrix product per row, so each row's result does not depend on
-    how many rows are stacked with it.
+    how many rows are stacked with it. A point that leaves the float range
+    comes back as inf or nan, without a warning: the matcher gives it no
+    neighbor.
     """
-    return np.matmul(points, np.swapaxes(R, -1, -2)) + t[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(points, np.swapaxes(R, -1, -2)) + t[:, None, :]
 
 
 def skew(v: np.ndarray) -> np.ndarray:

@@ -372,7 +372,8 @@ class EngineResult:
     # Wall time of the iteration loop, on the clock the phase timings use.
     loop_seconds: float = 0.0
     particle_trace: np.ndarray | None = None   # (T + 1, K, 6) when recorded
-    # Points the matcher queried and those its cell grid certified.
+    # Points the matcher queried, those its cell grid certified, and the
+    # cells the grid filled.
     match_counts: dict = field(default_factory=dict)
 
 
@@ -514,7 +515,8 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     return EngineResult(particles=theta, cost_trace=cost_trace, failed=~active,
                         timings=timings, loop_seconds=loop_seconds, particle_trace=trace,
                         match_counts={"queried": index.queried,
-                                      "certified": index.certified})
+                                      "certified": index.certified,
+                                      "filled": index.filled})
 
 
 # --------------------------------------------------------------------------

@@ -235,6 +235,23 @@ class TestRegister:
         assert "floating-point range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_moved_point_is_numerical_failure(self, pair, tmp_path, capsys):
+        """A source point near the float limit turned by 45 degrees of yaw
+        overflows to inf or nan: exit 1 naming the iteration and particles,
+        no traceback and no warning."""
+        _, ref = pair
+        src = tmp_path / "huge.ply"
+        write_cloud(PointCloud([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), src)
+        rc = main(["register", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "o"), "--particles", "2", "--iterations", "2",
+                   "--batch-size", "3", "--init-center", f"0,0,0,0,0,{np.pi / 4!r}",
+                   "--trans-range", "0.01", "--rot-range", "0.01"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: iteration 0: particle(s) [0, 1]")
+        assert "Traceback" not in err
+
     def test_config_file_and_flag_precedence(self, pair, tmp_path):
         src, ref = pair
         ini = tmp_path / "run.ini"
@@ -607,7 +624,7 @@ class TestArtifactBytes:
         trace = np.array([[[0.0] * 6], _ODD[:1], [[0.25, -1.0, 2.0, 0.0, 1e-05, 0.1]]])
         engine = SimpleNamespace(cost_trace=np.array([0.1, np.nan]), particle_trace=trace,
                                  timings={}, loop_seconds=0.0,
-                                 match_counts={"queried": 2, "certified": 1})
+                                 match_counts={"queried": 2, "certified": 1, "filled": 1})
         monkeypatch.setattr(cli, "run_stein_icp", lambda *args, **kwargs: (dist, engine))
         out = tmp_path / "reg"
         assert main(["register", "--source", str(frames / "a.ply"), "--reference",
@@ -679,11 +696,13 @@ class TestDiagnostics:
                    "--trans-range", "0.05", "--rot-range", "0.02"])
         assert rc == 0
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert set(diag) == {"seconds", "engine_seconds", "phases", "certified_share"}
+        assert set(diag) == {"seconds", "engine_seconds", "phases", "certified_share",
+                             "filled_cells"}
         assert set(diag["phases"]) == PHASES
         # the five phases account for nearly all of the engine loop's time
         assert sum(diag["phases"].values()) / diag["engine_seconds"] > 0.95
         assert 0.5 < diag["certified_share"] <= 1.0
+        assert isinstance(diag["filled_cells"], int) and diag["filled_cells"] > 0
         assert 0 < diag["engine_seconds"] <= diag["seconds"]
 
     def test_plane_metric_estimates_normals(self, pair, tmp_path):

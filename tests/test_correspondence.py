@@ -195,7 +195,7 @@ class TestCertifiedGrid:
         assert idx[0] == 0
         assert dist[0] == np.linalg.norm(ref[0])
 
-    def test_workers_on_a_warm_index(self, rng):
+    def test_near_and_far_points_in_one_call(self, rng):
         """Near and far points in one call on a warm index: the far points
         lie outside the grid and all go to the kd-tree, the near ones are
         mostly certified, and every point gets the kd-tree's answer."""
@@ -207,6 +207,104 @@ class TestCertifiedGrid:
         dist, idx = _warm_query(index, queries)
         assert 0 < index.certified <= 2 * len(near) < index.queried
         _assert_kd_answer(ref, queries, dist, idx)
+
+    def test_every_point_inside_the_grid(self, rng):
+        """One call whose points all lie in the grid: the locate step
+        gathers no rows, every answer is still the kd-tree's, and each
+        cell the points land in is filled once."""
+        ref = _surface(rng, 1500)
+        index = build_index(PointCloud(ref))
+        queries = ref[rng.integers(0, 1500, 5000)] + rng.normal(0, 0.01, (5000, 3))
+        assert index._locate(queries)[0] is None
+        dist, idx = _warm_query(index, queries)
+        _assert_kd_answer(ref, queries, dist, idx)
+        assert index.certified > 0.7 * index.queried
+        cells = np.floor((queries - index._origin) / index._h)
+        assert index.filled == len(np.unique(cells, axis=0))
+
+    def test_inside_outside_and_overflowing_across_passes(self, rng):
+        """2 * 8192 + 1 points in one call, in the grid (kind 0), far
+        outside it (1) and with overflowing squared distances (2), shuffled:
+        the points in the grid take two 8192-point passes, and each pass
+        maps back to rows spread among points of every kind."""
+        ref = _surface(rng, 1000)
+        index = build_index(PointCloud(ref))
+        n = 2 * 8192 + 1
+        kind = rng.choice(3, n, p=[0.9, 0.05, 0.05])
+        queries = ref[rng.integers(0, 1000, n)] + rng.normal(0, 0.02, (n, 3))
+        queries[kind == 1] = rng.uniform(5, 6, (np.sum(kind == 1), 3))
+        queries[kind == 2] = rng.uniform(-1, 1, (np.sum(kind == 2), 3)) * 1e300
+        assert np.sum(kind == 0) > 8192
+        dist, idx = _warm_query(index, queries)
+        finite = kind < 2
+        _assert_kd_answer(ref, queries[finite], dist[finite], idx[finite])
+        assert np.all(dist[~finite] == np.inf) and np.all(idx[~finite] == 1000)
+        assert 0 < index.certified <= 2 * np.sum(kind == 0)
+
+    def test_points_on_the_upper_faces_of_the_grid(self, rng):
+        """Coordinates on the far faces of the padded box, where the grid
+        ends, and one float below them, queried in one call with points
+        inside the grid: every answer is the kd-tree's."""
+        ref = _surface(rng, 800)
+        index = build_index(PointCloud(ref))
+        top = index._origin + index._dims * index._h
+        inner = ref[rng.integers(0, 800, 300)] + rng.normal(0, 0.02, (300, 3))
+        faces = []
+        for c in range(3):
+            on = inner[:20].copy()
+            on[:, c] = top[c]
+            below = on.copy()
+            below[:, c] = np.nextafter(top[c], -np.inf)
+            faces += [on, below]
+        queries = np.vstack([inner, *faces])
+        dist, idx = _warm_query(index, queries)
+        _assert_kd_answer(ref, queries, dist, idx)
+
+    def test_answers_do_not_depend_on_the_split_into_calls(self, rng):
+        """One stream queried as one call and, on a fresh index, as calls of
+        random sizes across the 8192-point passes: the same answers, bit
+        for bit, and the same certified total."""
+        ref = _surface(rng, 1200)
+        n = 20000
+        queries = ref[rng.integers(0, 1200, n)] + rng.normal(0, 0.03, (n, 3))
+        queries[rng.random(n) < 0.1] *= 4.0
+        whole = build_index(PointCloud(ref))
+        dist, idx = whole.query(queries)
+        split = build_index(PointCloud(ref))
+        cuts = np.sort(rng.choice(np.arange(1, n), 6, replace=False))
+        parts = [split.query(part) for part in np.split(queries, cuts)]
+        np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]).view(np.int64),
+                                      dist.view(np.int64))
+        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), idx)
+        assert split.queried == whole.queried == n
+        assert split.certified == whole.certified
+        assert split.filled == whole.filled
+        _assert_kd_answer(ref, queries, dist, idx)
+
+    def test_non_finite_points_get_the_marker_and_skip_the_kd_tree(self, rng):
+        """The kd-tree rejects a non-finite coordinate; such a point has no
+        reference point at a finite distance and gets (inf, len(reference))."""
+        ref = _surface(rng, 300)
+        index = build_index(PointCloud(ref))
+        tree = index._tree
+
+        class FiniteOnly:
+            def query(self, points, *args, **kwargs):
+                assert np.isfinite(points).all()
+                return tree.query(points, *args, **kwargs)
+
+            def query_ball_point(self, *args, **kwargs):
+                return tree.query_ball_point(*args, **kwargs)
+
+        index._tree = FiniteOnly()
+        queries = np.array([[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0], [0.0, 0.2, -np.inf],
+                            [5.0, 5.0, 5.0], [np.nan, np.nan, np.nan], ref[3]])
+        dist, idx = index.query(queries)
+        np.testing.assert_array_equal(dist[[0, 1, 2, 4]], np.inf)
+        np.testing.assert_array_equal(idx[[0, 1, 2, 4]], 300)
+        assert idx[5] == 3 and dist[5] == 0.0
+        _assert_kd_answer(ref, queries[[3, 5]], dist[[3, 5]], idx[[3, 5]])
+        assert index.queried == 6
 
     @settings(max_examples=80, deadline=None)
     @given(lattice_clouds, lattice_clouds, st.integers(min_value=0, max_value=2**32 - 1))
@@ -278,7 +376,7 @@ class TestReshuffledBatches:
                 ReshuffledBatches(10, m, _streams(1))
 
 
-class TestMatchBatch:
+class TestMatchStackedOneRow:
     """match_stacked on the one-pose batches of a K=1 stack."""
 
     def test_fields_and_lengths(self, rng):
@@ -340,7 +438,7 @@ class TestMatchBatch:
 
 class TestMatchStacked:
     @pytest.mark.parametrize("with_normals", [False, True])
-    def test_rows_against_linear_scan_and_match_batch(self, rng, with_normals):
+    def test_rows_against_linear_scan_and_one_row_stacks(self, rng, with_normals):
         """Every row of a K=3 stack: the mask is exactly the max_dist and
         zero-normal rejection of the brute-force matches, and the row equals
         the match of that batch alone (a K=1 stack)."""

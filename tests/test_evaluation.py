@@ -376,6 +376,18 @@ class TestMcGroundTruth:
         b = mc_ground_truth(src, ref, 5, cfg, trans_range=0.05, rot_range=0.02)
         np.testing.assert_array_equal(a.samples, b.samples)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_moved_points_freeze_restarts(self, rng):
+        """Restarts whose moved points overflow to inf or nan are frozen
+        and dropped, not passed to the kd-tree: with every one failing, the
+        error counts them, and the overflow warns nothing."""
+        _, ref = self._scene(rng)
+        src = PointCloud([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        cfg = IcpConfig(batch_size=3, iterations=2, seed=1)
+        with pytest.raises(NumericalError, match=r"^4 of 4 restarts failed$"):
+            mc_ground_truth(src, ref, 4, cfg, center=(0, 0, 0, 0, 0, np.pi / 4),
+                            trans_range=0.01, rot_range=0.01)
+
     def test_all_failures_raise(self, rng):
         src, ref = self._scene(rng)
         far = PointCloud(src.points + [50.0, 0.0, 0.0])

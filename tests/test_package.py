@@ -291,3 +291,113 @@ def test_detects_a_command_list_mismatch():
         "cli docstring: bench is not a command", "cli docstring: synth is missing",
         "README: bench is not a command", "README: synth is missing",
     ]
+
+
+TRACING = PERFBENCH / "tracing.py"
+
+# Wrapped names that no caller reaches through the wrapped module, kept on
+# purpose.
+UNCALLED_ON_PURPOSE = {
+    # The engine computes its bandwidths inside stein_direction, so this
+    # wrapper never fires and stein.bandwidth_s reads 0; the benchmark is to
+    # drop or redefine that metric at its next change (ROADMAP item 1).
+    "stein.median_bandwidth: no call through stein",
+}
+
+
+def _wrapped_attributes(tracing: ast.Module) -> list:
+    """(owner, attr) of every w(owner, "attr", ...) call in tracing's
+    install(), the owner as source text: "stein", "correspondence.NeighborIndex"."""
+    install = next(node for node in tracing.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    return [(ast.unparse(node.args[0]), node.args[1].value) for node in ast.walk(install)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "w"]
+
+
+def _bound_names(body: list) -> set:
+    """Names a module or class body binds: defs, classes, imports and
+    assignments."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _called(tree: ast.AST, attr: str, owner: str | None) -> bool:
+    """Whether tree calls attr as a bare name (owner None), as owner.attr,
+    or, for owner "*", as an attribute of anything."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if owner is None and isinstance(f, ast.Name) and f.id == attr:
+            return True
+        if (isinstance(f, ast.Attribute) and f.attr == attr
+                and owner in ("*", ast.unparse(f.value))):
+            return True
+    return False
+
+
+def _tracing_breaches(tracing: ast.Module, modules: dict, callers: dict) -> list:
+    """Every attribute tracing's install() wraps must exist on its owner, a
+    package module or a class in one. A module attribute must be called
+    where the wrapper replaces it: by its module as a bare name, or by a
+    caller module as module.attr. A method must be called as x.attr by some
+    package module."""
+    bad = []
+    for owner, attr in _wrapped_attributes(tracing):
+        module, *classes = owner.split(".")
+        tree = modules.get(f"{module}.py")
+        body = tree.body if tree is not None else []
+        for name in classes:
+            body = next((node.body for node in body
+                         if isinstance(node, ast.ClassDef) and node.name == name), [])
+        if attr not in _bound_names(body):
+            bad.append(f"{owner}.{attr}: no such attribute")
+        elif classes:
+            if not any(_called(t, attr, "*") for t in modules.values()):
+                bad.append(f"{owner}.{attr}: no call")
+        elif not (_called(tree, attr, None)
+                  or any(_called(t, attr, module) for t in callers.values())):
+            bad.append(f"{owner}.{attr}: no call through {module}")
+    return bad
+
+
+def test_tracing_wraps_names_the_program_calls():
+    """perfbench/tracing.py times layers by replacing module attributes;
+    a wrapper on a missing or uncalled name would read 0 without failing.
+    The file is read, never imported or edited."""
+    modules = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    callers = {p.name: ast.parse(p.read_text(), filename=str(p))
+               for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_")}
+    tracing = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    wrapped = _wrapped_attributes(tracing)
+    assert ("stein", "build_index") in wrapped
+    assert ("correspondence.NeighborIndex", "query") in wrapped
+    assert set(_tracing_breaches(tracing, modules, callers)) == UNCALLED_ON_PURPOSE
+
+
+def test_detects_a_wrapper_that_cannot_fire():
+    tracing = ast.parse(
+        "def install(tracer):\n    w = tracer.wrap\n"
+        "    w(a, 'inner', 'a.inner')\n    w(a, 'entry', 'a.entry')\n"
+        "    w(a, 'idle', 'a.idle')\n    w(a, 'gone', 'a.gone')\n"
+        "    w(a.Index, 'query', 'a.query')\n    w(a.Index, 'fill', 'a.fill')\n"
+        "    w(a.Gone, 'query', 'a.gone_query')\n    w(b, 'x', 'b.x')\n")
+    modules = {"a.py": ast.parse("from m import inner\n\ndef entry():\n    return inner()\n\n"
+                                 "def idle():\n    pass\n\nclass Index:\n"
+                                 "    def query(self):\n        pass\n\n"
+                                 "    def fill(self):\n        pass\n\n"
+                                 "def use(index):\n    return index.query()\n")}
+    callers = {"run.py": ast.parse("import a\na.entry()\nidle()\n")}
+    assert _tracing_breaches(tracing, modules, callers) == [
+        "a.idle: no call through a", "a.gone: no such attribute",
+        "a.Index.fill: no call", "a.Gone.query: no such attribute",
+        "b.x: no such attribute",
+    ]

@@ -6,6 +6,7 @@ import pytest
 
 from stein_icp import (
     AdamState,
+    DivergedError,
     IcpConfig,
     InputError,
     PointCloud,
@@ -283,3 +284,20 @@ class TestRunSgdIcp:
         cfg = IcpConfig(metric="plane", batch_size=30, iterations=3)
         with pytest.raises(InputError):
             run_sgd_icp(ref, ref, Pose6D(), cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_moved_point_diverges(self, rng):
+        """Under a 45-degree yaw, R p of a point near the float limit
+        overflows to inf or nan: the matcher gives it no neighbor (it never
+        reaches the kd-tree), the run raises DivergedError naming the
+        iteration and the particle, and the overflow warns nothing."""
+        ref = self._clouds(rng, 100)
+        src = PointCloud([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        init = np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi / 4])
+        moved = transform_stacked(rotation_from_euler(init[3:4], init[4:5], init[5:6]),
+                                  init[None, :3], src.points[None])
+        assert not np.isfinite(moved[0, 0]).all()
+        cfg = IcpConfig(batch_size=3, iterations=2)
+        with pytest.raises(DivergedError, match=r"^iteration 0: particle\(s\) \[0\] left the "
+                                                r"floating-point range"):
+            run_sgd_icp(src, ref, init, cfg)

@@ -718,15 +718,19 @@ class TestParticleEngine:
 
     def test_match_counts(self, rng):
         """Every matched point is counted once; the grid certifies most of
-        them on a registration that converges."""
+        them on a registration that converges, and each grid cell is
+        filled at most once."""
         ref = _wavy_cloud(rng, 400)
         src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01))
         cfg = SteinConfig(particles=5, batch_size=60, step_size=0.01, iterations=30,
                           seed=4, trans_range=0.05, rot_range=0.02)
         _, result = run_stein_icp(src, ref, cfg, full_output=True)
-        assert result.match_counts["queried"] == 5 * 60 * 30
-        assert 0.5 * 5 * 60 * 30 < result.match_counts["certified"] <= 5 * 60 * 30
-        assert "certified" not in result.timings
+        counts = result.match_counts
+        assert set(counts) == {"queried", "certified", "filled"}
+        assert counts["queried"] == 5 * 60 * 30
+        assert 0.5 * 5 * 60 * 30 < counts["certified"] <= 5 * 60 * 30
+        assert 0 < counts["filled"] < counts["queried"]
+        assert "certified" not in result.timings and "filled" not in result.timings
 
     def test_noninteracting_freezes_failed_restarts(self, rng):
         ref = _wavy_cloud(rng, 100)
