@@ -10,8 +10,10 @@ particles; --threads accepts only 1.
 Each solver option is the IcpConfig/SteinConfig field of the same name
 (the prior options map onto PriorConfig's fields) and takes that field's
 dataclass default; this module holds only its parser. register runs one
-solve path: --method sgd is a one-particle Stein run without a prior
-(sgd_equivalent_config), which reproduces run_sgd_icp bit for bit.
+solve path, the Stein engine at the median-heuristic kernel bandwidth; the
+one-pose SGD-ICP baseline is `--particles 1 --trans-range 0 --rot-range 0`
+(from --init-center, without a prior), which reproduces run_sgd_icp bit
+for bit.
 Next to its samples and summary, register writes diagnostics.json: the
 solve's wall time (seconds), the engine loop's own time (engine_seconds),
 the five phase times on that loop's clock (phases), the share of matched
@@ -49,8 +51,7 @@ from .geometry import Pose6D
 from .odometry import (build_trajectory, check_level, check_order, ellipse_rows,
                        trajectory_rows)
 from .sgd import IcpConfig
-from .stein import (UNIFORM_PRIOR, PriorConfig, SteinConfig, run_stein_icp,
-                    sgd_equivalent_config)
+from .stein import UNIFORM_PRIOR, PriorConfig, SteinConfig, run_stein_icp
 from .synthetic import BLOCK_GAP, make_scene
 
 __all__ = ["main"]
@@ -89,10 +90,6 @@ def _parse_threads(s) -> int:
     return 1
 
 
-def _parse_bandwidth(s):
-    return s if s == "median" else float(s)
-
-
 def _parse_bool(s) -> bool:
     if isinstance(s, bool):
         return s
@@ -106,7 +103,6 @@ def _parse_bool(s) -> bool:
 
 # What each parser accepts, for the message naming a value it rejects.
 _EXPECTED = {int: "an integer", float: "a number", _parse_natural: "a non-negative integer",
-             _parse_bandwidth: "'median' or a number",
              _parse_threads: "1 (the solver is single-threaded)"}
 
 
@@ -118,7 +114,7 @@ _SOLVER_PARSERS = {
     "metric": str, "batch_size": int, "step_size": float, "iterations": int,
     "max_dist": float, "optimizer": str, "likelihood_scale": float,
     "seed": _parse_natural,
-    "particles": int, "bandwidth": _parse_bandwidth, "repulsion": _parse_bool,
+    "particles": int, "repulsion": _parse_bool,
     "init_center": _parse_pose,
     "trans_range": _parse_range, "rot_range": _parse_range,
     "prior": str, "prior_mean": _parse_pose, "prior_variance": _parse_triple,
@@ -283,11 +279,7 @@ def _print_pose(label: str, pose: np.ndarray) -> None:
 
 def cmd_register(cfg: dict) -> int:
     """estimate the pose posterior aligning --source onto --reference"""
-    if cfg["method"] not in ("stein", "sgd"):
-        raise InputError(f"method must be 'stein' or 'sgd', got {cfg['method']!r}")
     config, prior = _config(SteinConfig, cfg), _prior_config(cfg)
-    if cfg["method"] == "sgd":
-        config, prior = sgd_equivalent_config(config, config.init_center), UNIFORM_PRIOR
     source, reference = _load_pair(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -318,11 +310,8 @@ def cmd_ground_truth(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    dist = mc_ground_truth(
-        source, reference, cfg["runs"], _config(IcpConfig, cfg),
-        trans_range=cfg["trans_range"], rot_range=cfg["rot_range"],
-        center=cfg["init_center"],
-    )
+    dist = mc_ground_truth(source, reference, cfg["runs"], _config(IcpConfig, cfg),
+                           **{name: cfg[name] for name in _INIT})
     elapsed = time.perf_counter() - start
     _write_csv(DIMENSION_NAMES, dist.samples, out / "mc_samples.csv")
     _write_json(_summary_payload(dist), out / "mc_summary.json")
@@ -430,7 +419,7 @@ def cmd_synth(cfg: dict) -> int:
 _COMMANDS = {
     "register": (cmd_register, {
         "source": (str, REQUIRED), "reference": (str, REQUIRED),
-        "method": (str, "stein"), "out": (str, "."), "trace": (_parse_bool, False),
+        "out": (str, "."), "trace": (_parse_bool, False),
         **_STEIN, **_PRIOR, **_RUN,
     }),
     "ground-truth": (cmd_ground_truth, {

@@ -335,6 +335,6 @@ def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | No
         keep &= dist <= max_dist
     normals = None
     if with_normals:
-        normals = index.reference.normals[ref_idx]
+        normals = np.take(index.reference.normals, ref_idx, axis=0)
         keep &= np.einsum("...i,...i->...", normals, normals) > 0.5
-    return index.reference.points[ref_idx], normals, dist, keep
+    return np.take(index.reference.points, ref_idx, axis=0), normals, dist, keep

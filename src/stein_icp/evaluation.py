@@ -296,22 +296,24 @@ def relative_pose_error(estimated, ground_truth, delta: int = 1):
 
 
 def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
-                    *, trans_range=None, rot_range=None, center=None) -> PoseDistribution:
+                    **init_box) -> PoseDistribution:
     """Reference posterior from n independent SGD-ICP restarts.
 
-    Initializations are uniform per dimension in center +- range; a box
-    value left at None takes SteinConfig's default (init_center,
-    trans_range, rot_range). Each restart has its own seed stream and its
-    own optimizer state and shares nothing with the others; they are
-    evaluated as one uncoupled particle batch so the nearest-neighbor
-    queries vectorize. A restart that fails numerically is dropped; more
+    Initializations are uniform per dimension in init_center +- range:
+    init_box holds SteinConfig's init_center, trans_range and rot_range
+    keywords, and one left out takes that field's default. Each restart
+    has its own seed stream and its own optimizer state and shares nothing
+    with the others; they are evaluated as one uncoupled particle batch so
+    the nearest-neighbor queries vectorize. A restart that fails numerically is dropped; more
     than half failing is an error.
     """
     from .stein import _STREAM_MC_INIT, SteinConfig, run_particle_engine, sample_initial_particles
 
     check_count("n", n, 1)
-    box = {"init_center": center, "trans_range": trans_range, "rot_range": rot_range}
-    bounds = SteinConfig(**{k: v for k, v in box.items() if v is not None}).init_bounds()
+    unknown = sorted(init_box.keys() - {"init_center", "trans_range", "rot_range"})
+    if unknown:
+        raise TypeError(f"mc_ground_truth() got unexpected keyword(s) {unknown}")
+    bounds = SteinConfig(**init_box).init_bounds()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_MC_INIT]))
     inits = sample_initial_particles(n, bounds, rng)
     result = run_particle_engine(source, reference, inits, config,

@@ -27,18 +27,16 @@ yaw), one pose per row.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .cloud import PointCloud
 from .correspondence import ReshuffledBatches, build_index, match_stacked
-from .errors import (DivergedError, InputError, MatchRejectionError, check_count,
-                     check_real, real_array)
+from .errors import DivergedError, InputError, MatchRejectionError, check_count, real_array
 from .evaluation import PoseDistribution
-from .geometry import (pose_array, rotation_from_euler, rotation_partials, transform_stacked,
-                       wrap_angle)
+from .geometry import rotation_from_euler, rotation_partials, transform_stacked, wrap_angle
 from .sgd import AdamState, IcpConfig, adam_step, stacked_cost_gradients
 
 __all__ = [
@@ -52,7 +50,6 @@ __all__ = [
     "run_stein_icp",
     "run_particle_engine",
     "EngineResult",
-    "sgd_equivalent_config",
 ]
 
 # Sub-stream labels under the run seed; keeps every random draw addressable.
@@ -70,17 +67,17 @@ class SteinConfig(IcpConfig):
 
     particles is the integer swarm size K. init_center / trans_range /
     rot_range define per-dimension uniform init intervals center +- range
-    (ranges may be scalars or 3-sequences). bandwidth is "median" or a
-    fixed positive float used for both blocks. The update direction is
-    always the kernel mean over the K particles (stein_direction);
-    repulsion=False drops the kernel-gradient term (the deliberately
-    collapsed baseline used in evaluations). Minibatches come from random
-    reshuffling, one permutation per particle per epoch, each particle from
-    its own seed stream.
+    (ranges may be scalars or 3-sequences). The update direction is always
+    the kernel mean over the K particles (stein_direction), each block's
+    bandwidth the median heuristic; repulsion=False drops the
+    kernel-gradient term (the deliberately collapsed baseline used in
+    evaluations). Minibatches come from random reshuffling, one
+    permutation per particle per epoch, each particle from its own seed
+    stream. One particle with both ranges 0 and no prior is the one-pose
+    SGD-ICP run from init_center: it reproduces run_sgd_icp bit for bit.
     """
 
     particles: int = 100
-    bandwidth: object = "median"
     repulsion: bool = True
     init_center: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     trans_range: object = 1.0
@@ -89,11 +86,6 @@ class SteinConfig(IcpConfig):
     def __post_init__(self):
         super().__post_init__()
         check_count("particles", self.particles, 1)
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "median":
-                raise InputError(f"bandwidth must be 'median' or a number, got {self.bandwidth!r}")
-        else:
-            check_real("bandwidth", self.bandwidth)
         self.init_bounds()
 
     def init_bounds(self) -> np.ndarray:
@@ -227,7 +219,7 @@ def _median_heuristic(sq: np.ndarray, K: int) -> float:
 def median_bandwidth(block: np.ndarray, angular: bool = False) -> float:
     """Median heuristic: median squared pairwise distance over log K, angle
     differences wrapped when angular; the one-block view of the bandwidth
-    stein_direction computes for h="median". One particle gives h = 1;
+    stein_direction computes. One particle gives h = 1;
     coincident particles hit the 1e-8 floor."""
     block = np.atleast_2d(np.asarray(block, dtype=float))
     if angular:
@@ -250,8 +242,7 @@ def _wrap_turns(col: np.ndarray, kmat: np.ndarray) -> np.ndarray:
 
 
 def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
-                    prior: PriorConfig, h_trans, h_rot,
-                    *, repulsion: bool = True) -> np.ndarray:
+                    prior: PriorConfig, *, repulsion: bool = True) -> np.ndarray:
     """Update direction for every particle, shape (K, 6).
 
     For target particle i and source particles j, with driving term
@@ -261,10 +252,9 @@ def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
 
     computed blockwise: a squared-exponential kernel exp(-||delta||^2 / h)
     on translation differences [:3] and on wrapped angle differences [3:].
-    h_trans and h_rot are each a positive float or "median", which takes
-    the median heuristic of that block (median_bandwidth) from the same
-    pair distances the kernel uses. The direction is always the mean over
-    the K source particles, the SVGD update of Liu & Wang (2016).
+    Each block's h is its median heuristic (median_bandwidth), taken from
+    the same pair distances the kernel uses. The direction is always the
+    mean over the K source particles, the SVGD update of Liu & Wang (2016).
     repulsion=False drops the grad_j k term, which makes co-located
     particles move in lockstep and collapse.
 
@@ -291,13 +281,12 @@ def stein_direction(particles: np.ndarray, likelihood_grads: np.ndarray,
         return driving + 0.0
 
     out = np.empty_like(theta)
-    blocks = ((slice(0, 3), theta[:, :3], h_trans, False),
-              (slice(3, 6), wrap_angle(theta[:, 3:]), h_rot, True))
-    for sl, x, h, angular in blocks:
+    blocks = ((slice(0, 3), theta[:, :3], False),
+              (slice(3, 6), wrap_angle(theta[:, 3:]), True))
+    for sl, x, angular in blocks:
         wraps = _wrapping_columns(x, angular)
         sq = _condensed_sq(x, wraps)
-        if h == "median":
-            h = _median_heuristic(sq, K)
+        h = _median_heuristic(sq, K)
         sq /= -h
         kmat = squareform(np.exp(sq, out=sq), checks=False)    # (K, K), symmetric
         np.fill_diagonal(kmat, 1.0)
@@ -377,23 +366,19 @@ class EngineResult:
     match_counts: dict = field(default_factory=dict)
 
 
-def _stein_params(config: IcpConfig):
-    """Kernel settings; a plain IcpConfig runs at SteinConfig's defaults."""
-    stein = config if isinstance(config, SteinConfig) else SteinConfig()
-    return stein.bandwidth, stein.repulsion
-
-
 def run_particle_engine(source: PointCloud, reference: PointCloud,
                         particles: np.ndarray, config: IcpConfig,
                         prior: PriorConfig = UNIFORM_PRIOR, *,
-                        interacting: bool = True,
+                        interacting: bool = True, repulsion: bool = True,
                         record_trace: bool = False) -> EngineResult:
     """Iterate the particle population. Both public optimizers reduce to
     this loop, which is what makes the K=1 equivalence exact.
 
     interacting=True applies the kernel coupling (Stein mode, failures
-    raise); interacting=False treats particles as independent restarts
+    raise), with the kernel-gradient term unless repulsion=False;
+    interacting=False treats particles as independent restarts
     (Monte-Carlo mode, failures freeze the particle and are reported).
+    Of config the engine reads only the IcpConfig fields.
     Every iteration runs all live particles through the stacked kernels
     in one array pass: the engine is single-threaded and data-parallel
     over particles.
@@ -414,7 +399,6 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     K = theta.shape[0]
     N = len(source)
     scale = float(N) if config.likelihood_scale is None else float(config.likelihood_scale)
-    bandwidth, repulsion = _stein_params(config)
     use_plane = config.metric == "plane"
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PARTICLE, j]))
             for j in range(K)]
@@ -443,7 +427,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         t0 = time.perf_counter()
         th = theta[live]
         R = rotation_from_euler(th[:, 3], th[:, 4], th[:, 5])       # (Ka, 3, 3)
-        batches = source.points[idx]                                 # (Ka, m, 3)
+        batches = np.take(source.points, idx, axis=0)                # (Ka, m, 3)
         moved = transform_stacked(R, th[:, :3], batches)
         timings["transform"] += time.perf_counter() - t0
 
@@ -480,8 +464,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         cost_trace[it] = float(costs.mean())
 
         if interacting:
-            dirs = stein_direction(th, scale * grads, prior, bandwidth, bandwidth,
-                                   repulsion=repulsion)
+            dirs = stein_direction(th, scale * grads, prior, repulsion=repulsion)
         else:
             dirs = -scale * grads
         timings["gradients"] += time.perf_counter() - t0
@@ -546,16 +529,10 @@ def run_stein_icp(source: PointCloud, reference: PointCloud, config: SteinConfig
             raise InputError(
                 f"initial_particles must be ({config.particles}, 6), got {particles.shape}")
     result = run_particle_engine(source, reference, particles, config, prior,
-                                 interacting=True, record_trace=full_output)
+                                 interacting=True, repulsion=config.repulsion,
+                                 record_trace=full_output)
     dist = PoseDistribution.from_samples(result.particles)
     if full_output:
         return dist, result
     return dist
 
-
-def sgd_equivalent_config(config: IcpConfig, init) -> SteinConfig:
-    """SteinConfig whose one-particle run reproduces run_sgd_icp(init, config).
-    init is a Pose6D or 6 numbers (pose_array); anything else raises InputError."""
-    base = {f.name: getattr(config, f.name) for f in dataclass_fields(IcpConfig)}
-    return SteinConfig(**base, particles=1, init_center=tuple(pose_array(init)),
-                       trans_range=0.0, rot_range=0.0)

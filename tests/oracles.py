@@ -145,11 +145,12 @@ def naive_median_bandwidth(block, angular=False):
     return max(float(np.median(sq)) / np.log(K), 1e-8)
 
 
-def naive_stein_direction(particles, grads, prior, h_trans, h_rot, repulsion=True):
+def naive_stein_direction(particles, grads, prior, h_trans="median", h_rot="median",
+                          repulsion=True):
     """Double loop over (target, source) particle pairs built from the
     kernel functions above, averaged over the sources; the vectorized
-    version must match this. h_trans / h_rot may be "median", which takes
-    naive_median_bandwidth."""
+    version must match this. h_trans / h_rot are "median", which takes
+    naive_median_bandwidth, or a given bandwidth."""
     theta = np.atleast_2d(np.asarray(particles, dtype=float))
     g = np.atleast_2d(np.asarray(grads, dtype=float))
     K = theta.shape[0]

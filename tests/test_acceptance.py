@@ -32,7 +32,6 @@ from stein_icp import (
     rotation_partials,
     run_sgd_icp,
     run_stein_icp,
-    sgd_equivalent_config,
     stacked_cost_gradients,
     transform_stacked,
     wrap_angle,
@@ -149,9 +148,10 @@ def test_criterion_02_single_particle_reproduces_plain_sgd_icp():
     source, reference, _ = make_scene("blob", n=2000, seed=2)
     init = Pose6D(0.05, -0.02, 0.01, 0.02, -0.01, 0.1)
     config = IcpConfig(batch_size=100, step_size=0.02, iterations=100, seed=3)
+    one = SteinConfig(batch_size=100, step_size=0.02, iterations=100, seed=3, particles=1,
+                      init_center=tuple(init.to_array()), trans_range=0.0, rot_range=0.0)
     _, diag = run_sgd_icp(source, reference, init, config)
-    _, engine = run_stein_icp(source, reference, sgd_equivalent_config(config, init),
-                              full_output=True)
+    _, engine = run_stein_icp(source, reference, one, full_output=True)
     same_path = np.array_equal(engine.particle_trace[:, 0, :], diag.pose_trace)
     same_cost = np.array_equal(engine.cost_trace, diag.cost_trace)
     _report(2, same_path and same_cost,

@@ -40,8 +40,11 @@ _GT_FAST = ["--runs", "4", "--iterations", "15", "--batch-size", "60",
 
 
 # The numeric options of _SOLVER_PARSERS, each a SteinConfig field.
-_NUMERIC_SOLVER_OPTIONS = ("batch_size", "step_size", "iterations", "max_dist",
-                           "likelihood_scale", "seed", "particles", "bandwidth")
+_NUMERIC_SOLVER_OPTIONS = tuple(name for name, parse in cli._SOLVER_PARSERS.items()
+                                if parse in (int, float, cli._parse_natural))
+
+# The one-pose SGD-ICP baseline: one particle starting at --init-center.
+_ONE_POSE = ["--particles", "1", "--trans-range", "0", "--rot-range", "0"]
 
 
 class _ConfigAccepted(Exception):
@@ -117,7 +120,7 @@ class TestRegister:
         assert {p.name for p in out.iterdir()} == artifacts
         assert _register(src, ref, tmp_path / "traced", "--trace", "1") == 0
         assert {p.name for p in (tmp_path / "traced").iterdir()} == artifacts | {"trace.csv"}
-        assert _register(src, ref, tmp_path / "sgd", "--method", "sgd") == 0
+        assert _register(src, ref, tmp_path / "sgd", *_ONE_POSE) == 0
         assert {p.name for p in (tmp_path / "sgd").iterdir()} == artifacts
 
     def test_reruns_are_byte_identical(self, pair, tmp_path):
@@ -141,11 +144,11 @@ class TestRegister:
         assert _register(src, ref, tmp_path / "nan", "--step-size", "nan") == 2
 
     def test_sgd_method_gives_single_sample(self, pair, tmp_path):
-        """--method sgd is the one-particle engine run: its one sample and
-        its trace equal run_sgd_icp's pose and traces bit for bit."""
+        """The one-pose baseline is the one-particle engine run: its one
+        sample and its trace equal run_sgd_icp's pose and traces bit for bit."""
         src, ref = pair
         out = tmp_path / "sgd"
-        assert _register(src, ref, out, "--method", "sgd", "--trace", "true") == 0
+        assert _register(src, ref, out, *_ONE_POSE, "--trace", "true") == 0
         pose, diag = run_sgd_icp(load_cloud(src), load_cloud(ref), Pose6D(),
                                  IcpConfig(batch_size=60, iterations=15))
         samples = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -155,22 +158,34 @@ class TestRegister:
         np.testing.assert_array_equal(trace[:, 1], diag.cost_trace)
         np.testing.assert_array_equal(trace[:, 2:], diag.pose_trace[1:])
 
-    def test_unknown_method(self, pair, tmp_path, capsys):
-        """The method is checked before any cloud is read."""
-        _, ref = pair
-        rc = main(["register", "--source", str(tmp_path / "absent.ply"),
-                   "--reference", str(ref), "--out", str(tmp_path / "o"), "--method", "em"])
-        assert rc == 2
-        assert "method must be 'stein' or 'sgd', got 'em'" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, option, value", [
+        ("register", "method", "sgd"),
+        ("register", "bandwidth", "median"),
+        ("odometry", "bandwidth", "median"),
+    ], ids=["method", "bandwidth", "odometry-bandwidth"])
+    def test_retired_option_is_not_an_option(self, tmp_path, capsys, command, option, value):
+        """One solve path at the median-heuristic bandwidth: neither the
+        flag nor the config key that chose another exists."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, f"--{option}", value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+        ini = tmp_path / "retired.ini"
+        ini.write_text(f"[{command}]\n{option} = {value}\n")
+        assert main([command, "--config", str(ini)]) == 2
+        assert (f"unknown config key '{option}' for command '{command}'"
+                in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("method", ["stein", "sgd"])
+    @pytest.mark.parametrize("run", ["stein", "sgd"])
     @pytest.mark.parametrize("flags, message", [
         (["--prior", "gaussian"], "prior kind must be 'uniform' or 'informed'"),
         (["--prior", "informed", "--prior-variance=-1,1,1"], "trans_variance must be"),
     ])
-    def test_prior_flags_are_validated(self, pair, tmp_path, capsys, method, flags, message):
+    def test_prior_flags_are_validated(self, pair, tmp_path, capsys, run, flags, message):
+        """Checked for the swarm and for the one-pose baseline alike."""
         src, ref = pair
-        assert _register(src, ref, tmp_path / "p", "--method", method, *flags) == 2
+        run_flags = _ONE_POSE if run == "sgd" else []
+        assert _register(src, ref, tmp_path / "p", *run_flags, *flags) == 2
         assert message in capsys.readouterr().err
 
     @settings(max_examples=200, deadline=None)
@@ -319,7 +334,6 @@ class TestRegister:
     @pytest.mark.parametrize("flag, value, message", [
         ("--iterations", "abc", "--iterations: expected an integer, got 'abc'"),
         ("--step-size", "fast", "--step-size: expected a number, got 'fast'"),
-        ("--bandwidth", "wide", "--bandwidth: expected 'median' or a number, got 'wide'"),
         ("--init-center", "0,0,x,0,0,0",
          "--init-center: expected comma-separated numbers, got '0,0,x,0,0,0'"),
         ("--trans-range", "0.1,0.2", "--trans-range: range must be 1 or 3 numbers"),

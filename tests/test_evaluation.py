@@ -385,7 +385,7 @@ class TestMcGroundTruth:
         src = PointCloud([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         cfg = IcpConfig(batch_size=3, iterations=2, seed=1)
         with pytest.raises(NumericalError, match=r"^4 of 4 restarts failed$"):
-            mc_ground_truth(src, ref, 4, cfg, center=(0, 0, 0, 0, 0, np.pi / 4),
+            mc_ground_truth(src, ref, 4, cfg, init_center=(0, 0, 0, 0, 0, np.pi / 4),
                             trans_range=0.01, rot_range=0.01)
 
     def test_all_failures_raise(self, rng):
@@ -428,7 +428,9 @@ class TestMcGroundTruth:
             with pytest.raises(InputError, match="n must be"):
                 mc_ground_truth(src, ref, n, cfg)
         with pytest.raises(InputError, match="init_center"):
-            mc_ground_truth(src, ref, 2, cfg, center=(float("nan"), 0, 0, 0, 0, 0))
+            mc_ground_truth(src, ref, 2, cfg, init_center=(float("nan"), 0, 0, 0, 0, 0))
+        with pytest.raises(TypeError, match=r"unexpected keyword\(s\) \['particles'\]"):
+            mc_ground_truth(src, ref, 2, cfg, particles=3)
 
 
 class TestSummaries:

@@ -28,7 +28,6 @@ from stein_icp import (
     run_sgd_icp,
     run_stein_icp,
     sample_initial_particles,
-    sgd_equivalent_config,
     stein_direction,
     transform_cloud,
     wrap_angle,
@@ -201,25 +200,24 @@ def full_circle_swarm(rng):
 class TestSteinDirection:
     @pytest.mark.parametrize("K", [1, 2, 5, 20])
     @pytest.mark.parametrize("repulsion", [True, False])
-    @pytest.mark.parametrize("fixed_h", [True, False])
-    def test_matches_double_loop_oracle(self, rng, K, repulsion, fixed_h):
+    @pytest.mark.parametrize("informed", [True, False])
+    def test_matches_double_loop_oracle(self, rng, K, repulsion, informed):
         theta = rng.uniform(-2, 2, (K, 6))
         grads = rng.normal(size=(K, 6))
-        h = (0.7, 0.3) if fixed_h else ("median", "median")
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, *h, repulsion=repulsion)
-        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, *h, repulsion=repulsion)
+        prior = PriorConfig(kind="informed", kappa=(1.0, 2.0, 0.5)) if informed else UNIFORM_PRIOR
+        phi = stein_direction(theta, grads, prior, repulsion=repulsion)
+        oracle = naive_stein_direction(theta, grads, prior, repulsion=repulsion)
         np.testing.assert_allclose(phi, oracle, rtol=1e-11, atol=1e-13)
 
     @pytest.mark.parametrize("repulsion", [True, False])
-    @pytest.mark.parametrize("h", [(0.7, 0.3), ("median", "median")])
-    def test_permutation_equivariant(self, rng, h, repulsion):
+    def test_permutation_equivariant(self, rng, repulsion):
         """Relabelling the particles relabels their directions, particle 0
         included, whose pose the repulsion's product is taken relative to."""
         theta = rng.uniform(-2, 2, (7, 6))
         grads = rng.normal(size=(7, 6))
         perm = np.array([3, 0, 4, 6, 1, 2, 5])
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, *h, repulsion=repulsion)
-        phi_perm = stein_direction(theta[perm], grads[perm], UNIFORM_PRIOR, *h,
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, repulsion=repulsion)
+        phi_perm = stein_direction(theta[perm], grads[perm], UNIFORM_PRIOR,
                                    repulsion=repulsion)
         np.testing.assert_allclose(phi_perm, phi[perm], rtol=1e-11, atol=1e-13)
 
@@ -228,18 +226,17 @@ class TestSteinDirection:
                             trans_variance=(0.5, 0.5, 0.5), kappa=(1.0, 2.0, 0.5))
         theta = rng.uniform(-1, 1, (6, 6))
         grads = rng.normal(size=(6, 6))
-        phi = stein_direction(theta, grads, prior, 1.1, 0.4)
-        oracle = naive_stein_direction(theta, grads, prior, 1.1, 0.4)
+        phi = stein_direction(theta, grads, prior)
+        oracle = naive_stein_direction(theta, grads, prior)
         np.testing.assert_allclose(phi, oracle, rtol=1e-11, atol=1e-13)
 
     @pytest.mark.parametrize("repulsion", [True, False])
     def test_median_bandwidth_matches_oracle_on_full_circle(self, rng, full_circle_swarm,
                                                             repulsion):
         grads = rng.normal(size=(64, 6))
-        phi = stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, "median", "median",
-                              repulsion=repulsion)
+        phi = stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, repulsion=repulsion)
         oracle = naive_stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR,
-                                       "median", "median", repulsion=repulsion)
+                                       repulsion=repulsion)
         np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
 
     def test_matches_oracle_at_ring_size(self, rng):
@@ -248,8 +245,8 @@ class TestSteinDirection:
         theta = rng.uniform(-0.2, 0.2, (256, 6))
         theta[:, 5] = rng.uniform(-np.pi, np.pi, 256)
         grads = rng.normal(size=(256, 6))
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
-        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR)
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR)
         np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("repulsion", [True, False])
@@ -257,14 +254,11 @@ class TestSteinDirection:
         theta = rng.uniform(-0.5, 0.5, (40, 6))
         theta[:, 3:] = rng.uniform(-np.pi, np.pi, (40, 3))
         grads = rng.normal(size=(40, 6))
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median",
-                              repulsion=repulsion)
-        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median",
-                                       repulsion=repulsion)
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, repulsion=repulsion)
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, repulsion=repulsion)
         np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("h", [(0.7, 0.3), ("median", "median")])
-    def test_matches_oracle_across_the_seam(self, rng, h):
+    def test_matches_oracle_across_the_seam(self, rng):
         """Two particles 0.2 rad apart across +-pi in every angle: each is
         repelled away from the seam, not across the circle."""
         theta = np.zeros((2, 6))
@@ -272,10 +266,10 @@ class TestSteinDirection:
         theta[0, 3:] = np.pi - 0.1
         theta[1, 3:] = -np.pi + 0.1
         grads = rng.normal(size=(2, 6))
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, *h)
-        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, *h)
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR)
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR)
         np.testing.assert_allclose(phi, oracle, rtol=1e-11, atol=1e-13)
-        repel = stein_direction(theta, np.zeros((2, 6)), UNIFORM_PRIOR, *h)
+        repel = stein_direction(theta, np.zeros((2, 6)), UNIFORM_PRIOR)
         assert (repel[0, 3:] < 0).all() and (repel[1, 3:] > 0).all()
 
     def test_matches_oracle_on_unwrapped_angles(self, rng):
@@ -287,12 +281,12 @@ class TestSteinDirection:
         unwrapped = theta.copy()
         unwrapped[:, 3:] += 2.0 * np.pi * rng.integers(-3, 4, (30, 3))
         prior = PriorConfig(kind="informed", kappa=(1.0, 2.0, 0.5))
-        phi = stein_direction(unwrapped, grads, prior, "median", "median")
+        phi = stein_direction(unwrapped, grads, prior)
         np.testing.assert_allclose(
-            phi, naive_stein_direction(unwrapped, grads, prior, "median", "median"),
+            phi, naive_stein_direction(unwrapped, grads, prior),
             rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(
-            phi, stein_direction(theta, grads, prior, "median", "median"),
+            phi, stein_direction(theta, grads, prior),
             rtol=1e-10, atol=1e-12)
 
     def test_matches_oracle_far_from_the_origin(self, rng):
@@ -301,8 +295,8 @@ class TestSteinDirection:
         theta = rng.normal(0.0, 1e-3, (20, 6))
         theta[:, :3] += 1000.0
         grads = rng.normal(size=(20, 6))
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
-        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR)
+        oracle = naive_stein_direction(theta, grads, UNIFORM_PRIOR)
         np.testing.assert_allclose(phi, oracle, rtol=1e-10, atol=1e-12)
 
     def test_peak_memory_stays_below_six_kernel_matrices(self, rng):
@@ -314,29 +308,32 @@ class TestSteinDirection:
         grads = rng.normal(size=(K, 6))
         tracemalloc.start()
         try:
-            stein_direction(theta, grads, UNIFORM_PRIOR, "median", "median")
+            stein_direction(theta, grads, UNIFORM_PRIOR)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * K * K
 
     def test_median_equals_explicit_bandwidths(self, rng, full_circle_swarm):
+        """The direction is the oracle's at the bandwidths median_bandwidth
+        gives, so the one-block view names the kernel that runs."""
         grads = rng.normal(size=(64, 6))
         h_t = median_bandwidth(full_circle_swarm[:, :3])
         h_r = median_bandwidth(full_circle_swarm[:, 3:], angular=True)
-        np.testing.assert_array_equal(
-            stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, "median", "median"),
-            stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, h_t, h_r))
+        np.testing.assert_allclose(
+            stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR),
+            naive_stein_direction(full_circle_swarm, grads, UNIFORM_PRIOR, h_t, h_r),
+            rtol=1e-10, atol=1e-12)
 
     def test_single_particle_reduces_to_descent(self, rng):
         g = rng.normal(size=(1, 6))
-        phi = stein_direction(g * 0 + rng.uniform(-1, 1, (1, 6)), g, UNIFORM_PRIOR, 0.5, 0.5)
+        phi = stein_direction(g * 0 + rng.uniform(-1, 1, (1, 6)), g, UNIFORM_PRIOR)
         np.testing.assert_allclose(phi, -g, rtol=1e-12)
 
     def test_zero_gradients_repel(self):
         theta = np.zeros((2, 6))
         theta[1, 0] = 0.3
-        phi = stein_direction(theta, np.zeros((2, 6)), UNIFORM_PRIOR, 1.0, 1.0)
+        phi = stein_direction(theta, np.zeros((2, 6)), UNIFORM_PRIOR)
         assert phi[0, 0] < 0  # pushed away from the particle at +0.3
         assert phi[1, 0] > 0
         # one explicit Euler step must increase the separation
@@ -346,17 +343,15 @@ class TestSteinDirection:
     def test_no_repulsion_keeps_colocated_particles_together(self, rng):
         theta = np.tile(rng.uniform(-1, 1, 6), (4, 1))
         grads = np.tile(rng.normal(size=6), (4, 1))
-        phi = stein_direction(theta, grads, UNIFORM_PRIOR, 0.5, 0.5, repulsion=False)
+        phi = stein_direction(theta, grads, UNIFORM_PRIOR, repulsion=False)
         for k in range(1, 4):
             np.testing.assert_allclose(phi[k], phi[0], rtol=1e-12)
 
     def test_shape_validation(self, rng):
         with pytest.raises(InputError):
-            stein_direction(rng.uniform(size=(3, 6)), rng.uniform(size=(2, 6)),
-                            UNIFORM_PRIOR, 1.0, 1.0)
+            stein_direction(rng.uniform(size=(3, 6)), rng.uniform(size=(2, 6)), UNIFORM_PRIOR)
         with pytest.raises(InputError):
-            stein_direction(rng.uniform(size=(3, 5)), rng.uniform(size=(3, 5)),
-                            UNIFORM_PRIOR, 1.0, 1.0)
+            stein_direction(rng.uniform(size=(3, 5)), rng.uniform(size=(3, 5)), UNIFORM_PRIOR)
 
 
 class TestSampleInitialParticles:
@@ -432,9 +427,9 @@ class TestSteinConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"particles": 0},
-        {"bandwidth": "mean"},
-        {"bandwidth": -0.5},
-        {"bandwidth": 0.0},
+        {"particles": -3},
+        {"batch_size": 0},
+        {"max_dist": -0.5},
         {"init_center": (0.0,) * 5},
         {"trans_range": -0.1},
         {"rot_range": (0.1, 0.2)},
@@ -442,8 +437,8 @@ class TestSteinConfig:
         {"init_center": (0.0, float("nan"), 0.0, 0.0, 0.0, 0.0)},
         {"trans_range": float("inf")},
         {"rot_range": float("nan")},
-        {"bandwidth": True},
-        {"bandwidth": float("inf")},
+        {"optimizer": "rmsprop"},
+        {"likelihood_scale": float("inf")},
         {"particles": True},
         {"particles": 2.0},
         {"iterations": 2.5},
@@ -451,10 +446,6 @@ class TestSteinConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(InputError):
             SteinConfig(**kwargs)
-
-    def test_rejects_a_bandwidth_beyond_the_float_range(self):
-        with pytest.raises(InputError, match=r"^bandwidth must be .* beyond the float range"):
-            SteinConfig(bandwidth=10**400)
 
     @pytest.mark.parametrize("field, make", [
         ("prior mean", lambda big: PriorConfig(mean=(0, 0, big, 0, 0, 0))),
@@ -465,7 +456,7 @@ class TestSteinConfig:
         ("rot_range", lambda big: SteinConfig(rot_range=(0, 0, big))),
         ("init_center", lambda big: mc_ground_truth(
             PointCloud(np.zeros((4, 3))), PointCloud(np.zeros((4, 3))), 4, IcpConfig(),
-            center=(0, 0, 0, big, 0, 0))),
+            init_center=(0, 0, 0, big, 0, 0))),
     ], ids=["prior_mean", "trans_variance", "kappa", "init_center", "trans_range",
             "rot_range", "mc_ground_truth_center"])
     def test_vector_fields_reject_an_int_beyond_the_float_range(self, field, make):
@@ -479,28 +470,17 @@ class TestSteinConfig:
         with pytest.raises(InputError):
             SteinConfig(metric="bogus")
 
-    def test_sgd_equivalent_config(self):
-        base = IcpConfig(metric="plane", batch_size=50, step_size=0.02,
-                         iterations=77, seed=42, likelihood_scale=3.0)
-        cfg = sgd_equivalent_config(base, Pose6D(0.1, 0.2, 0.3, 0.01, 0.02, 0.03))
-        assert cfg.particles == 1
-        assert cfg.metric == "plane" and cfg.batch_size == 50
-        assert cfg.iterations == 77 and cfg.seed == 42
-        assert cfg.likelihood_scale == 3.0
-        np.testing.assert_array_equal(cfg.init_center, [0.1, 0.2, 0.3, 0.01, 0.02, 0.03])
-        bounds = cfg.init_bounds()
-        np.testing.assert_array_equal(bounds[:, 0], bounds[:, 1])
-
 
 class TestParticleEngine:
     def test_single_particle_run_matches_sgd_icp_exactly(self, rng):
         ref = _wavy_cloud(rng, 500)
         src = transform_cloud(ref, Pose6D(0.05, -0.03, 0.02, 0.02, -0.01, 0.04))
         init = Pose6D(0.01, 0.0, 0.0, 0.0, 0.0, -0.02)
-        cfg = IcpConfig(batch_size=100, step_size=0.02, iterations=30, seed=21)
-        pose, diag = run_sgd_icp(src, ref, init, cfg)
-        dist, result = run_stein_icp(src, ref, sgd_equivalent_config(cfg, init),
-                                     full_output=True)
+        knobs = {"batch_size": 100, "step_size": 0.02, "iterations": 30, "seed": 21}
+        pose, diag = run_sgd_icp(src, ref, init, IcpConfig(**knobs))
+        one = SteinConfig(**knobs, particles=1, init_center=tuple(init.to_array()),
+                          trans_range=0.0, rot_range=0.0)
+        dist, result = run_stein_icp(src, ref, one, full_output=True)
         np.testing.assert_array_equal(result.particle_trace[:, 0, :], diag.pose_trace)
         np.testing.assert_array_equal(result.cost_trace, diag.cost_trace)
         np.testing.assert_array_equal(dist.samples[0], pose.to_array())
@@ -513,23 +493,24 @@ class TestParticleEngine:
            seed=st.integers(min_value=0, max_value=2**63))
     def test_one_particle_run_is_sgd_icp(self, metric, optimizer, max_dist, batch_size,
                                         seed):
-        """The engine invariant: a one-particle Stein run on
-        sgd_equivalent_config reproduces run_sgd_icp bit for bit, or fails
-        with the same error."""
+        """The engine invariant: a one-particle Stein run from init with
+        both init ranges 0 reproduces run_sgd_icp bit for bit, or fails with
+        the same error."""
         ref = estimate_normals(_wavy_cloud(np.random.default_rng(8), 120))
         src = transform_cloud(ref, Pose6D(0.04, -0.03, 0.02, 0.03, -0.02, 0.05))
         init = Pose6D(0.01, 0.0, -0.01, 0.0, 0.01, -0.02)
-        cfg = IcpConfig(metric=metric, batch_size=batch_size, step_size=0.01, iterations=10,
-                        max_dist=max_dist, optimizer=optimizer, likelihood_scale=1.0,
-                        seed=seed)
+        knobs = {"metric": metric, "batch_size": batch_size, "step_size": 0.01,
+                 "iterations": 10, "max_dist": max_dist, "optimizer": optimizer,
+                 "likelihood_scale": 1.0, "seed": seed}
+        one = SteinConfig(**knobs, particles=1, init_center=tuple(init.to_array()),
+                          trans_range=0.0, rot_range=0.0)
         try:
-            pose, diag = run_sgd_icp(src, ref, init, cfg)
+            pose, diag = run_sgd_icp(src, ref, init, IcpConfig(**knobs))
         except (DivergedError, MatchRejectionError) as e:
             with pytest.raises(type(e), match=re.escape(str(e))):
-                run_stein_icp(src, ref, sgd_equivalent_config(cfg, init))
+                run_stein_icp(src, ref, one)
             return
-        dist, result = run_stein_icp(src, ref, sgd_equivalent_config(cfg, init),
-                                     full_output=True)
+        dist, result = run_stein_icp(src, ref, one, full_output=True)
         np.testing.assert_array_equal(result.particle_trace[:, 0, :], diag.pose_trace)
         np.testing.assert_array_equal(result.cost_trace, diag.cost_trace)
         np.testing.assert_array_equal(dist.samples[0], pose.to_array())
