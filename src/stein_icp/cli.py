@@ -16,10 +16,12 @@ one-pose SGD-ICP baseline is `--particles 1 --trans-range 0 --rot-range 0`
 for bit.
 Next to its samples and summary, register writes diagnostics.json: the
 solve's wall time (seconds), the engine loop's own time (engine_seconds),
-the five phase times on that loop's clock (phases), the share of matched
-points the cell grid certified (certified_share) and the number of cells
-the grid filled (filled_cells). Timings stay out of summary.json, which is
-byte-stable across reruns.
+the five phase times on that loop's clock (phases), the share of the exact
+index's queries its cell grid certified (certified_share), the number of
+cells that grid filled (filled_cells), the points matched on the coarse
+level (coarse_queries) and the median and largest iteration at which a
+particle moved to the exact index (switch_median, switch_max). Timings
+stay out of summary.json, which is byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -292,7 +294,10 @@ def cmd_register(cfg: dict) -> int:
     _write_json({"seconds": elapsed, "engine_seconds": engine.loop_seconds,
                  "phases": engine.timings,
                  "certified_share": counts["certified"] / counts["queried"],
-                 "filled_cells": counts["filled"]},
+                 "filled_cells": counts["filled"],
+                 "coarse_queries": counts["coarse_queried"],
+                 "switch_median": float(np.median(engine.fine_from)),
+                 "switch_max": int(engine.fine_from.max())},
                 out / "diagnostics.json")
     if cfg["trace"]:
         mean_poses = engine.particle_trace.mean(axis=1)

@@ -369,18 +369,28 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     """Replace all points in each cubic cell by their centroid.
 
     Output order is sorted by voxel index, which makes the result
-    deterministic regardless of input order. Normals are dropped
-    (recompute after downsampling if needed).
+    deterministic regardless of input order. A cell's normal is the mean of
+    its normals, renormalized; a cell whose mean normal has a squared
+    length of 0.5 or less (its normals disagree, or most are the zero
+    marker) gets the zero marker, the test by which match_stacked rejects
+    a pair. The cell keys are floats, so a cloud that spans more than
+    2**63 voxels along an axis groups without wrapping an int64 key.
     """
     check_real("voxel size", voxel)
     pts = cloud.points
     origin = pts.min(axis=0)
-    keys = np.floor((pts - origin) / voxel).astype(np.int64)
+    keys = np.floor((pts - origin) / voxel)
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
     keys_sorted = keys[order]
-    pts_sorted = pts[order]
     new_cell = np.any(np.diff(keys_sorted, axis=0) != 0, axis=1)
     cell_starts = np.r_[0, np.flatnonzero(new_cell) + 1]
-    sums = np.add.reduceat(pts_sorted, cell_starts, axis=0)
-    counts = np.diff(np.r_[cell_starts, len(pts)])
-    return PointCloud(sums / counts[:, None])
+    counts = np.diff(np.r_[cell_starts, len(pts)])[:, None]
+    points = np.add.reduceat(pts[order], cell_starts, axis=0) / counts
+    if cloud.normals is None:
+        return PointCloud(points)
+    normals = np.add.reduceat(cloud.normals[order], cell_starts, axis=0) / counts
+    sq = np.einsum("ni,ni->n", normals, normals)
+    unit = sq > 0.5
+    normals[unit] /= np.sqrt(sq[unit])[:, None]
+    normals[~unit] = 0.0
+    return PointCloud(points, normals)

@@ -8,7 +8,10 @@ the kd-tree's own. The grid keeps each filled cell's candidate ids as one
 row of a slot-major int32 table, and a query works on one transposed
 (3, n) copy of its points, so that certifying a point costs one row gather
 of ids and contiguous passes over (candidate, point) rows (see
-NeighborIndex for the table layout and the passes a query makes).
+NeighborIndex for the table layout and the passes a query makes). The
+index exposes the reference's median nearest-neighbor spacing, which sizes
+the cells and the voxels of the particle engine's coarse matching level,
+itself a NeighborIndex over a voxel copy of the reference.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ class NeighborIndex:
     and index len(reference), the kd-tree's own marker; a non-finite point
     never reaches the kd-tree, which rejects it. `queried`, `certified`
     and `filled` count the points queried, the points answered from the
-    grid and the cells filled.
+    grid and the cells filled. `spacing` is the reference's median
+    nearest-neighbor spacing that sizes the cells (see _grid_shape).
 
     query fills cells and counts as it goes, so it changes the index: one
     index must not be queried concurrently.
@@ -99,7 +103,7 @@ class NeighborIndex:
         self.filled = 0
         pts = reference.points
         self._cols = [np.ascontiguousarray(pts[:, c]) for c in range(3)]
-        self._origin, self._h, self._dims = _grid_shape(pts, tree)
+        self.spacing, self._origin, self._h, self._dims = _grid_shape(pts, tree)
         self._centers = [self._origin[c] + (np.arange(self._dims[c]) + 0.5) * self._h
                          for c in range(3)]
         self._slots = np.full(int(np.prod(self._dims)), -1, dtype=np.int32)
@@ -253,25 +257,28 @@ class NeighborIndex:
 
 
 def _grid_shape(points: np.ndarray, tree: cKDTree):
-    """(origin, h, dims) of the cell grid over points.
+    """(spacing, origin, h, dims): the spacing of points and their cell grid.
 
-    The cell edge h is _CELL_SPACINGS median nearest-neighbor spacings on a
-    strided sample (the extent, or 1, when that is 0 or undefined), grown
-    until the padded bounding box has at most _CELL_BUDGET cells. A box
-    whose extent overflows gets no cells.
+    spacing is the median nearest-neighbor spacing on a strided sample:
+    inf for a single point, 0 when most sampled points have a duplicate,
+    and NaN (not measured) when the extent overflows. The cell edge h is
+    _CELL_SPACINGS spacings (the extent, or 1, when that is 0 or
+    undefined), grown until the padded bounding box has at most
+    _CELL_BUDGET cells. A box whose extent overflows gets no cells.
     """
     lo = points.min(axis=0)
     extent = points.max(axis=0) - lo
     if not np.isfinite(extent).all():
-        return lo, 1.0, np.zeros(3, dtype=np.intp)
+        return np.nan, lo, 1.0, np.zeros(3, dtype=np.intp)
     sample = points[::max(1, len(points) // _SPACING_SAMPLE)]
-    h = _CELL_SPACINGS * float(np.median(tree.query(sample, k=2)[0][:, 1]))
+    spacing = float(np.median(tree.query(sample, k=2)[0][:, 1]))
+    h = _CELL_SPACINGS * spacing
     if not 0.0 < h < np.inf:
         h = max(float(extent.max()), 1.0)
     while np.prod(np.floor(extent / h) + 1 + 2 * _GRID_PAD) > _CELL_BUDGET:
         h *= 1.25
     dims = (np.floor(extent / h) + 1 + 2 * _GRID_PAD).astype(np.intp)
-    return lo - _GRID_PAD * h, h, dims
+    return spacing, lo - _GRID_PAD * h, h, dims
 
 
 def build_index(reference: PointCloud) -> NeighborIndex:

@@ -150,7 +150,6 @@ UNREAD_ON_PURPOSE = {
     "run_sgd_icp",          # the K=1 reference the one-particle engine run must reproduce
     "ovl_coefficient",      # the whole-pose OVL that acceptance criterion 8 grades
     "relative_pose_error",  # the odometry error that acceptance criterion 8 grades
-    "voxel_downsample",     # ROADMAP item 5: coarse-to-fine matching is to call it
 }
 
 

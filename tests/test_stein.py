@@ -707,11 +707,69 @@ class TestParticleEngine:
                           seed=4, trans_range=0.05, rot_range=0.02)
         _, result = run_stein_icp(src, ref, cfg, full_output=True)
         counts = result.match_counts
-        assert set(counts) == {"queried", "certified", "filled"}
-        assert counts["queried"] == 5 * 60 * 30
-        assert 0.5 * 5 * 60 * 30 < counts["certified"] <= 5 * 60 * 30
+        assert set(counts) == {"queried", "certified", "filled", "coarse_queried"}
+        assert counts["queried"] + counts["coarse_queried"] == 5 * 60 * 30
+        assert 0.5 * counts["queried"] < counts["certified"] <= counts["queried"]
         assert 0 < counts["filled"] < counts["queried"]
         assert "certified" not in result.timings and "filled" not in result.timings
+
+    def test_every_particle_matches_exactly_from_a_third_of_the_run(self, rng, monkeypatch):
+        """On a converging run every particle moves to the exact index by
+        iteration iterations // 3, and from then on the exact index answers
+        the K * m queries of every iteration."""
+        ref = _wavy_cloud(rng, 400)
+        src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01))
+        cfg = SteinConfig(particles=5, batch_size=60, step_size=0.01, iterations=30,
+                          seed=4, trans_range=0.05, rot_range=0.02)
+        built = []
+        build = stein.build_index
+
+        def record(cloud):
+            built.append(build(cloud))
+            return built[-1]
+
+        monkeypatch.setattr(stein, "build_index", record)
+        exact_queried = []
+        batches = ReshuffledBatches.batches
+
+        def spy(self, it, rows):
+            exact_queried.append(built[0].queried)
+            return batches(self, it, rows)
+
+        monkeypatch.setattr(ReshuffledBatches, "batches", spy)
+        _, result = run_stein_icp(src, ref, cfg, full_output=True)
+        assert len(built) == 2 and len(built[1].reference) < len(ref)
+        assert result.fine_from.shape == (5,) and (result.fine_from <= 10).all()
+        assert result.match_counts["coarse_queried"] > 0
+        per_iteration = np.diff(exact_queried + [result.match_counts["queried"]])
+        np.testing.assert_array_equal(per_iteration[10:], 5 * 60)
+
+    def test_each_particle_switches_on_its_own_match_distance(self, rng):
+        """A particle on the surface matches exactly after its first
+        iteration; one 0.5 m off it stays on the coarse level until
+        iterations // 3."""
+        ref = _wavy_cloud(rng, 400)
+        cfg = IcpConfig(batch_size=60, step_size=0.001, iterations=9, seed=3)
+        init = np.zeros((2, 6))
+        init[1, 2] = 0.5
+        result = run_particle_engine(ref, ref, init, cfg, interacting=False)
+        np.testing.assert_array_equal(result.fine_from, [1, 3])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0, 0.0]],                                          # no spacing (inf)
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.1, 0.0, 0.0]],  # spacing 0
+        [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]],
+    ], ids=["one-point", "duplicates", "overflowing-extent"])
+    def test_degenerate_reference_matches_on_the_exact_index_alone(self, points):
+        """A reference without a finite positive spacing has no coarse level:
+        every query goes to the exact index from the first iteration."""
+        cfg = IcpConfig(batch_size=1, iterations=6, step_size=0.01)
+        result = run_particle_engine(PointCloud([[0.03, 0.0, 0.0]]), PointCloud(points),
+                                     np.zeros((1, 6)), cfg)
+        np.testing.assert_array_equal(result.fine_from, [0])
+        assert result.match_counts["coarse_queried"] == 0
+        assert result.match_counts["queried"] == 6
 
     def test_noninteracting_freezes_failed_restarts(self, rng):
         ref = _wavy_cloud(rng, 100)
