@@ -18,10 +18,9 @@ Next to its samples and summary, register writes diagnostics.json: the
 solve's wall time (seconds), the engine loop's own time (engine_seconds),
 the five phase times on that loop's clock (phases), the share of the exact
 index's queries its cell grid certified (certified_share), the number of
-cells that grid filled (filled_cells), the points matched on the coarse
-level (coarse_queries) and the median and largest iteration at which a
-particle moved to the exact index (switch_median, switch_max). Timings
-stay out of summary.json, which is byte-stable across reruns.
+cells that grid filled (filled_cells) and the points matched on the coarse
+level (coarse_queries). Timings stay out of summary.json, which is
+byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -295,9 +294,7 @@ def cmd_register(cfg: dict) -> int:
                  "phases": engine.timings,
                  "certified_share": counts["certified"] / counts["queried"],
                  "filled_cells": counts["filled"],
-                 "coarse_queries": counts["coarse_queried"],
-                 "switch_median": float(np.median(engine.fine_from)),
-                 "switch_max": int(engine.fine_from.max())},
+                 "coarse_queries": counts["coarse_queried"]},
                 out / "diagnostics.json")
     if cfg["trace"]:
         mean_poses = engine.particle_trace.mean(axis=1)

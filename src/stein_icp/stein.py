@@ -21,11 +21,9 @@ sum_j k_ij comes from one matrix product, and an angle column whose
 spread reaches pi corrects the pairs whose difference wraps.
 
 Matching is coarse to fine (Jost & Hugli, "A multi-resolution ICP with
-heuristic closest point search", 3DIM 2003): a particle far from the
-surface matches a voxel copy of the reference, whose far queries are
-cheap, and moves to the exact index by a per-particle rule that uses no
-timing; from iteration iterations // 3 on every particle matches exactly
-(see run_particle_engine).
+heuristic closest point search", 3DIM 2003): the first third of the
+iterations match a voxel copy of the reference, whose queries are cheap,
+and the rest match the exact index (see run_particle_engine).
 
 Particles are plain (K, 6) float64 arrays ordered (x, y, z, roll, pitch,
 yaw), one pose per row.
@@ -67,14 +65,13 @@ _STREAM_MC_INIT = 2      # evaluation.mc_ground_truth's restart draws
 _BANDWIDTH_FLOOR = 1e-8
 _TWO_PI = 2.0 * np.pi
 
-# Coarse-to-fine matching, in reference spacings (NeighborIndex.spacing).
-# An 8-spacing voxel leaves most surface points farther than 2 spacings from
-# a centroid, so no particle switches early, and its grid-aligned voxels
-# bias the ring's free yaw: at solver seeds 41002-41004 of the K=256 ring
-# the yaw resultant read 0.23-0.42, against 0.13-0.27 at 4 spacings.
+# Coarse-to-fine matching. An 8-spacing voxel (in NeighborIndex.spacing)
+# biases the ring's free yaw with its grid-aligned centroids: at six solver
+# seeds of the K=256 ring (41002-41004, 42002-44002) the yaw resultant read
+# 0.23-0.46, median 0.36, against 0.09-0.38, median 0.28, at 4 spacings and
+# 0.19-0.37 on the exact index alone (the workload's check fails at 0.5).
 _COARSE_VOXEL = 4         # voxel edge of the coarse copy of the reference
-_FINE_DISTANCE = 2        # median match distance that moves a particle to the exact index
-_COARSE_SHARE = 3         # every particle matches exactly from iterations // 3 on
+_COARSE_SHARE = 3         # the coarse copy answers iterations [0, iterations // 3)
 
 
 @dataclass(frozen=True)
@@ -380,9 +377,6 @@ class EngineResult:
     # The exact index: points it queried, those its cell grid certified and
     # the cells the grid filled; and the points the coarse level queried.
     match_counts: dict = field(default_factory=dict)
-    # (K,) int: the first iteration at which each particle matched the exact
-    # index (0 when the reference has no coarse level).
-    fine_from: np.ndarray | None = None
 
 
 def _coarse_level(index: NeighborIndex) -> NeighborIndex:
@@ -395,29 +389,6 @@ def _coarse_level(index: NeighborIndex) -> NeighborIndex:
     if len(cloud) >= len(index.reference):
         return index
     return build_index(cloud)
-
-
-def _match_levels(moved: np.ndarray, coarse_rows: np.ndarray, index: NeighborIndex,
-                  coarse: NeighborIndex, max_dist, with_normals: bool):
-    """match_stacked of moved, (Ka, m, 3), with the rows flagged in
-    coarse_rows on the coarse level and the others on the exact index: one
-    call when every row is on one level, else one per level with the
-    (Ka, m, .) outputs assembled."""
-    if not coarse_rows.any():
-        return match_stacked(moved, index, max_dist, with_normals=with_normals)
-    if coarse_rows.all():
-        return match_stacked(moved, coarse, max_dist, with_normals=with_normals)
-    on_coarse = match_stacked(moved[coarse_rows], coarse, max_dist, with_normals=with_normals)
-    on_exact = match_stacked(moved[~coarse_rows], index, max_dist, with_normals=with_normals)
-    out = []
-    for c, e in zip(on_coarse, on_exact):
-        if c is not None:
-            full = np.empty((len(moved),) + c.shape[1:], dtype=c.dtype)
-            full[coarse_rows] = c
-            full[~coarse_rows] = e
-            c = full
-        out.append(c)
-    return tuple(out)
 
 
 def run_particle_engine(source: PointCloud, reference: PointCloud,
@@ -443,17 +414,17 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     A particle whose moved points leave the floating-point range (no finite
     nearest-neighbor distance) has diverged.
 
-    Matching is coarse to fine (Jost & Hugli, 3DIM 2003). Particle j
-    matches an index over a voxel copy of the reference, _COARSE_VOXEL
-    reference spacings per voxel edge, before its switch iteration
-    fine_from[j], and the exact index from then on. fine_from starts at
-    iterations // _COARSE_SHARE, so every late iteration matches exactly;
-    once the median match distance of j's coarse batch falls below
-    _FINE_DISTANCE spacings it moves to the next iteration. The rule reads
-    only particle j's own matches, so a particle's path does not depend on
-    the particles stacked with it. max_dist and the metric apply at both
-    levels. A reference without a usable spacing (one point, duplicates,
-    an overflowing extent) matches on the exact index alone.
+    Matching is coarse to fine (Jost & Hugli, 3DIM 2003): iterations
+    before iterations // _COARSE_SHARE match an index over a voxel copy of
+    the reference, _COARSE_VOXEL reference spacings per voxel edge, and the
+    rest match the exact index, so every particle ends on the exact
+    surface. The switch is the same for every particle and reads no state,
+    so a particle's path does not depend on the particles stacked with it.
+    The metric applies at both levels. The nearest coarse point can be a
+    few spacings farther than the nearest reference point, which a
+    distance gate cannot tell from an outlier, so a run with max_dist
+    matches exactly throughout, as does a reference without a usable
+    spacing (one point, duplicates, an overflowing extent).
     """
     theta = np.array(particles, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 6:
@@ -470,10 +441,8 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
             for j in range(K)]
     sampler = ReshuffledBatches(N, config.batch_size, rngs)
     index = build_index(reference)
-    coarse = _coarse_level(index)
-    fine_from = np.full(K, 0 if coarse is index else config.iterations // _COARSE_SHARE)
-    near = _FINE_DISTANCE * index.spacing
-    coarse_queried = 0
+    coarse = index if config.max_dist is not None else _coarse_level(index)
+    coarse_until = 0 if coarse is index else config.iterations // _COARSE_SHARE
 
     active = np.ones(K, dtype=bool)
     adam_m = np.zeros((K, 6))
@@ -502,14 +471,9 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         timings["transform"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        coarse_rows = fine_from[live] > it
-        matched, normals, dist, mask = _match_levels(moved, coarse_rows, index, coarse,
-                                                     config.max_dist, use_plane)
-        if coarse_rows.any():
-            coarse_dist = dist[coarse_rows]
-            coarse_queried += coarse_dist.size
-            arrived = np.median(coarse_dist, axis=1) < near
-            fine_from[live[coarse_rows][arrived]] = it + 1
+        matched, normals, dist, mask = match_stacked(
+            moved, coarse if it < coarse_until else index, config.max_dist,
+            with_normals=use_plane)
         lost = ~np.isfinite(dist).all(axis=1)
         dead = lost | ~mask.any(axis=1)
         timings["matching"] += time.perf_counter() - t0
@@ -576,8 +540,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
                         match_counts={"queried": index.queried,
                                       "certified": index.certified,
                                       "filled": index.filled,
-                                      "coarse_queried": coarse_queried},
-                        fine_from=fine_from)
+                                      "coarse_queried": 0 if coarse is index else coarse.queried})
 
 
 # --------------------------------------------------------------------------

@@ -698,9 +698,9 @@ class TestParticleEngine:
             run_stein_icp(ref, ref, cfg, initial_particles=init)
 
     def test_match_counts(self, rng):
-        """Every matched point is counted once; the grid certifies most of
-        them on a registration that converges, and each grid cell is
-        filled at most once."""
+        """Every matched point is counted once, on the level that matched
+        it; the grid certifies most exact queries on a registration that
+        converges, and each grid cell is filled at most once."""
         ref = _wavy_cloud(rng, 400)
         src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01))
         cfg = SteinConfig(particles=5, batch_size=60, step_size=0.01, iterations=30,
@@ -714,9 +714,9 @@ class TestParticleEngine:
         assert "certified" not in result.timings and "filled" not in result.timings
 
     def test_every_particle_matches_exactly_from_a_third_of_the_run(self, rng, monkeypatch):
-        """On a converging run every particle moves to the exact index by
-        iteration iterations // 3, and from then on the exact index answers
-        the K * m queries of every iteration."""
+        """Iterations before iterations // 3 match the coarse copy and leave
+        the exact index untouched; from then on the exact index answers the
+        K * m queries of every iteration."""
         ref = _wavy_cloud(rng, 400)
         src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01))
         cfg = SteinConfig(particles=5, batch_size=60, step_size=0.01, iterations=30,
@@ -739,21 +739,32 @@ class TestParticleEngine:
         monkeypatch.setattr(ReshuffledBatches, "batches", spy)
         _, result = run_stein_icp(src, ref, cfg, full_output=True)
         assert len(built) == 2 and len(built[1].reference) < len(ref)
-        assert result.fine_from.shape == (5,) and (result.fine_from <= 10).all()
-        assert result.match_counts["coarse_queried"] > 0
+        assert result.match_counts["coarse_queried"] == built[1].queried == 5 * 60 * 10
         per_iteration = np.diff(exact_queried + [result.match_counts["queried"]])
+        np.testing.assert_array_equal(per_iteration[:10], 0)
         np.testing.assert_array_equal(per_iteration[10:], 5 * 60)
 
-    def test_each_particle_switches_on_its_own_match_distance(self, rng):
-        """A particle on the surface matches exactly after its first
-        iteration; one 0.5 m off it stays on the coarse level until
-        iterations // 3."""
+    @pytest.mark.parametrize("batch_size", [1, 60])
+    def test_a_gated_run_matches_exactly_throughout(self, rng, monkeypatch, batch_size):
+        """With max_dist set no coarse copy is built. source == reference from
+        the identity with max_dist=0: every pair is at distance 0 and kept,
+        so the particle never moves."""
         ref = _wavy_cloud(rng, 400)
-        cfg = IcpConfig(batch_size=60, step_size=0.001, iterations=9, seed=3)
-        init = np.zeros((2, 6))
-        init[1, 2] = 0.5
-        result = run_particle_engine(ref, ref, init, cfg, interacting=False)
-        np.testing.assert_array_equal(result.fine_from, [1, 3])
+        built = []
+        build = stein.build_index
+
+        def record(cloud):
+            built.append(cloud)
+            return build(cloud)
+
+        monkeypatch.setattr(stein, "build_index", record)
+        cfg = IcpConfig(batch_size=batch_size, step_size=0.01, iterations=9, max_dist=0.0)
+        result = run_particle_engine(ref, ref, np.zeros((1, 6)), cfg)
+        assert len(built) == 1 and built[0] is ref
+        np.testing.assert_array_equal(result.particles, np.zeros((1, 6)))
+        np.testing.assert_array_equal(result.cost_trace, np.zeros(9))
+        assert result.match_counts["queried"] == 9 * batch_size
+        assert result.match_counts["coarse_queried"] == 0
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("points", [
@@ -767,7 +778,6 @@ class TestParticleEngine:
         cfg = IcpConfig(batch_size=1, iterations=6, step_size=0.01)
         result = run_particle_engine(PointCloud([[0.03, 0.0, 0.0]]), PointCloud(points),
                                      np.zeros((1, 6)), cfg)
-        np.testing.assert_array_equal(result.fine_from, [0])
         assert result.match_counts["coarse_queried"] == 0
         assert result.match_counts["queried"] == 6
 
