@@ -14,7 +14,6 @@ from .cloud import (
     estimate_normals,
     load_cloud,
     transform_cloud,
-    voxel_downsample,
     write_cloud,
 )
 from .errors import (
@@ -150,7 +149,6 @@ __all__ = [
     "transform_cloud",
     "transform_points",
     "transform_stacked",
-    "voxel_downsample",
     "wrap_angle",
     "write_cloud",
 ]

@@ -16,11 +16,12 @@ one-pose SGD-ICP baseline is `--particles 1 --trans-range 0 --rot-range 0`
 for bit.
 Next to its samples and summary, register writes diagnostics.json: the
 solve's wall time (seconds), the engine loop's own time (engine_seconds),
-the five phase times on that loop's clock (phases), the share of the exact
-index's queries its cell grid certified (certified_share), the number of
-cells that grid filled (filled_cells) and the points matched on the coarse
-level (coarse_queries). Timings stay out of summary.json, which is
-byte-stable across reruns.
+the time it took to build the exact index and the coarse table before the
+loop (build_seconds), the five phase times on that loop's clock (phases),
+the share of the exact index's queries its cell grid certified
+(certified_share), the number of cells that grid filled (filled_cells) and
+the points matched on the coarse table (coarse_queries). Timings stay out
+of summary.json, which is byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def cmd_register(cfg: dict) -> int:
     _write_json(_summary_payload(dist), out / "summary.json")
     counts = engine.match_counts
     _write_json({"seconds": elapsed, "engine_seconds": engine.loop_seconds,
-                 "phases": engine.timings,
+                 "build_seconds": engine.build_seconds, "phases": engine.timings,
                  "certified_share": counts["certified"] / counts["queried"],
                  "filled_cells": counts["filled"],
                  "coarse_queries": counts["coarse_queried"]},

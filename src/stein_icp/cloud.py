@@ -1,4 +1,4 @@
-"""Point cloud container, ASCII file I/O, normals, and voxel downsampling.
+"""Point cloud container, ASCII file I/O and normals.
 
 Supported formats:
 
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CloudParseError, InputError, check_real
+from .errors import CloudParseError, InputError
 from .geometry import pose_array, rotation_from_euler, transform_points
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "write_cloud",
     "transform_cloud",
     "estimate_normals",
-    "voxel_downsample",
     "FORMATS",
 ]
 
@@ -363,34 +362,3 @@ def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) 
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     normals[degenerate] = 0.0
     return PointCloud(pts.copy(), normals)
-
-
-def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
-    """Replace all points in each cubic cell by their centroid.
-
-    Output order is sorted by voxel index, which makes the result
-    deterministic regardless of input order. A cell's normal is the mean of
-    its normals, renormalized; a cell whose mean normal has a squared
-    length of 0.5 or less (its normals disagree, or most are the zero
-    marker) gets the zero marker, the test by which match_stacked rejects
-    a pair. The cell keys are floats, so a cloud that spans more than
-    2**63 voxels along an axis groups without wrapping an int64 key.
-    """
-    check_real("voxel size", voxel)
-    pts = cloud.points
-    origin = pts.min(axis=0)
-    keys = np.floor((pts - origin) / voxel)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys_sorted = keys[order]
-    new_cell = np.any(np.diff(keys_sorted, axis=0) != 0, axis=1)
-    cell_starts = np.r_[0, np.flatnonzero(new_cell) + 1]
-    counts = np.diff(np.r_[cell_starts, len(pts)])[:, None]
-    points = np.add.reduceat(pts[order], cell_starts, axis=0) / counts
-    if cloud.normals is None:
-        return PointCloud(points)
-    normals = np.add.reduceat(cloud.normals[order], cell_starts, axis=0) / counts
-    sq = np.einsum("ni,ni->n", normals, normals)
-    unit = sq > 0.5
-    normals[unit] /= np.sqrt(sq[unit])[:, None]
-    normals[~unit] = 0.0
-    return PointCloud(points, normals)

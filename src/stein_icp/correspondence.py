@@ -10,8 +10,15 @@ row of a slot-major int32 table, and a query works on one transposed
 of ids and contiguous passes over (candidate, point) rows (see
 NeighborIndex for the table layout and the passes a query makes). The
 index exposes the reference's median nearest-neighbor spacing, which sizes
-the cells and the voxels of the particle engine's coarse matching level,
-itself a NeighborIndex over a voxel copy of the reference.
+its cells.
+
+The particle engine's coarse matching level is a NearestTable: one
+reference id per cell of the exact index's own grid, precomputed by a
+distance transform (Fitzgibbon, "Robust registration of 2D and 3D point
+sets", Image and Vision Computing 2003), so that a query costs one clamped
+cell lookup and one gather, with no certificate and no kd-tree. Its
+answers are approximate, within 2 * sqrt(3) cell edges of the exact
+distance inside the grid.
 """
 
 from __future__ import annotations
@@ -149,17 +156,22 @@ class NeighborIndex:
         dist = d[:, 0].copy()
         idx = i[:, 0].copy()
         # A tie between the two nearest hints at a larger tied set; resolve
-        # those few points exhaustively against every candidate at that radius.
+        # those few points against every point within the tie tolerance of
+        # the nearest. The set is grown by k-nearest queries, not a ball
+        # query, which rejects a reference whose extent overflows.
         with np.errstate(invalid="ignore"):     # inf - inf for overflowing points
             tied = np.flatnonzero((d[:, 1] - d[:, 0]) <= _TIE_RTOL * np.maximum(d[:, 0], 1.0))
         for t in tied:
-            radius = dist[t] * (1.0 + 10.0 * _TIE_RTOL) + 1e-300
-            cand = self._tree.query_ball_point(points[t], radius)
-            cand = np.sort(np.asarray(cand, dtype=np.int64))
-            dd = np.linalg.norm(self.reference.points[cand] - points[t], axis=1)
-            best = dd <= dd.min() * (1.0 + _TIE_RTOL) + 1e-300
-            idx[t] = cand[best][0]
-            dist[t] = dd[best][0]
+            limit = dist[t] * (1.0 + _TIE_RTOL) + 1e-300
+            k = 2
+            while True:
+                k = min(2 * k, n_ref)
+                dd, ii = self._tree.query(points[t], k=k)
+                if k == n_ref or dd[-1] > limit:
+                    break
+            best = ii[dd <= limit].min()
+            idx[t] = best
+            dist[t] = dd[ii == best][0]
         return dist, idx
 
     def _locate(self, points):
@@ -284,6 +296,124 @@ def _grid_shape(points: np.ndarray, tree: cKDTree):
 def build_index(reference: PointCloud) -> NeighborIndex:
     """Build the search structure once per reference cloud."""
     return NeighborIndex(reference, cKDTree(reference.points))
+
+
+class NearestTable:
+    """Approximate nearest reference point from one id per grid cell.
+
+    The table covers the cell grid of an exact NeighborIndex (same origin,
+    edge h and dims) and is built once:
+
+    - a cell that holds reference points takes its lowest-index point;
+    - one Euclidean distance transform gives every cell the entry of its
+      nearest occupied cell;
+    - one sweep keeps, of each cell's entry and the entries of its six
+      face neighbors, the one whose point is nearest the cell center. The
+      transform breaks ties between equidistant occupied cells toward lower
+      cell indices; without the sweep, matched points near the surface sit
+      up to 0.18 h off on average, toward lower indices, and the swarm
+      inherits that bias.
+
+    query clamps each point's cell coordinates to the grid (a NaN goes to
+    0, a point outside lands on the border), reads the cell's id, and
+    measures the distance as the kd-tree does, sqrt((dx*dx + dy*dy) +
+    dz*dz). Inside the grid the answer is at most 2 * sqrt(3) * h farther
+    than the nearest reference point: the cell center is within sqrt(3)/2 h
+    of the point and of any point in the cell, and the transform's cell is
+    no farther than the cell of the exact nearest point. A point with no
+    finite distance gets distance inf and index len(reference), the exact
+    index's marker. `queried` counts the points queried.
+    """
+
+    def __init__(self, index: NeighborIndex):
+        self.reference = index.reference
+        self.queried = 0
+        self._origin, self._h, self._dims = index._origin, index._h, index._dims
+        self._cols = index._cols
+        entry = _transform_entries(self.reference.points, self._origin, self._h, self._dims)
+        self._table = _face_sweep(entry, self._cols, index._centers).ravel()
+
+    def query(self, points: np.ndarray):
+        """(distances, indices) of the table's reference point for each
+        query point."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        q = points.T
+        flat = np.zeros(len(points), dtype=np.intp)
+        with np.errstate(over="ignore", invalid="ignore"):    # such points get the marker
+            for c in range(3):
+                frac = q[c] - self._origin[c]
+                frac /= self._h
+                np.fmax(frac, 0.0, out=frac)
+                np.fmin(frac, self._dims[c] - 1, out=frac)
+                flat *= self._dims[c]
+                flat += frac.astype(np.intp)
+            idx = np.take(self._table, flat).astype(np.intp)
+            dist = np.take(self._cols[0], idx)
+            dist -= q[0]
+            dist *= dist
+            for c in (1, 2):
+                delta = np.take(self._cols[c], idx)
+                delta -= q[c]
+                delta *= delta
+                dist += delta
+            np.sqrt(dist, out=dist)
+        lost = ~np.isfinite(dist)
+        dist[lost], idx[lost] = np.inf, len(self.reference)
+        self.queried += len(points)
+        return dist, idx
+
+
+def _transform_entries(points: np.ndarray, origin: np.ndarray, h: float,
+                       dims: np.ndarray) -> np.ndarray:
+    """The int32 id, shape dims, of the lowest-index point in each cell's
+    nearest occupied cell (the cell itself when occupied), by one Euclidean
+    distance transform over the grid of the given origin, edge h and dims,
+    which holds every point."""
+    from scipy.ndimage import distance_transform_edt
+
+    dims = tuple(dims)
+    frac = (points - origin) / h
+    occupied, first = np.unique(np.ravel_multi_index(frac.astype(np.intp).T, dims),
+                                return_index=True)
+    owner = np.zeros(int(np.prod(dims)), dtype=np.int32)
+    owner[occupied] = first
+    empty = np.ones(dims, dtype=bool)
+    empty.flat[occupied] = False
+    nearest = distance_transform_edt(empty, return_distances=False, return_indices=True)
+    return owner[np.ravel_multi_index(tuple(nearest), dims)]
+
+
+def _face_sweep(entry: np.ndarray, cols: list, centers: list) -> np.ndarray:
+    """Of each cell's id in entry, shape dims, and its six face neighbors'
+    ids, the one whose point is nearest the cell center: the cell's own on
+    a tie, else the first neighbor nearer than every id before it. cols
+    holds the reference's per-axis coordinates, centers[c] the cell centers
+    along axis c."""
+    coords = [np.take(cols[c], entry) for c in range(3)]
+
+    def center_sq(src, dst):
+        """Squared distances from the centers of the cells dst to the points
+        of the cells src, both boxes of the same shape."""
+        sq = np.zeros(entry[dst].shape)
+        for c in range(3):
+            shape = [1, 1, 1]
+            shape[c] = -1
+            delta = coords[c][src] - centers[c][dst[c]].reshape(shape)
+            delta *= delta
+            sq += delta
+        return sq
+
+    whole = (slice(None),) * 3
+    best, best_sq = entry.copy(), center_sq(whole, whole)
+    for axis in range(3):
+        for lo, hi in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
+            src = whole[:axis] + (lo,) + whole[axis + 1:]
+            dst = whole[:axis] + (hi,) + whole[axis + 1:]
+            sq = center_sq(src, dst)
+            nearer = sq < best_sq[dst]
+            np.copyto(best[dst], entry[src], where=nearer)
+            np.copyto(best_sq[dst], sq, where=nearer)
+    return best
 
 
 class ReshuffledBatches:

@@ -22,7 +22,8 @@ spread reaches pi corrects the pairs whose difference wraps.
 
 Matching is coarse to fine (Jost & Hugli, "A multi-resolution ICP with
 heuristic closest point search", 3DIM 2003): the first third of the
-iterations match a voxel copy of the reference, whose queries are cheap,
+iterations match a nearest-point table over the exact index's cell grid,
+built once by a distance transform, whose queries cost one cell lookup,
 and the rest match the exact index (see run_particle_engine).
 
 Particles are plain (K, 6) float64 arrays ordered (x, y, z, roll, pitch,
@@ -37,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .cloud import PointCloud, voxel_downsample
-from .correspondence import NeighborIndex, ReshuffledBatches, build_index, match_stacked
+from .cloud import PointCloud
+from .correspondence import NearestTable, ReshuffledBatches, build_index, match_stacked
 from .errors import DivergedError, InputError, MatchRejectionError, check_count, real_array
 from .evaluation import PoseDistribution
 from .geometry import rotation_from_euler, rotation_partials, transform_stacked, wrap_angle
@@ -65,13 +66,7 @@ _STREAM_MC_INIT = 2      # evaluation.mc_ground_truth's restart draws
 _BANDWIDTH_FLOOR = 1e-8
 _TWO_PI = 2.0 * np.pi
 
-# Coarse-to-fine matching. An 8-spacing voxel (in NeighborIndex.spacing)
-# biases the ring's free yaw with its grid-aligned centroids: at six solver
-# seeds of the K=256 ring (41002-41004, 42002-44002) the yaw resultant read
-# 0.23-0.46, median 0.36, against 0.09-0.38, median 0.28, at 4 spacings and
-# 0.19-0.37 on the exact index alone (the workload's check fails at 0.5).
-_COARSE_VOXEL = 4         # voxel edge of the coarse copy of the reference
-_COARSE_SHARE = 3         # the coarse copy answers iterations [0, iterations // 3)
+_COARSE_SHARE = 3         # the coarse table answers iterations [0, iterations // 3)
 
 
 @dataclass(frozen=True)
@@ -373,22 +368,12 @@ class EngineResult:
     timings: dict = field(default_factory=dict)
     # Wall time of the iteration loop, on the clock the phase timings use.
     loop_seconds: float = 0.0
+    # Wall time of building the exact index and the coarse table, on that clock.
+    build_seconds: float = 0.0
     particle_trace: np.ndarray | None = None   # (T + 1, K, 6) when recorded
     # The exact index: points it queried, those its cell grid certified and
-    # the cells the grid filled; and the points the coarse level queried.
+    # the cells the grid filled; and the points the coarse table queried.
     match_counts: dict = field(default_factory=dict)
-
-
-def _coarse_level(index: NeighborIndex) -> NeighborIndex:
-    """The index over a voxel copy of index.reference, _COARSE_VOXEL
-    spacings per voxel edge; index itself when the spacing is not finite
-    and positive or the copy is no smaller than the reference."""
-    if not 0.0 < index.spacing < np.inf:
-        return index
-    cloud = voxel_downsample(index.reference, _COARSE_VOXEL * index.spacing)
-    if len(cloud) >= len(index.reference):
-        return index
-    return build_index(cloud)
 
 
 def run_particle_engine(source: PointCloud, reference: PointCloud,
@@ -415,16 +400,18 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     nearest-neighbor distance) has diverged.
 
     Matching is coarse to fine (Jost & Hugli, 3DIM 2003): iterations
-    before iterations // _COARSE_SHARE match an index over a voxel copy of
-    the reference, _COARSE_VOXEL reference spacings per voxel edge, and the
-    rest match the exact index, so every particle ends on the exact
-    surface. The switch is the same for every particle and reads no state,
-    so a particle's path does not depend on the particles stacked with it.
-    The metric applies at both levels. The nearest coarse point can be a
-    few spacings farther than the nearest reference point, which a
-    distance gate cannot tell from an outlier, so a run with max_dist
-    matches exactly throughout, as does a reference without a usable
-    spacing (one point, duplicates, an overflowing extent).
+    before iterations // _COARSE_SHARE match a NearestTable over the exact
+    index's cell grid, and the rest match the exact index, so every
+    particle ends on the exact surface. The table is built only when it
+    answers some iteration. The switch is the same for every particle and
+    reads no state, so a particle's path does not depend on the particles
+    stacked with it. Both levels answer with ids into the full reference,
+    so the metric reads the reference's own normals at both. The table's
+    point can be up to 2 sqrt(3) cell edges farther than the nearest
+    reference point, which a distance gate cannot tell from an outlier, so
+    a run with max_dist matches exactly throughout, as does a reference
+    without a usable spacing (one point, duplicates, an overflowing
+    extent). build_seconds times the index and the table.
     """
     theta = np.array(particles, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 6:
@@ -440,9 +427,13 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PARTICLE, j]))
             for j in range(K)]
     sampler = ReshuffledBatches(N, config.batch_size, rngs)
+    build_start = time.perf_counter()
     index = build_index(reference)
-    coarse = index if config.max_dist is not None else _coarse_level(index)
-    coarse_until = 0 if coarse is index else config.iterations // _COARSE_SHARE
+    coarse_until = config.iterations // _COARSE_SHARE
+    if config.max_dist is not None or not 0.0 < index.spacing < np.inf:
+        coarse_until = 0
+    coarse = NearestTable(index) if coarse_until else None
+    build_seconds = time.perf_counter() - build_start
 
     active = np.ones(K, dtype=bool)
     adam_m = np.zeros((K, 6))
@@ -536,11 +527,12 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     loop_seconds = time.perf_counter() - loop_start
 
     return EngineResult(particles=theta, cost_trace=cost_trace, failed=~active,
-                        timings=timings, loop_seconds=loop_seconds, particle_trace=trace,
+                        timings=timings, loop_seconds=loop_seconds,
+                        build_seconds=build_seconds, particle_trace=trace,
                         match_counts={"queried": index.queried,
                                       "certified": index.certified,
                                       "filled": index.filled,
-                                      "coarse_queried": 0 if coarse is index else coarse.queried})
+                                      "coarse_queried": 0 if coarse is None else coarse.queried})
 
 
 # --------------------------------------------------------------------------

@@ -267,6 +267,20 @@ class TestRegister:
         assert err.startswith("numerical failure: iteration 0: particle(s) [0, 1]")
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_tied_match_on_a_reference_whose_extent_overflows(self, tmp_path, capsys):
+        """The source point lies midway between two reference points, next
+        to points at +-1e308: the tie resolves, and the run succeeds."""
+        src, ref = tmp_path / "src.ply", tmp_path / "ref.ply"
+        write_cloud(PointCloud([[0.05, 0.0, 0.0]]), src)
+        write_cloud(PointCloud([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [1e308, 0.0, 0.0],
+                                [-1e308, 0.0, 0.0]]), ref)
+        rc = main(["register", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "o"), "--particles", "1", "--iterations", "3",
+                   "--batch-size", "1", "--trans-range", "0", "--rot-range", "0"])
+        assert rc == 0, capsys.readouterr().err
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["samples"] == 1
+
     def test_config_file_and_flag_precedence(self, pair, tmp_path):
         src, ref = pair
         ini = tmp_path / "run.ini"
@@ -637,7 +651,7 @@ class TestArtifactBytes:
                                 covariance=0.01 * np.eye(6))
         trace = np.array([[[0.0] * 6], _ODD[:1], [[0.25, -1.0, 2.0, 0.0, 1e-05, 0.1]]])
         engine = SimpleNamespace(cost_trace=np.array([0.1, np.nan]), particle_trace=trace,
-                                 timings={}, loop_seconds=0.0,
+                                 timings={}, loop_seconds=0.0, build_seconds=0.0,
                                  match_counts={"queried": 2, "certified": 1, "filled": 1,
                                                "coarse_queried": 0})
         monkeypatch.setattr(cli, "run_stein_icp", lambda *args, **kwargs: (dist, engine))
@@ -698,8 +712,8 @@ PHASES = {"sampling", "transform", "matching", "gradients", "update"}
 
 class TestDiagnostics:
     """register's diagnostics.json: the solve's wall time, the engine loop's
-    own time, the phase times on that loop's clock, the grid's share and
-    the coarse level's queries."""
+    own time, the index and table build time, the phase times on that
+    loop's clock, the grid's share and the coarse table's queries."""
 
     def test_phases_cover_the_engine_loop(self, tmp_path):
         scene = tmp_path / "scene"
@@ -712,16 +726,18 @@ class TestDiagnostics:
                    "--trans-range", "0.05", "--rot-range", "0.02"])
         assert rc == 0
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert set(diag) == {"seconds", "engine_seconds", "phases", "certified_share",
-                             "filled_cells", "coarse_queries"}
+        assert set(diag) == {"seconds", "engine_seconds", "build_seconds", "phases",
+                             "certified_share", "filled_cells", "coarse_queries"}
         assert set(diag["phases"]) == PHASES
         # the five phases account for nearly all of the engine loop's time
         assert sum(diag["phases"].values()) / diag["engine_seconds"] > 0.95
         assert 0.5 < diag["certified_share"] <= 1.0
         assert isinstance(diag["filled_cells"], int) and diag["filled_cells"] > 0
-        # the coarse level answers iterations 0 to 40 // 3 - 1
+        # the coarse table answers iterations 0 to 40 // 3 - 1
         assert diag["coarse_queries"] == 20 * 100 * 13
         assert 0 < diag["engine_seconds"] <= diag["seconds"]
+        # the builds run before the loop, inside the solve
+        assert 0 < diag["build_seconds"] <= diag["seconds"] - diag["engine_seconds"]
 
     def test_plane_metric_estimates_normals(self, pair, tmp_path):
         src, ref = pair

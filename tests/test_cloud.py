@@ -18,7 +18,6 @@ from stein_icp import (
     rotation_from_euler,
     transform_cloud,
     transform_points,
-    voxel_downsample,
     write_cloud,
 )
 from stein_icp.cloud import format_table
@@ -479,68 +478,3 @@ class TestEstimateNormals:
             estimate_normals(PointCloud(pts), k=2)
         with pytest.raises(InputError):
             estimate_normals(PointCloud(pts), k=6)
-
-
-class TestVoxelDownsample:
-    def test_centroids_exact(self):
-        pts = np.array([
-            [0.1, 0.1, 0.1], [0.3, 0.3, 0.3],   # cell (0,0,0)
-            [1.2, 0.0, 0.0],                     # cell (1,0,0)
-        ])
-        out = voxel_downsample(PointCloud(pts), voxel=1.0)
-        np.testing.assert_allclose(out.points,
-                                   [[0.2, 0.2, 0.2], [1.2, 0.0, 0.0]], atol=1e-15)
-
-    def test_order_independent(self, rng):
-        pts = rng.uniform(0, 3, (200, 3))
-        perm = rng.permutation(200)
-        a = voxel_downsample(PointCloud(pts), 0.5)
-        b = voxel_downsample(PointCloud(pts[perm]), 0.5)
-        np.testing.assert_allclose(a.points, b.points, atol=1e-12)
-
-    def test_single_cell(self, rng):
-        pts = rng.uniform(0, 0.1, (10, 3))
-        out = voxel_downsample(PointCloud(pts), 1.0)
-        assert len(out) == 1
-        np.testing.assert_allclose(out.points[0], pts.mean(axis=0), atol=1e-15)
-
-    def test_keys_beyond_int64(self):
-        """1 / 1e-19 voxels is past the int64 range; the keys still sort."""
-        pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        out = voxel_downsample(PointCloud(pts), 1e-19)
-        np.testing.assert_array_equal(out.points, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-
-    def test_validation(self, rng):
-        cloud = PointCloud(rng.uniform(0, 1, (100, 3)))
-        for voxel in (0.0, -1.0, float("nan"), float("inf"), 10**400):
-            with pytest.raises(InputError, match="positive and finite"):
-                voxel_downsample(cloud, voxel)
-
-    def test_normals_averaged_with_zero_marker(self):
-        """A cell's normal is its renormalized mean normal; a cell whose mean
-        normal has a squared length of 0.5 or less gets the zero marker."""
-        pts = np.array([
-            [0.1, 0.1, 0.1], [0.2, 0.2, 0.2],   # cell (0,0,0): normals 45 degrees apart
-            [1.1, 0.0, 0.0], [1.2, 0.0, 0.0],   # cell (1,0,0): opposed normals
-            [2.1, 0.0, 0.0], [2.2, 0.0, 0.0],   # cell (2,0,0): one zero marker
-            [3.1, 0.0, 0.0], [3.2, 0.0, 0.0],   # cell (3,0,0): two zero markers
-        ])
-        s = np.sqrt(0.5)
-        nrm = np.array([[0.0, 0.0, 1.0], [0.0, s, s],
-                        [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
-                        [0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
-                        [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        out = voxel_downsample(PointCloud(pts, nrm), voxel=1.0)
-        mean = np.array([0.0, s, 1.0 + s])
-        np.testing.assert_allclose(out.normals[0], mean / np.linalg.norm(mean), atol=1e-15)
-        # |mean|^2 is 0, 0.25 and 0 in the other cells: no reliable normal
-        np.testing.assert_array_equal(out.normals[1:], np.zeros((3, 3)))
-        np.testing.assert_allclose(out.points[:, 0], [0.15, 1.15, 2.15, 3.15], atol=1e-15)
-
-    def test_normals_kept_unit_on_a_plane(self, rng):
-        pts = rng.uniform(0, 1, (200, 3))
-        pts[:, 2] = 0.0
-        nrm = np.tile([0.0, 0.0, 1.0], (200, 1))
-        out = voxel_downsample(PointCloud(pts, nrm), 0.25)
-        assert len(out) < 200
-        np.testing.assert_array_equal(out.normals, np.tile([0.0, 0.0, 1.0], (len(out), 1)))

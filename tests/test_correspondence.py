@@ -1,6 +1,7 @@
 """Nearest-neighbor index against a brute-force linear scan, tie-breaking,
-the certified cell grid against the kd-tree, the random-reshuffling
-minibatch sampler, and stacked matching."""
+the certified cell grid against the kd-tree, the coarse nearest-point
+table against the kd-tree, the random-reshuffling minibatch sampler, and
+stacked matching."""
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from stein_icp import (
     PointCloud,
     SteinConfig,
     build_index,
+    make_scene,
     match_stacked,
     run_particle_engine,
 )
-from stein_icp.correspondence import ReshuffledBatches
+from stein_icp.correspondence import NearestTable, ReshuffledBatches
 
 from oracles import linear_scan_nn
 
@@ -77,6 +79,18 @@ class TestTieBreaking:
         ib = build_index(PointCloud(b)).query(np.zeros((1, 3)))[1][0]
         assert ia == 0
         assert ib == 1  # the -x point now precedes the +x point
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_tie_on_a_reference_whose_extent_overflows(self):
+        """A query midway between two points of a reference that also holds
+        +-1e308 is tied; the tie resolves to the lower index without a ball
+        query, which rejects such a reference."""
+        ref = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [1e308, 0.0, 0.0],
+                        [-1e308, 0.0, 0.0]])
+        index = build_index(PointCloud(ref))
+        dist, idx = index.query(np.array([[0.05, 0.0, 0.0], [0.09, 0.0, 0.0]]))
+        np.testing.assert_array_equal(idx, [0, 1])
+        np.testing.assert_allclose(dist, [0.05, 0.01], rtol=1e-12)
 
     def test_mixed_tied_and_untied_queries(self, rng):
         ref = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.2, 0.1, 5.0]])
@@ -293,9 +307,6 @@ class TestCertifiedGrid:
                 assert np.isfinite(points).all()
                 return tree.query(points, *args, **kwargs)
 
-            def query_ball_point(self, *args, **kwargs):
-                return tree.query_ball_point(*args, **kwargs)
-
         index._tree = FiniteOnly()
         queries = np.array([[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0], [0.0, 0.2, -np.inf],
                             [5.0, 5.0, 5.0], [np.nan, np.nan, np.nan], ref[3]])
@@ -319,6 +330,69 @@ class TestCertifiedGrid:
             dist, idx = index.query(queries[rng.permutation(len(queries))])
         dist, idx = index.query(queries)
         _assert_kd_answer(ref, queries, dist, idx)
+
+
+_SCENES = {"blob": {"n": 5000, "seed": 1}, "ring": {"n": 8000, "seed": 5},
+           "block": {"n": 4000, "seed": 3}}
+
+
+def _scene_table(name):
+    reference = make_scene(name, **_SCENES[name])[1]
+    index = build_index(reference)
+    return reference.points, index, NearestTable(index)
+
+
+class TestNearestTable:
+    """The coarse level's table, graded against a raw kd-tree: its answers
+    are approximate by design, within a proven bound and without a drift
+    in any direction."""
+
+    @pytest.mark.parametrize("scene", sorted(_SCENES))
+    def test_distance_within_two_sqrt3_cell_edges_of_the_exact_one(self, rng, scene):
+        """Inside the grid the table's point is a reference point at the
+        distance the table reports, at most 2 sqrt(3) h farther than the
+        nearest reference point."""
+        ref, index, table = _scene_table(scene)
+        lo = index._origin
+        queries = rng.uniform(lo, lo + index._dims * index._h, (200_000, 3))
+        dist, idx = table.query(queries)
+        exact = cKDTree(ref).query(queries)[0]
+        np.testing.assert_array_equal(dist, np.sqrt(((ref[idx] - queries) ** 2).sum(axis=1)))
+        assert (dist >= exact).all()
+        assert (dist - exact).max() <= 2.0 * np.sqrt(3.0) * index._h
+        assert table.queried == 200_000
+
+    @pytest.mark.parametrize("scene", ["ring", "block"])
+    def test_no_direction_bias_near_the_surface(self, rng, scene):
+        """Within 1 cm of the surface the table's point is off the exact
+        one by less than 0.05 h on average along every axis. The distance
+        transform alone breaks ties toward lower cell indices (up to 0.18 h
+        on average); the face-neighbor sweep removes that drift."""
+        ref, index, table = _scene_table(scene)
+        direction = rng.normal(size=(100_000, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        queries = (ref[rng.integers(len(ref), size=100_000)]
+                   + direction * rng.uniform(0.0, 0.01, (100_000, 1)))
+        _, idx = table.query(queries)
+        _, exact = cKDTree(ref).query(queries)
+        drift = (ref[idx] - ref[exact]).mean(axis=0)
+        assert (np.abs(drift) < 0.05 * index._h).all(), drift / index._h
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_and_far_points(self, rng):
+        """A point with no finite distance gets (inf, len(reference)); a
+        point far outside the grid lands on its border and gets a finite
+        answer."""
+        ref = _surface(rng, 300)
+        table = NearestTable(build_index(PointCloud(ref)))
+        queries = np.array([[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0], [0.0, 0.2, -np.inf],
+                            [1e200, 1e200, 0.0], [50.0, -40.0, 30.0], [-1e6, 0.0, 0.0]])
+        dist, idx = table.query(queries)
+        np.testing.assert_array_equal(dist[:4], np.inf)
+        np.testing.assert_array_equal(idx[:4], 300)
+        assert (idx[4:] < 300).all()
+        np.testing.assert_array_equal(dist[4:],
+                                      np.sqrt(((ref[idx[4:]] - queries[4:]) ** 2).sum(axis=1)))
 
 
 def _streams(count, seed=5):

@@ -714,9 +714,10 @@ class TestParticleEngine:
         assert "certified" not in result.timings and "filled" not in result.timings
 
     def test_every_particle_matches_exactly_from_a_third_of_the_run(self, rng, monkeypatch):
-        """Iterations before iterations // 3 match the coarse copy and leave
+        """Iterations before iterations // 3 match the coarse table and leave
         the exact index untouched; from then on the exact index answers the
-        K * m queries of every iteration."""
+        K * m queries of every iteration. The table is built from the exact
+        index: no second index is built."""
         ref = _wavy_cloud(rng, 400)
         src = transform_cloud(ref, Pose6D(0.03, -0.02, 0.01))
         cfg = SteinConfig(particles=5, batch_size=60, step_size=0.01, iterations=30,
@@ -738,15 +739,16 @@ class TestParticleEngine:
 
         monkeypatch.setattr(ReshuffledBatches, "batches", spy)
         _, result = run_stein_icp(src, ref, cfg, full_output=True)
-        assert len(built) == 2 and len(built[1].reference) < len(ref)
-        assert result.match_counts["coarse_queried"] == built[1].queried == 5 * 60 * 10
+        assert len(built) == 1 and built[0].reference is ref
+        assert result.match_counts["coarse_queried"] == 5 * 60 * 10
         per_iteration = np.diff(exact_queried + [result.match_counts["queried"]])
         np.testing.assert_array_equal(per_iteration[:10], 0)
         np.testing.assert_array_equal(per_iteration[10:], 5 * 60)
+        assert 0.0 < result.build_seconds
 
     @pytest.mark.parametrize("batch_size", [1, 60])
     def test_a_gated_run_matches_exactly_throughout(self, rng, monkeypatch, batch_size):
-        """With max_dist set no coarse copy is built. source == reference from
+        """With max_dist set no coarse table is built. source == reference from
         the identity with max_dist=0: every pair is at distance 0 and kept,
         so the particle never moves."""
         ref = _wavy_cloud(rng, 400)
@@ -758,6 +760,7 @@ class TestParticleEngine:
             return build(cloud)
 
         monkeypatch.setattr(stein, "build_index", record)
+        monkeypatch.setattr(stein, "NearestTable", lambda index: pytest.fail("built a table"))
         cfg = IcpConfig(batch_size=batch_size, step_size=0.01, iterations=9, max_dist=0.0)
         result = run_particle_engine(ref, ref, np.zeros((1, 6)), cfg)
         assert len(built) == 1 and built[0] is ref
