@@ -388,28 +388,38 @@ def _face_sweep(entry: np.ndarray, cols: list, centers: list) -> np.ndarray:
     ids, the one whose point is nearest the cell center: the cell's own on
     a tie, else the first neighbor nearer than every id before it. cols
     holds the reference's per-axis coordinates, centers[c] the cell centers
-    along axis c."""
-    coords = [np.take(cols[c], entry) for c in range(3)]
+    along axis c.
 
-    def center_sq(src, dst):
-        """Squared distances from the centers of the cells dst to the points
-        of the cells src, both boxes of the same shape."""
-        sq = np.zeros(entry[dst].shape)
-        for c in range(3):
-            shape = [1, 1, 1]
-            shape[c] = -1
-            delta = coords[c][src] - centers[c][dst[c]].reshape(shape)
-            delta *= delta
-            sq += delta
-        return sq
+    A neighbor's point is measured from the cell's center per axis, summed
+    in axis order. Along the two axes the neighbor shares with the cell,
+    that term is the one already measured from the neighbor's own center,
+    so only the shifted axis is measured again."""
 
+    def along(values, axis):
+        shape = [1, 1, 1]
+        shape[axis] = -1
+        return values.reshape(shape)
+
+    terms = []
+    for c in range(3):
+        term = np.take(cols[c], entry)
+        term -= along(centers[c], c)
+        term *= term
+        terms.append(term)
+    best = entry.copy()
+    best_sq = terms[0] + terms[1]
+    best_sq += terms[2]
     whole = (slice(None),) * 3
-    best, best_sq = entry.copy(), center_sq(whole, whole)
     for axis in range(3):
         for lo, hi in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
             src = whole[:axis] + (lo,) + whole[axis + 1:]
             dst = whole[:axis] + (hi,) + whole[axis + 1:]
-            sq = center_sq(src, dst)
+            shifted = np.take(cols[axis], entry[src])
+            shifted -= along(centers[axis][hi], axis)
+            shifted *= shifted
+            part = [shifted if c == axis else terms[c][src] for c in range(3)]
+            sq = part[0] + part[1]
+            sq += part[2]
             nearer = sq < best_sq[dst]
             np.copyto(best[dst], entry[src], where=nearer)
             np.copyto(best_sq[dst], sq, where=nearer)
