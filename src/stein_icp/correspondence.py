@@ -1,24 +1,21 @@
 """Nearest-neighbor search, mini-batch sampling and stacked matching.
 
+Both matchers work on one CellGrid over the reference cloud: its cells,
+its two ways to locate a point and its one squared-distance sum.
+
 The index wraps a kd-tree and guarantees two things the optimizer relies
 on: queries are exact (never approximate), and exact distance ties resolve
 to the lowest reference index so runs are reproducible. Most queries are
-answered from a lazily filled cell grid whose answers are certified to be
-the kd-tree's own. The grid keeps each filled cell's candidate ids as one
-row of a slot-major int32 table, and a query works on one transposed
-(3, n) copy of its points, so that certifying a point costs one row gather
-of ids and contiguous passes over (candidate, point) rows (see
-NeighborIndex for the table layout and the passes a query makes). The
-index exposes the reference's median nearest-neighbor spacing, which sizes
-its cells.
+answered from lazily filled grid cells whose answers are certified to be
+the kd-tree's own (see NeighborIndex).
 
 The particle engine's coarse matching level is a NearestTable: one
-reference id per cell of the exact index's own grid, precomputed by a
-distance transform (Fitzgibbon, "Robust registration of 2D and 3D point
-sets", Image and Vision Computing 2003), so that a query costs one clamped
-cell lookup and one gather, with no certificate and no kd-tree. Its
-answers are approximate, within 2 * sqrt(3) cell edges of the exact
-distance inside the grid.
+reference id per grid cell, precomputed by a distance transform
+(Fitzgibbon, "Robust registration of 2D and 3D point sets", Image and
+Vision Computing 2003), so that a query costs one clamped cell lookup and
+one gather, with no certificate and no kd-tree. Its answers are
+approximate, within 2 * sqrt(3) cell edges of the exact distance inside
+the grid.
 """
 
 from __future__ import annotations
@@ -33,10 +30,10 @@ __all__ = ["NeighborIndex", "build_index", "match_stacked"]
 
 _TIE_RTOL = 1e-12
 
-# The certified cell grid (layout in NeighborIndex). A filled cell costs one
-# 28-byte row of candidate ids and one float64 bound, in tables grown by half
-# as cells fill; the slot map holds one int32 per cell of the padded bounding
-# box, at most _CELL_BUDGET of them (4 MiB).
+# The cell grid (CellGrid) and the index's certified cells (NeighborIndex).
+# A filled cell costs one 28-byte row of candidate ids and one float64
+# bound, in tables grown by half as cells fill; the slot map holds one int32
+# per grid cell, at most _CELL_BUDGET of them (4 MiB).
 _CANDIDATES = 7
 _CELL_SPACINGS = 1.6      # cell edge in median nearest-neighbor spacings
 _SPACING_SAMPLE = 4096    # reference points the spacing is measured on
@@ -46,75 +43,159 @@ _CERT_SLACK = 1e-9        # covers the rounding of the three distances
 _CHUNK = 8192             # query points per pass, bounding the (c, p) temporaries
 
 
+class CellGrid:
+    """A regular cell grid over a reference cloud, shared by both matchers.
+
+    spacing is the reference's median nearest-neighbor spacing, measured on
+    a strided sample: inf for a single point, 0 when most sampled points
+    have a duplicate, and NaN (not measured) when the extent overflows. The
+    grid covers the reference's bounding box, padded by _GRID_PAD cells on
+    every side, so it holds every reference point: origin is its lower
+    corner, h the cell edge and dims the cells per axis. h is
+    _CELL_SPACINGS spacings (the extent, or 1, when that is 0 or
+    undefined), grown until the grid has at most _CELL_BUDGET cells. A box
+    whose extent overflows gets no cells.
+
+    Cell (i, j, k) is flat cell (i * dims[1] + j) * dims[2] + k. centers[c]
+    holds origin[c] + (i + 0.5) * h along axis c, the one rounding of a
+    cell center that every reader of the grid uses. cols holds the
+    reference's coordinates, one contiguous array per axis.
+
+    A point's fractional cell coordinates are (q - origin) / h, rounded
+    once. There are two ways to locate points: inside keeps the points
+    whose fractional coordinates all lie in [0, dims) and truncates them;
+    clamped clamps every point's fractional coordinates to [0, dims - 1]
+    (a NaN goes to 0, a point outside lands on the border) and truncates
+    them. Both give a point inside the grid the same flat cell.
+    squared_distances is the one squared distance between reference and
+    query points, summed as the kd-tree sums it.
+    """
+
+    def __init__(self, points: np.ndarray, tree: cKDTree):
+        self.cols = [np.ascontiguousarray(points[:, c]) for c in range(3)]
+        lo = points.min(axis=0)
+        extent = points.max(axis=0) - lo
+        self.spacing, self.h, self.dims = np.nan, 1.0, np.zeros(3, dtype=np.intp)
+        if np.isfinite(extent).all():
+            sample = points[::max(1, len(points) // _SPACING_SAMPLE)]
+            self.spacing = float(np.median(tree.query(sample, k=2)[0][:, 1]))
+            h = _CELL_SPACINGS * self.spacing
+            if not 0.0 < h < np.inf:
+                h = max(float(extent.max()), 1.0)
+            while np.prod(np.floor(extent / h) + 1 + 2 * _GRID_PAD) > _CELL_BUDGET:
+                h *= 1.25
+            self.h, self.dims = h, (np.floor(extent / h) + 1 + 2 * _GRID_PAD).astype(np.intp)
+            lo = lo - _GRID_PAD * h
+        self.origin = lo
+        self.centers = [self.origin[c] + (np.arange(self.dims[c]) + 0.5) * self.h
+                        for c in range(3)]
+
+    def inside(self, points: np.ndarray):
+        """(rows, q, cell, flat) of the points inside the grid: their row
+        numbers (None when every point is inside), their (3, p) coordinate
+        rows and cell coordinates, and their flat cells."""
+        q = np.ascontiguousarray(points.T)
+        frac = q - self.origin[:, None]
+        frac /= self.h
+        # A NaN coordinate fails both tests; an empty query passes them.
+        if ((frac.min(axis=1, initial=np.inf) >= 0).all()
+                and (frac.max(axis=1, initial=-np.inf) < self.dims).all()):
+            rows = None
+        else:
+            rows = np.flatnonzero(((frac >= 0) & (frac < self.dims[:, None])).all(axis=0))
+            q = np.take(q, rows, axis=1)
+            frac = np.take(frac, rows, axis=1)
+        cell = frac.astype(np.intp)
+        flat = cell[0] * self.dims[1]
+        flat += cell[1]
+        flat *= self.dims[2]
+        flat += cell[2]
+        return rows, q, cell, flat
+
+    def clamped(self, points: np.ndarray) -> np.ndarray:
+        """The flat cell of every point, its cell coordinates clamped to
+        the grid."""
+        flat = np.zeros(len(points), dtype=np.intp)
+        for c in range(3):
+            frac = points[:, c] - self.origin[c]
+            frac /= self.h
+            np.fmax(frac, 0.0, out=frac)
+            np.fmin(frac, self.dims[c] - 1, out=frac)
+            flat *= self.dims[c]
+            flat += frac.astype(np.intp)
+        return flat
+
+    def squared_distances(self, ids: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Squared distances from reference points ids to points with
+        coordinate rows q, shape (3, p), as the kd-tree computes them:
+        (dx*dx + dy*dy) + dz*dz, so that their square roots are its
+        distances bit for bit. ids has shape (p,) or (c, p)."""
+        sq = np.take(self.cols[0], ids)
+        sq -= q[0]
+        sq *= sq
+        for c in (1, 2):
+            delta = np.take(self.cols[c], ids)
+            delta -= q[c]
+            delta *= delta
+            sq += delta
+        return sq
+
+
 class NeighborIndex:
     """Exact nearest-neighbor index over a reference cloud.
 
     query returns, for each point, the kd-tree answer: the nearest
     reference point, ties on distance to the lowest index. Most points get
-    that answer from a cell grid instead, with a certificate that it is
-    the same index and the same distance bits:
+    that answer from a cell of the grid instead, with a certificate that
+    it is the same index and the same distance bits:
 
-    The grid covers the reference's bounding box, padded by a few cells.
     The first query that lands in a cell fills it: the ids C of the 7
     reference points nearest the cell center c, and D, the distance from c
     to the 8th (inf when the reference has no 8th). For a query q in the
     cell, let r = |q - c|; by the triangle inequality every reference
-    point outside C is at least D - r from q. The distances to C are
-    computed as the kd-tree computes them, sqrt((dx*dx + dy*dy) + dz*dz),
-    so they are its values bit for bit. Let d1 < d2 be the best two and
-    gap = 1e-12 * max(d1, 1) the kd path's tie tolerance. The point is
-    certified when d2 - d1 > gap and d1 + gap + r < D - 1e-9 * max(D, 1),
-    the slack covering the rounding of r, d1 and D. Then one reference
-    point is at d1 and every other one is farther than d1 + gap, so the
-    kd-tree's two nearest are that candidate and a point it does not call
-    tied: it returns that candidate at distance d1. Every other point, on
-    a near-tie, a failed certificate, outside the grid or not finite, goes
+    point outside C is at least D - r from q. The distances to C are the
+    grid's squared distances, so their square roots are the kd-tree's
+    values bit for bit. Let d1 < d2 be the best two and gap = 1e-12 *
+    max(d1, 1) the kd path's tie tolerance. The point is certified when
+    d2 - d1 > gap and d1 + gap + r < D - 1e-9 * max(D, 1), the slack
+    covering the rounding of r, d1 and D. Then one reference point is at
+    d1 and every other one is farther than d1 + gap, so the kd-tree's two
+    nearest are that candidate and a point it does not call tied: it
+    returns that candidate at distance d1. Every other point, on a
+    near-tie, a failed certificate, outside the grid or not finite, goes
     to the kd-tree.
 
     Layout: a filled cell's slot is its row in a slot-major (cells, 7)
     int32 table of candidate ids, with one float64 D per slot; an int32
-    slot map over the grid's cells points to it. Candidate coordinates are
-    gathered from per-axis copies of the reference, and cell centers c
-    from per-axis tables of origin + (cell + 0.5) * h, the one rounding of
-    the center that the fill measures D from and the certificate measures
-    r from.
+    slot map over the grid's cells points to it.
 
-    A query makes these passes. Locate: one transposed (3, n) copy of the
-    points and their fractional cell coordinates; when a point lies outside
-    the grid, the rows inside it and their coordinates are gathered, else
-    (every point inside) nothing is; then the cells' flat numbers and
-    slots, filling the cells still empty. Certify, 8192 points at a time:
-    one row gather of the candidate ids, transposed to (7, p) candidate
-    rows; per axis, a gather of candidate coordinates and the squared
-    differences; one sweep over the rows for d1 and d2; the candidate at
-    d1; r from the gathered cell centers; the certificate. The kd-tree
-    answers the rest.
+    A query makes these passes. Locate: the grid's inside rows, then the
+    cells' slots, filling the cells still empty. Certify, 8192 points at a
+    time: one row gather of the candidate ids, transposed to (7, p)
+    candidate rows; the squared distances; one sweep over the rows for d1
+    and d2; the candidate at d1; r from the gathered cell centers; the
+    certificate. The kd-tree answers the rest.
 
     A point with no reference point at a finite distance (its squared
     distances overflow, or a coordinate is not finite) gets distance inf
     and index len(reference), the kd-tree's own marker; a non-finite point
     never reaches the kd-tree, which rejects it. `queried`, `certified`
     and `filled` count the points queried, the points answered from the
-    grid and the cells filled. `spacing` is the reference's median
-    nearest-neighbor spacing that sizes the cells (see _grid_shape).
+    grid and the cells filled.
 
     query fills cells and counts as it goes, so it changes the index: one
     index must not be queried concurrently.
     """
 
-    def __init__(self, reference: PointCloud, tree: cKDTree):
+    def __init__(self, reference: PointCloud, tree: cKDTree, grid: CellGrid):
         self.reference = reference
+        self.grid = grid
         self._tree = tree
         self.queried = 0
         self.certified = 0
         self.filled = 0
-        pts = reference.points
-        self._cols = [np.ascontiguousarray(pts[:, c]) for c in range(3)]
-        self.spacing, self._origin, self._h, self._dims = _grid_shape(pts, tree)
-        self._centers = [self._origin[c] + (np.arange(self._dims[c]) + 0.5) * self._h
-                         for c in range(3)]
-        self._slots = np.full(int(np.prod(self._dims)), -1, dtype=np.int32)
-        self._ids = np.empty((0, min(_CANDIDATES, len(pts))), dtype=np.int32)
+        self._slots = np.full(int(np.prod(grid.dims)), -1, dtype=np.int32)
+        self._ids = np.empty((0, min(_CANDIDATES, len(reference))), dtype=np.int32)
         self._bound = np.empty(0)
 
     def query(self, points: np.ndarray):
@@ -130,7 +211,13 @@ class NeighborIndex:
         idx = np.empty(n, dtype=np.intp)
         hit = np.zeros(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # such points miss
-            rows, q, cell, slot = self._locate(points)
+            rows, q, cell, flat = self.grid.inside(points)
+            slot = self._slots[flat]
+            empty = slot < 0
+            if empty.any():
+                self._fill(np.unique(flat[empty]))
+                slot = self._slots[flat]
+            slot = slot.astype(np.intp)
             for start in range(0, len(slot), _CHUNK):
                 sl = slice(start, start + _CHUNK)
                 at = sl if rows is None else rows[sl]
@@ -162,7 +249,7 @@ class NeighborIndex:
         with np.errstate(invalid="ignore"):     # inf - inf for overflowing points
             tied = np.flatnonzero((d[:, 1] - d[:, 0]) <= _TIE_RTOL * np.maximum(d[:, 0], 1.0))
         for t in tied:
-            limit = dist[t] * (1.0 + _TIE_RTOL) + 1e-300
+            limit = dist[t] + _TIE_RTOL * max(dist[t], 1.0)
             k = 2
             while True:
                 k = min(2 * k, n_ref)
@@ -174,34 +261,6 @@ class NeighborIndex:
             dist[t] = dd[ii == best][0]
         return dist, idx
 
-    def _locate(self, points):
-        """(rows, q, cell, slot) of the points inside the grid: their row
-        numbers (None when every point is inside), their (3, p) coordinate
-        rows and cell coordinates, and the table slots of their cells,
-        filling the cells that are still empty."""
-        q = np.ascontiguousarray(points.T)
-        frac = q - self._origin[:, None]
-        frac /= self._h
-        # A NaN coordinate fails both tests; an empty query passes them.
-        if ((frac.min(axis=1, initial=np.inf) >= 0).all()
-                and (frac.max(axis=1, initial=-np.inf) < self._dims).all()):
-            rows = None
-        else:
-            rows = np.flatnonzero(((frac >= 0) & (frac < self._dims[:, None])).all(axis=0))
-            q = np.take(q, rows, axis=1)
-            frac = np.take(frac, rows, axis=1)
-        cell = frac.astype(np.intp)
-        flat = cell[0] * self._dims[1]
-        flat += cell[1]
-        flat *= self._dims[2]
-        flat += cell[2]
-        slot = self._slots[flat]
-        empty = slot < 0
-        if empty.any():
-            self._fill(np.unique(flat[empty]))
-            slot = self._slots[flat]
-        return rows, q, cell, slot.astype(np.intp)
-
     def _certify(self, q, cell, slot):
         """(ok, dist, idx) of points with coordinate rows q, shape (3, p),
         in the given cells and table slots: ok marks the points certified,
@@ -210,14 +269,7 @@ class NeighborIndex:
         Works on coordinate rows and candidate rows, (c, p), so that every
         step is a pass over contiguous memory."""
         cand = np.take(self._ids, slot, axis=0).T.astype(np.intp, order="C")  # (c, p)
-        sq = np.take(self._cols[0], cand)
-        sq -= q[0]
-        sq *= sq
-        for c in (1, 2):
-            delta = np.take(self._cols[c], cand)
-            delta -= q[c]
-            delta *= delta
-            sq += delta
+        sq = self.grid.squared_distances(cand, q)
         # Best and runner-up squared distance over the candidate rows.
         d1 = sq[0].copy()
         d2 = np.full(len(d1), np.inf)
@@ -234,7 +286,7 @@ class NeighborIndex:
         np.sqrt(d2, out=d2)
         r = np.zeros(len(d1))
         for c in range(3):
-            off = np.take(self._centers[c], cell[c])
+            off = np.take(self.grid.centers[c], cell[c])
             np.subtract(q[c], off, out=off)
             off *= off
             r += off
@@ -249,8 +301,8 @@ class NeighborIndex:
 
     def _fill(self, cells: np.ndarray):
         """Store candidates and bound of the given (unfilled) flat cells."""
-        cell = np.unravel_index(cells, tuple(self._dims))
-        centers = np.column_stack([np.take(self._centers[c], cell[c]) for c in range(3)])
+        cell = np.unravel_index(cells, tuple(self.grid.dims))
+        centers = np.column_stack([np.take(self.grid.centers[c], cell[c]) for c in range(3)])
         d, i = self._tree.query(centers, k=self._ids.shape[1] + 1)
         bound = d[:, -1]
         bound = np.where(bound >= 1.0, bound * (1.0 - _CERT_SLACK), bound - _CERT_SLACK)
@@ -268,41 +320,16 @@ class NeighborIndex:
         self.filled = stop
 
 
-def _grid_shape(points: np.ndarray, tree: cKDTree):
-    """(spacing, origin, h, dims): the spacing of points and their cell grid.
-
-    spacing is the median nearest-neighbor spacing on a strided sample:
-    inf for a single point, 0 when most sampled points have a duplicate,
-    and NaN (not measured) when the extent overflows. The cell edge h is
-    _CELL_SPACINGS spacings (the extent, or 1, when that is 0 or
-    undefined), grown until the padded bounding box has at most
-    _CELL_BUDGET cells. A box whose extent overflows gets no cells.
-    """
-    lo = points.min(axis=0)
-    extent = points.max(axis=0) - lo
-    if not np.isfinite(extent).all():
-        return np.nan, lo, 1.0, np.zeros(3, dtype=np.intp)
-    sample = points[::max(1, len(points) // _SPACING_SAMPLE)]
-    spacing = float(np.median(tree.query(sample, k=2)[0][:, 1]))
-    h = _CELL_SPACINGS * spacing
-    if not 0.0 < h < np.inf:
-        h = max(float(extent.max()), 1.0)
-    while np.prod(np.floor(extent / h) + 1 + 2 * _GRID_PAD) > _CELL_BUDGET:
-        h *= 1.25
-    dims = (np.floor(extent / h) + 1 + 2 * _GRID_PAD).astype(np.intp)
-    return spacing, lo - _GRID_PAD * h, h, dims
-
-
 def build_index(reference: PointCloud) -> NeighborIndex:
     """Build the search structure once per reference cloud."""
-    return NeighborIndex(reference, cKDTree(reference.points))
+    tree = cKDTree(reference.points)
+    return NeighborIndex(reference, tree, CellGrid(reference.points, tree))
 
 
 class NearestTable:
     """Approximate nearest reference point from one id per grid cell.
 
-    The table covers the cell grid of an exact NeighborIndex (same origin,
-    edge h and dims) and is built once:
+    The table holds one reference id per cell of a CellGrid, built once:
 
     - a cell that holds reference points takes its lowest-index point;
     - one Euclidean distance transform gives every cell the entry of its
@@ -314,48 +341,29 @@ class NearestTable:
       up to 0.18 h off on average, toward lower indices, and the swarm
       inherits that bias.
 
-    query clamps each point's cell coordinates to the grid (a NaN goes to
-    0, a point outside lands on the border), reads the cell's id, and
-    measures the distance as the kd-tree does, sqrt((dx*dx + dy*dy) +
-    dz*dz). Inside the grid the answer is at most 2 * sqrt(3) * h farther
-    than the nearest reference point: the cell center is within sqrt(3)/2 h
-    of the point and of any point in the cell, and the transform's cell is
-    no farther than the cell of the exact nearest point. A point with no
-    finite distance gets distance inf and index len(reference), the exact
-    index's marker. `queried` counts the points queried.
+    query reads the id of each point's clamped cell and measures the
+    grid's squared distance to it. Inside the grid the answer is at most
+    2 * sqrt(3) * h farther than the nearest reference point: the cell
+    center is within sqrt(3)/2 h of the point and of any point in the cell,
+    and the transform's cell is no farther than the cell of the exact
+    nearest point. A point with no finite distance gets distance inf and
+    index len(reference), the exact index's marker. `queried` counts the
+    points queried.
     """
 
-    def __init__(self, index: NeighborIndex):
-        self.reference = index.reference
+    def __init__(self, reference: PointCloud, grid: CellGrid):
+        self.reference = reference
+        self.grid = grid
         self.queried = 0
-        self._origin, self._h, self._dims = index._origin, index._h, index._dims
-        self._cols = index._cols
-        entry = _transform_entries(self.reference.points, self._origin, self._h, self._dims)
-        self._table = _face_sweep(entry, self._cols, index._centers).ravel()
+        self._table = _face_sweep(_transform_entries(reference.points, grid), grid).ravel()
 
     def query(self, points: np.ndarray):
         """(distances, indices) of the table's reference point for each
         query point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        q = points.T
-        flat = np.zeros(len(points), dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):    # such points get the marker
-            for c in range(3):
-                frac = q[c] - self._origin[c]
-                frac /= self._h
-                np.fmax(frac, 0.0, out=frac)
-                np.fmin(frac, self._dims[c] - 1, out=frac)
-                flat *= self._dims[c]
-                flat += frac.astype(np.intp)
-            idx = np.take(self._table, flat).astype(np.intp)
-            dist = np.take(self._cols[0], idx)
-            dist -= q[0]
-            dist *= dist
-            for c in (1, 2):
-                delta = np.take(self._cols[c], idx)
-                delta -= q[c]
-                delta *= delta
-                dist += delta
+            idx = np.take(self._table, self.grid.clamped(points)).astype(np.intp)
+            dist = self.grid.squared_distances(idx, points.T)
             np.sqrt(dist, out=dist)
         lost = ~np.isfinite(dist)
         dist[lost], idx[lost] = np.inf, len(self.reference)
@@ -363,18 +371,14 @@ class NearestTable:
         return dist, idx
 
 
-def _transform_entries(points: np.ndarray, origin: np.ndarray, h: float,
-                       dims: np.ndarray) -> np.ndarray:
+def _transform_entries(points: np.ndarray, grid: CellGrid) -> np.ndarray:
     """The int32 id, shape dims, of the lowest-index point in each cell's
     nearest occupied cell (the cell itself when occupied), by one Euclidean
-    distance transform over the grid of the given origin, edge h and dims,
-    which holds every point."""
+    distance transform over the grid, which holds every point."""
     from scipy.ndimage import distance_transform_edt
 
-    dims = tuple(dims)
-    frac = (points - origin) / h
-    occupied, first = np.unique(np.ravel_multi_index(frac.astype(np.intp).T, dims),
-                                return_index=True)
+    dims = tuple(grid.dims)
+    occupied, first = np.unique(grid.inside(points)[3], return_index=True)
     owner = np.zeros(int(np.prod(dims)), dtype=np.int32)
     owner[occupied] = first
     empty = np.ones(dims, dtype=bool)
@@ -383,12 +387,10 @@ def _transform_entries(points: np.ndarray, origin: np.ndarray, h: float,
     return owner[np.ravel_multi_index(tuple(nearest), dims)]
 
 
-def _face_sweep(entry: np.ndarray, cols: list, centers: list) -> np.ndarray:
+def _face_sweep(entry: np.ndarray, grid: CellGrid) -> np.ndarray:
     """Of each cell's id in entry, shape dims, and its six face neighbors'
     ids, the one whose point is nearest the cell center: the cell's own on
-    a tie, else the first neighbor nearer than every id before it. cols
-    holds the reference's per-axis coordinates, centers[c] the cell centers
-    along axis c.
+    a tie, else the first neighbor nearer than every id before it.
 
     A neighbor's point is measured from the cell's center per axis, summed
     in axis order. Along the two axes the neighbor shares with the cell,
@@ -402,8 +404,8 @@ def _face_sweep(entry: np.ndarray, cols: list, centers: list) -> np.ndarray:
 
     terms = []
     for c in range(3):
-        term = np.take(cols[c], entry)
-        term -= along(centers[c], c)
+        term = np.take(grid.cols[c], entry)
+        term -= along(grid.centers[c], c)
         term *= term
         terms.append(term)
     best = entry.copy()
@@ -414,8 +416,8 @@ def _face_sweep(entry: np.ndarray, cols: list, centers: list) -> np.ndarray:
         for lo, hi in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
             src = whole[:axis] + (lo,) + whole[axis + 1:]
             dst = whole[:axis] + (hi,) + whole[axis + 1:]
-            shifted = np.take(cols[axis], entry[src])
-            shifted -= along(centers[axis][hi], axis)
+            shifted = np.take(grid.cols[axis], entry[src])
+            shifted -= along(grid.centers[axis][hi], axis)
             shifted *= shifted
             part = [shifted if c == axis else terms[c][src] for c in range(3)]
             sq = part[0] + part[1]

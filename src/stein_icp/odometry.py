@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import InputError
 from .evaluation import PoseDistribution
@@ -137,8 +136,9 @@ def confidence_ellipse(cov2d: np.ndarray, level: float = 0.95):
     """Axis lengths and orientation of a planar confidence ellipse.
 
     Returns (semi_axes, angle): semi_axes = (major, minor) are sqrt of the
-    eigenvalues scaled by the chi-squared(2) quantile of the level; angle
-    orients the major axis, in radians from the +x axis.
+    eigenvalues scaled by the chi-squared(2) quantile of the level,
+    -2 log(1 - level); angle orients the major axis, in radians from the +x
+    axis.
     """
     cov2d = np.asarray(cov2d, dtype=float)
     if cov2d.shape != (2, 2):
@@ -148,7 +148,7 @@ def confidence_ellipse(cov2d: np.ndarray, level: float = 0.95):
     if w[0] < -1e-12:
         raise InputError("covariance must be positive semi-definite")
     w = np.clip(w, 0.0, None)
-    q = float(chi2.ppf(level, df=2))
+    q = -2.0 * np.log1p(-level)
     major = float(np.sqrt(w[1] * q))
     minor = float(np.sqrt(w[0] * q))
     angle = float(np.arctan2(v[1, 1], v[0, 1]))

@@ -430,9 +430,9 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     build_start = time.perf_counter()
     index = build_index(reference)
     coarse_until = config.iterations // _COARSE_SHARE
-    if config.max_dist is not None or not 0.0 < index.spacing < np.inf:
+    if config.max_dist is not None or not 0.0 < index.grid.spacing < np.inf:
         coarse_until = 0
-    coarse = NearestTable(index) if coarse_until else None
+    coarse = NearestTable(reference, index.grid) if coarse_until else None
     build_seconds = time.perf_counter() - build_start
 
     active = np.ones(K, dtype=bool)

@@ -4,6 +4,8 @@ file precedence, determinism of the written artifacts, and exit codes."""
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -802,3 +804,13 @@ class TestTopLevel:
             main(["bench", "--scene", "blob"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_fresh_import_leaves_out_scipy_stats(self):
+        """A command runs as one process, so what the CLI imports is part of
+        its wall time: a fresh import of the CLI loads no scipy.stats."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import stein_icp.cli; "
+                "print('scipy.stats' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout == "False\n"

@@ -1,7 +1,7 @@
 """Nearest-neighbor index against a brute-force linear scan, tie-breaking,
-the certified cell grid against the kd-tree, the coarse nearest-point
-table against the kd-tree, the random-reshuffling minibatch sampler, and
-stacked matching."""
+the certified cell grid against the kd-tree, the grid's two ways to locate
+a point against each other, the coarse nearest-point table against the
+kd-tree, the random-reshuffling minibatch sampler, and stacked matching."""
 
 import numpy as np
 import pytest
@@ -92,6 +92,16 @@ class TestTieBreaking:
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(dist, [0.05, 0.01], rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.05, 2.0])
+    def test_near_tie_goes_to_lowest_index_below_unit_distance(self, scale):
+        """Index 1 is nearer than index 0 by 3e-13, inside the tie
+        tolerance 1e-12 * max(d, 1): the tie goes to index 0 below unit
+        distance as above it, on a cold and on a warm index."""
+        ref = np.array([[scale, 0.0, 0.0], [-(scale - 3e-13), 0.0, 0.0], [5.0, 5.0, 5.0]])
+        dist, idx = _warm_query(build_index(PointCloud(ref)), np.zeros((1, 3)))
+        assert idx[0] == 0
+        assert dist[0] == np.linalg.norm(ref[0])
+
     def test_mixed_tied_and_untied_queries(self, rng):
         ref = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.2, 0.1, 5.0]])
         queries = np.array([[0.0, 0.0, 0.0], [0.19, 0.1, 5.0]])
@@ -147,9 +157,10 @@ class TestCertifiedGrid:
     def test_cell_centers_and_faces(self, rng):
         ref = _surface(rng, 1500)
         index = build_index(PointCloud(ref))
-        cells = np.stack([rng.integers(0, d, 400) for d in index._dims], axis=1)
-        centers = index._origin + (cells + 0.5) * index._h
-        corners = index._origin + cells * index._h
+        grid = index.grid
+        cells = np.stack([rng.integers(0, d, 400) for d in grid.dims], axis=1)
+        centers = grid.origin + (cells + 0.5) * grid.h
+        corners = grid.origin + cells * grid.h
         faces = centers.copy()
         faces[:, 0] = corners[:, 0]
         edges = corners.copy()
@@ -229,11 +240,11 @@ class TestCertifiedGrid:
         ref = _surface(rng, 1500)
         index = build_index(PointCloud(ref))
         queries = ref[rng.integers(0, 1500, 5000)] + rng.normal(0, 0.01, (5000, 3))
-        assert index._locate(queries)[0] is None
+        assert index.grid.inside(queries)[0] is None
         dist, idx = _warm_query(index, queries)
         _assert_kd_answer(ref, queries, dist, idx)
         assert index.certified > 0.7 * index.queried
-        cells = np.floor((queries - index._origin) / index._h)
+        cells = np.floor((queries - index.grid.origin) / index.grid.h)
         assert index.filled == len(np.unique(cells, axis=0))
 
     def test_inside_outside_and_overflowing_across_passes(self, rng):
@@ -261,7 +272,7 @@ class TestCertifiedGrid:
         inside the grid: every answer is the kd-tree's."""
         ref = _surface(rng, 800)
         index = build_index(PointCloud(ref))
-        top = index._origin + index._dims * index._h
+        top = index.grid.origin + index.grid.dims * index.grid.h
         inner = ref[rng.integers(0, 800, 300)] + rng.normal(0, 0.02, (300, 3))
         faces = []
         for c in range(3):
@@ -332,6 +343,40 @@ class TestCertifiedGrid:
         _assert_kd_answer(ref, queries, dist, idx)
 
 
+class TestCellGrid:
+    def test_inside_and_clamped_locate_alike(self, rng):
+        """Points in the grid, on its lower and upper faces and one float
+        below the upper faces, outside it, and the reference points: for
+        the rows inside returns, clamped gives the same flat cells, and it
+        puts every other point on a border cell."""
+        ref = _surface(rng, 800)
+        grid = build_index(PointCloud(ref)).grid
+        top = grid.origin + grid.dims * grid.h
+        inner = rng.uniform(grid.origin, top, (500, 3))
+        faces = []
+        for c in range(3):
+            for value in (grid.origin[c], top[c], np.nextafter(top[c], -np.inf)):
+                on = inner[:20].copy()
+                on[:, c] = value
+                faces.append(on)
+        outside = rng.uniform(grid.origin - 3.0, top + 3.0, (500, 3))
+        points = np.vstack([inner, *faces, outside, [[np.nan, 0.0, 0.0]], ref])
+        rows, q, cell, flat = grid.inside(points)
+        clamped = grid.clamped(points)
+        assert rows is not None
+        np.testing.assert_array_equal(q, points[rows].T)
+        np.testing.assert_array_equal(cell, np.unravel_index(flat, tuple(grid.dims)))
+        np.testing.assert_array_equal(clamped[rows], flat)
+        out = np.setdiff1d(np.arange(len(points)), rows)
+        assert len(out) > 100
+        border = np.array(np.unravel_index(clamped[out], tuple(grid.dims))).T
+        assert ((border == 0) | (border == grid.dims - 1)).any(axis=1).all()
+        assert np.isin(np.arange(len(points) - len(ref), len(points)), rows).all()
+        rows, _, _, flat = grid.inside(ref)
+        assert rows is None
+        np.testing.assert_array_equal(grid.clamped(ref), flat)
+
+
 _SCENES = {"blob": {"n": 5000, "seed": 1}, "ring": {"n": 8000, "seed": 5},
            "block": {"n": 4000, "seed": 3}}
 
@@ -339,7 +384,7 @@ _SCENES = {"blob": {"n": 5000, "seed": 1}, "ring": {"n": 8000, "seed": 5},
 def _scene_table(name):
     reference = make_scene(name, **_SCENES[name])[1]
     index = build_index(reference)
-    return reference.points, index, NearestTable(index)
+    return reference.points, index.grid, NearestTable(reference, index.grid)
 
 
 class TestNearestTable:
@@ -352,14 +397,13 @@ class TestNearestTable:
         """Inside the grid the table's point is a reference point at the
         distance the table reports, at most 2 sqrt(3) h farther than the
         nearest reference point."""
-        ref, index, table = _scene_table(scene)
-        lo = index._origin
-        queries = rng.uniform(lo, lo + index._dims * index._h, (200_000, 3))
+        ref, grid, table = _scene_table(scene)
+        queries = rng.uniform(grid.origin, grid.origin + grid.dims * grid.h, (200_000, 3))
         dist, idx = table.query(queries)
         exact = cKDTree(ref).query(queries)[0]
         np.testing.assert_array_equal(dist, np.sqrt(((ref[idx] - queries) ** 2).sum(axis=1)))
         assert (dist >= exact).all()
-        assert (dist - exact).max() <= 2.0 * np.sqrt(3.0) * index._h
+        assert (dist - exact).max() <= 2.0 * np.sqrt(3.0) * grid.h
         assert table.queried == 200_000
 
     @pytest.mark.parametrize("scene", ["ring", "block"])
@@ -368,7 +412,7 @@ class TestNearestTable:
         one by less than 0.05 h on average along every axis. The distance
         transform alone breaks ties toward lower cell indices (up to 0.18 h
         on average); the face-neighbor sweep removes that drift."""
-        ref, index, table = _scene_table(scene)
+        ref, grid, table = _scene_table(scene)
         direction = rng.normal(size=(100_000, 3))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         queries = (ref[rng.integers(len(ref), size=100_000)]
@@ -376,7 +420,7 @@ class TestNearestTable:
         _, idx = table.query(queries)
         _, exact = cKDTree(ref).query(queries)
         drift = (ref[idx] - ref[exact]).mean(axis=0)
-        assert (np.abs(drift) < 0.05 * index._h).all(), drift / index._h
+        assert (np.abs(drift) < 0.05 * grid.h).all(), drift / grid.h
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_and_far_points(self, rng):
@@ -384,7 +428,8 @@ class TestNearestTable:
         point far outside the grid lands on its border and gets a finite
         answer."""
         ref = _surface(rng, 300)
-        table = NearestTable(build_index(PointCloud(ref)))
+        cloud = PointCloud(ref)
+        table = NearestTable(cloud, build_index(cloud).grid)
         queries = np.array([[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0], [0.0, 0.2, -np.inf],
                             [1e200, 1e200, 0.0], [50.0, -40.0, 30.0], [-1e6, 0.0, 0.0]])
         dist, idx = table.query(queries)

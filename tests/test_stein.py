@@ -134,7 +134,10 @@ class TestMedianBandwidth:
         -0.0 becomes 0.0: which of two tied zeros a partition returns is
         unspecified, and squared distances are never -0.0."""
         arr = np.array(values, dtype=float) + 0.0
-        with np.errstate(invalid="ignore"):        # the mean of -inf and inf
+        # np.median's mean of two values warns: invalid for -inf and inf, and
+        # overflow when their sum leaves the float range (_median returns
+        # that inf silently, as it adds Python floats).
+        with np.errstate(invalid="ignore", over="ignore"):
             expected = np.median(arr)
         got = stein._median(arr)
         assert np.array_equal(got, expected, equal_nan=True), (got, expected)
@@ -760,7 +763,7 @@ class TestParticleEngine:
             return build(cloud)
 
         monkeypatch.setattr(stein, "build_index", record)
-        monkeypatch.setattr(stein, "NearestTable", lambda index: pytest.fail("built a table"))
+        monkeypatch.setattr(stein, "NearestTable", lambda *args: pytest.fail("built a table"))
         cfg = IcpConfig(batch_size=batch_size, step_size=0.01, iterations=9, max_dist=0.0)
         result = run_particle_engine(ref, ref, np.zeros((1, 6)), cfg)
         assert len(built) == 1 and built[0] is ref
