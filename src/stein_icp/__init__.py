@@ -32,7 +32,6 @@ from .evaluation import (
     kl_gaussian,
     kl_rotation,
     kl_translation,
-    mc_ground_truth,
     metrics_report,
     ovl_coefficient,
     pose_summary,
@@ -65,7 +64,6 @@ from .sgd import (
     AdamState,
     IcpConfig,
     adam_step,
-    run_sgd_icp,
     stacked_cost_gradients,
 )
 from .stein import (
@@ -73,9 +71,11 @@ from .stein import (
     EngineResult,
     PriorConfig,
     SteinConfig,
+    mc_ground_truth,
     median_bandwidth,
     prior_gradient,
     run_particle_engine,
+    run_sgd_icp,
     run_stein_icp,
     sample_initial_particles,
     stein_direction,

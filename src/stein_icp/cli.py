@@ -38,14 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import estimate_normals, format_table, load_cloud, write_cloud
+from .cloud import FORMATS, estimate_normals, format_table, load_cloud, write_cloud
 from .errors import InputError, NumericalError
 from .evaluation import (
     ANGULAR_DIMS,
     DIMENSION_NAMES,
     PoseDistribution,
     kde_1d,
-    mc_ground_truth,
     metrics_report,
     pose_summary,
 )
@@ -53,7 +52,7 @@ from .geometry import Pose6D
 from .odometry import (build_trajectory, check_level, check_order, ellipse_rows,
                        trajectory_rows)
 from .sgd import IcpConfig
-from .stein import UNIFORM_PRIOR, PriorConfig, SteinConfig, run_stein_icp
+from .stein import UNIFORM_PRIOR, PriorConfig, SteinConfig, mc_ground_truth, run_stein_icp
 from .synthetic import BLOCK_GAP, make_scene
 
 __all__ = ["main"]
@@ -385,8 +384,9 @@ def cmd_odometry(cfg: dict) -> int:
 
 def cmd_synth(cfg: dict) -> int:
     """write a synthetic benchmark scene with known ground truth"""
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    fmt = cfg["format"]
+    if fmt not in FORMATS:
+        raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
     kwargs = {"n": cfg["points"], "noise": cfg["noise"], "seed": cfg["seed"]}
     if cfg["true_pose"] is not None:
         if cfg["scene"] == "block":
@@ -394,10 +394,9 @@ def cmd_synth(cfg: dict) -> int:
                              "--true-pose is not supported for it")
         kwargs["true_pose"] = Pose6D.from_array(cfg["true_pose"])
     source, reference, true_pose = make_scene(cfg["scene"], **kwargs)
-    fmt = cfg["format"]
-    suffix = {"ply": ".ply", "pcd": ".pcd", "xyz-csv": ".csv"}.get(fmt)
-    if suffix is None:
-        raise InputError(f"format must be ply, pcd, or xyz-csv, got {fmt!r}")
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    suffix = ".csv" if fmt == "xyz-csv" else f".{fmt}"
     write_cloud(source, out / f"source{suffix}", fmt)
     write_cloud(reference, out / f"reference{suffix}", fmt)
     payload = {

@@ -1,5 +1,5 @@
-"""Stochastic mini-batch ICP: cost, analytic gradients, Adam, and the
-single-estimate optimizer.
+"""Stochastic mini-batch ICP: the configuration, cost, analytic gradients
+and Adam.
 
 Cost over a set of matched pairs (s_i source, r_i reference, optional unit
 normal n_i at r_i), with residual e_i = R s_i + u - r_i:
@@ -21,7 +21,9 @@ Equivalently, g is the exact gradient of half the batch cost.
 `stacked_cost_gradients` is the one implementation of this arithmetic: it
 evaluates K particles' batches at once, with a mask of the pairs that
 survived matching, and the particle engine runs it on all live particles
-at once. A single pose is the K=1 stack; run_sgd_icp is the engine at K=1.
+at once. A single pose is the K=1 stack: the one-pose optimizer,
+stein.run_sgd_icp, is the engine at K=1. This module imports nothing from
+the engine.
 """
 
 from __future__ import annotations
@@ -30,16 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
 from .errors import InputError, check_count, check_real
-from .geometry import Pose6D, pose_array
 
 __all__ = [
     "IcpConfig",
     "AdamState",
     "adam_step",
     "stacked_cost_gradients",
-    "run_sgd_icp",
 ]
 
 METRICS = ("point", "plane")
@@ -145,41 +144,3 @@ def stacked_cost_gradients(residuals: np.ndarray, mask: np.ndarray,
     g[:, :3] = p.sum(axis=1)
     g[:, 3:] = np.matmul(partials.reshape(K, 3, 9), moment.reshape(K, 9, 1))[:, :, 0]
     return sq.sum(axis=1) / count, g / count[:, None]
-
-
-# --------------------------------------------------------------------------
-# Full run
-
-
-def run_sgd_icp(source: PointCloud, reference: PointCloud, init: Pose6D,
-                config: IcpConfig):
-    """Register source onto reference starting from a single pose estimate,
-    init: a Pose6D or 6 numbers (pose_array); anything else raises InputError.
-
-    Runs the shared particle engine with one particle and no prior, so a
-    one-particle Stein run under the same seed reproduces this trajectory
-    exactly. Returns (pose, diagnostics); diagnostics carries per-iteration
-    cost and the full parameter trace.
-    """
-    from .stein import UNIFORM_PRIOR, run_particle_engine
-
-    result = run_particle_engine(
-        source=source,
-        reference=reference,
-        particles=pose_array(init).reshape(1, 6),
-        config=config,
-        prior=UNIFORM_PRIOR,
-        interacting=True,
-        record_trace=True,
-    )
-    pose = Pose6D.from_array(result.particles[0])
-    return pose, IcpDiagnostics(cost_trace=result.cost_trace,
-                                pose_trace=result.particle_trace[:, 0, :])
-
-
-@dataclass(frozen=True)
-class IcpDiagnostics:
-    """Per-iteration cost and pose trace of a single-estimate run."""
-
-    cost_trace: np.ndarray   # (T,)
-    pose_trace: np.ndarray   # (T + 1, 6) includes the initial pose

@@ -28,6 +28,11 @@ and the rest match the exact index (see run_particle_engine).
 
 Particles are plain (K, 6) float64 arrays ordered (x, y, z, roll, pitch,
 yaw), one pose per row.
+
+run_particle_engine is the one optimization loop, and its three front ends
+live here with the seed-stream labels they draw from: run_stein_icp (the
+coupled swarm), run_sgd_icp (one pose, no prior) and mc_ground_truth
+(uncoupled restarts, the Monte-Carlo reference).
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ from scipy.spatial.distance import pdist, squareform
 
 from .cloud import PointCloud
 from .correspondence import NearestTable, ReshuffledBatches, build_index, match_stacked
-from .errors import DivergedError, InputError, MatchRejectionError, check_count, real_array
+from .errors import (DivergedError, InputError, MatchRejectionError, NumericalError, check_count,
+                     real_array)
 from .evaluation import PoseDistribution
-from .geometry import rotation_from_euler, rotation_partials, transform_stacked, wrap_angle
+from .geometry import (Pose6D, pose_array, rotation_from_euler, rotation_partials,
+                       transform_stacked, wrap_angle)
 from .sgd import AdamState, IcpConfig, adam_step, stacked_cost_gradients
 
 __all__ = [
@@ -54,6 +61,8 @@ __all__ = [
     "stein_direction",
     "sample_initial_particles",
     "run_stein_icp",
+    "run_sgd_icp",
+    "mc_ground_truth",
     "run_particle_engine",
     "EngineResult",
 ]
@@ -61,7 +70,7 @@ __all__ = [
 # Sub-stream labels under the run seed; keeps every random draw addressable.
 _STREAM_INIT = 0
 _STREAM_PARTICLE = 1
-_STREAM_MC_INIT = 2      # evaluation.mc_ground_truth's restart draws
+_STREAM_MC_INIT = 2      # mc_ground_truth's restart draws
 
 _BANDWIDTH_FLOOR = 1e-8
 _TWO_PI = 2.0 * np.pi
@@ -536,7 +545,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
 
 
 # --------------------------------------------------------------------------
-# Public optimizer
+# Front ends: the coupled swarm, one pose, independent restarts
 
 
 def run_stein_icp(source: PointCloud, reference: PointCloud, config: SteinConfig,
@@ -569,3 +578,61 @@ def run_stein_icp(source: PointCloud, reference: PointCloud, config: SteinConfig
         return dist, result
     return dist
 
+
+def run_sgd_icp(source: PointCloud, reference: PointCloud, init: Pose6D,
+                config: IcpConfig):
+    """Register source onto reference starting from a single pose estimate,
+    init: a Pose6D or 6 numbers (pose_array); anything else raises InputError.
+
+    Runs the shared particle engine with one particle and no prior, so a
+    one-particle Stein run under the same seed reproduces this trajectory
+    exactly. Returns (pose, diagnostics); diagnostics carries per-iteration
+    cost and the full parameter trace.
+    """
+    result = run_particle_engine(
+        source=source,
+        reference=reference,
+        particles=pose_array(init).reshape(1, 6),
+        config=config,
+        prior=UNIFORM_PRIOR,
+        interacting=True,
+        record_trace=True,
+    )
+    pose = Pose6D.from_array(result.particles[0])
+    return pose, IcpDiagnostics(cost_trace=result.cost_trace,
+                                pose_trace=result.particle_trace[:, 0, :])
+
+
+@dataclass(frozen=True)
+class IcpDiagnostics:
+    """Per-iteration cost and pose trace of a single-estimate run."""
+
+    cost_trace: np.ndarray   # (T,)
+    pose_trace: np.ndarray   # (T + 1, 6) includes the initial pose
+
+
+def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
+                    **init_box) -> PoseDistribution:
+    """Reference posterior from n independent SGD-ICP restarts.
+
+    Initializations are uniform per dimension in init_center +- range:
+    init_box holds SteinConfig's init_center, trans_range and rot_range
+    keywords, and one left out takes that field's default. Each restart
+    has its own seed stream and its own optimizer state and shares nothing
+    with the others; they are evaluated as one uncoupled particle batch so
+    the nearest-neighbor queries vectorize. A restart that fails numerically is dropped; more
+    than half failing is an error.
+    """
+    check_count("n", n, 1)
+    unknown = sorted(init_box.keys() - {"init_center", "trans_range", "rot_range"})
+    if unknown:
+        raise TypeError(f"mc_ground_truth() got unexpected keyword(s) {unknown}")
+    bounds = SteinConfig(**init_box).init_bounds()
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_MC_INIT]))
+    inits = sample_initial_particles(n, bounds, rng)
+    result = run_particle_engine(source, reference, inits, config,
+                                 interacting=False, record_trace=False)
+    ok = ~result.failed
+    if 2 * ok.sum() < n:
+        raise NumericalError(f"{int(result.failed.sum())} of {n} restarts failed")
+    return PoseDistribution.from_samples(result.particles[ok])

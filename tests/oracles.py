@@ -235,13 +235,23 @@ def kl_gaussian_1d(m1, v1, m2, v2):
     return 0.5 * (np.log(v2 / v1) + v1 / v2 + (m1 - m2) ** 2 / v2 - 1.0)
 
 
-def ovl_trapezoid(m1, v1, m2, v2, n_grid=400001):
-    """Overlap of two 1D Gaussians by dense trapezoidal integration; an
-    independent route to the adaptive-quadrature implementation."""
+def ovl_trapezoid(m1, v1, m2, v2, n_grid=200001):
+    """Overlap of two 1D Gaussians by dense trapezoidal integration of
+    min(pdf1, pdf2); an independent route to the closed-form implementation.
+
+    The nodes are the sorted union of one uniform grid over both marginals'
+    +-12 sigma and one over each marginal's own +-12 sigma, so a marginal
+    far narrower than the other is still resolved. The kinks of min() at
+    the density crossings cost O(h^2): against mpmath it is within 1e-12 on
+    the collapsed-marginal pairs of the tests and within about 3e-10 on
+    random pairs.
+    """
     s1, s2 = np.sqrt(v1), np.sqrt(v2)
     lo = min(m1 - 12 * s1, m2 - 12 * s2)
     hi = max(m1 + 12 * s1, m2 + 12 * s2)
-    x = np.linspace(lo, hi, n_grid)
+    x = np.unique(np.concatenate([np.linspace(lo, hi, n_grid),
+                                  np.linspace(m1 - 12 * s1, m1 + 12 * s1, n_grid),
+                                  np.linspace(m2 - 12 * s2, m2 + 12 * s2, n_grid)]))
     p1 = np.exp(-0.5 * (x - m1) ** 2 / v1) / (s1 * np.sqrt(2 * np.pi))
     p2 = np.exp(-0.5 * (x - m2) ** 2 / v2) / (s2 * np.sqrt(2 * np.pi))
     return float(np.trapezoid(np.minimum(p1, p2), x))

@@ -86,6 +86,7 @@ class TestSynth:
         rc = main(["synth", "--scene", "block", "--points", "300",
                    "--out", str(tmp_path / "b2"), "--true-pose", "0.1 0 0 0 0 0"])
         assert rc == 2
+        assert not (tmp_path / "b2").exists()
 
     def test_format_selection(self, tmp_path):
         out = tmp_path / "csv_scene"
@@ -94,6 +95,7 @@ class TestSynth:
         assert rc == 0
         assert (out / "source.csv").exists()
         assert main(["synth", "--format", "laz", "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_negative_point_count_is_bad_input(self, tmp_path, capsys):
         assert main(["synth", "--points", "-5", "--out", str(tmp_path / "n")]) == 2
@@ -103,6 +105,7 @@ class TestSynth:
 
     def test_unknown_scene(self, tmp_path):
         assert main(["synth", "--scene", "torus", "--out", str(tmp_path / "t")]) == 2
+        assert not (tmp_path / "t").exists()
 
 
 class TestRegister:
@@ -807,10 +810,11 @@ class TestTopLevel:
 
     def test_fresh_import_leaves_out_scipy_stats(self):
         """A command runs as one process, so what the CLI imports is part of
-        its wall time: a fresh import of the CLI loads no scipy.stats."""
+        its wall time: a fresh import of the CLI loads neither scipy.stats
+        nor scipy.integrate."""
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); import stein_icp.cli; "
-                "print('scipy.stats' in sys.modules)")
+                "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
-        assert done.stdout == "False\n"
+        assert done.stdout == "[]\n"

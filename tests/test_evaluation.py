@@ -1,4 +1,4 @@
-"""Gaussian fits, KL and overlap metrics (against textbook and quadrature
+"""Gaussian fits, KL and overlap metrics (against textbook, quadrature and mpmath
 oracles), KDE, relative pose error, and the Monte-Carlo reference."""
 
 import math
@@ -28,6 +28,7 @@ from stein_icp import (
     transform_cloud,
     wrap_angle,
 )
+from stein_icp import evaluation
 
 from oracles import (
     kde_modes,
@@ -232,6 +233,56 @@ class TestOvlCoefficient:
         naive = ovl_coefficient(_diag_dist(m1, v), _diag_dist(m2, v),
                                 angular_dims=())
         assert naive < 0.85  # the un-wrapped dimension contributes ~0
+
+    # (m1, v1, m2, v2) and their overlap from mpmath at 40 digits: a
+    # marginal 1e-4 to 4e-3 as wide as the other, which adaptive quadrature
+    # over the wide one's +-12 sigma read 5-8% low.
+    @pytest.mark.parametrize("m1, v1, m2, v2, want", [
+        (0.0, 1e-12, 0.003, 1e-4, 3.450723714224235e-4),
+        (0.25, 1e-10, 0.249, 1e-5, 8.833727651285549e-3),
+        (0.0, 2e-12, 0.0, 1e-4, 5.005846305813974e-4),
+        (1.1905807723691118, 0.4968142573623698, -0.20898290023823288,
+         6.537854530816687e-06, 1.6684078064376247e-3),
+    ], ids=["offset", "near-means", "same-mean", "far-means"])
+    def test_collapsed_marginal_matches_mpmath(self, m1, v1, m2, v2, want):
+        for a, b in (((m1, v1), (m2, v2)), ((m2, v2), (m1, v1))):
+            assert abs(ovl_coefficient(_diag_dist([a[0]], [a[1]]),
+                                       _diag_dist([b[0]], [b[1]])) - want) < 1e-12
+        assert abs(ovl_trapezoid(m1, v1, m2, v2) - want) < 1e-12
+
+    def test_equal_variances_cross_once(self):
+        """One crossing, midway: the overlap is 2 Phi(-|d| / (2 s))."""
+        (cut,) = evaluation._gaussian_crossings(0.4, 0.3, 0.1, 0.3)
+        assert cut == pytest.approx(0.25, abs=1e-15)
+        got = ovl_coefficient(_diag_dist([0.1], [0.3]), _diag_dist([0.4], [0.3]))
+        assert got == pytest.approx(math.erfc(0.15 / math.sqrt(0.6)), abs=1e-15)
+
+    def test_identical_marginals_overlap_exactly_one(self):
+        dist = _diag_dist([0.3, -2.0, 0.0], [1e-12, 0.5, 1e12])
+        assert ovl_coefficient(dist, dist, angular_dims=()) == 1.0
+
+    def test_near_equal_variances(self):
+        """v2 = v1 (1 + 1e-12): the second crossing lies about 1e12 away and
+        the overlap is the equal-variance one up to its own 5e-14 change
+        (mpmath at 40 digits)."""
+        v = 0.3
+        far, _ = evaluation._gaussian_crossings(0.1, v, 0.4, v * (1 + 1e-12))
+        assert -1e13 < far < -1e11
+        got = ovl_coefficient(_diag_dist([0.1], [v]), _diag_dist([0.4], [v * (1 + 1e-12)]))
+        assert abs(got - 0.7841912294016717) < 1e-12
+
+    def test_wide_variance_ratios_match_trapezoid(self, rng):
+        """Variance ratios from 1e-12 to 1e12, means apart by up to a few of
+        the narrower widths or far apart. The trapezoid oracle's own error
+        reaches about 3e-10 on such pairs."""
+        for _ in range(40):
+            m1, m2 = rng.uniform(-1, 1, 2)
+            v1 = 10.0 ** rng.uniform(-6, 0)
+            v2 = v1 * 10.0 ** rng.uniform(-12, 12)
+            if rng.random() < 0.5:
+                m2 = m1 + rng.normal() * math.sqrt(min(v1, v2))
+            got = ovl_coefficient(_diag_dist([m1], [v1]), _diag_dist([m2], [v2]))
+            assert got == pytest.approx(ovl_trapezoid(m1, v1, m2, v2), abs=1e-9)
 
     def test_rejects_zero_variance(self):
         cov = np.eye(6)

@@ -87,6 +87,45 @@ def test_detects_a_private_helper_without_a_caller():
     assert _dead_helpers(trees) == ["a.py:4: _self_only", "a.py:8: _method"]
 
 
+def _deferred_package_imports(trees: dict) -> list:
+    """Imports of a package module below module level, in a function, a
+    class or a block: relative ones, and absolute ones of the package.
+    Deferred third-party imports stay allowed."""
+    bad = []
+    for name, tree in trees.items():
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if id(node) in top:
+                continue
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else [PACKAGE.name]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[0] == PACKAGE.name for m in modules):
+                bad.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(bad)]
+
+
+def test_no_package_import_inside_a_function():
+    """Package modules import each other at module level only, so the
+    import graph is what the module headers say. The engine imports
+    evaluation and sgd there, so neither can import the engine back."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _deferred_package_imports(trees) == []
+
+
+def test_detects_a_package_import_inside_a_function():
+    trees = {"a.py": ast.parse(
+        "from .b import x\nimport stein_icp.c\n\n"
+        "def f():\n    from .b import y\n    import stein_icp.c\n"
+        "    from stein_icp import d\n    from scipy import ndimage\n"
+        "    import numpy\n    return y\n\n"
+        "class C:\n    from . import b\n")}
+    assert _deferred_package_imports(trees) == ["a.py:5", "a.py:6", "a.py:7", "a.py:13"]
+
+
 def _module_all(tree: ast.Module) -> list:
     """The literal __all__ of a module, or [] when it declares none."""
     for node in tree.body:
