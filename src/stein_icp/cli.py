@@ -312,8 +312,8 @@ def cmd_ground_truth(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    dist = mc_ground_truth(source, reference, cfg["runs"], _config(IcpConfig, cfg),
-                           **{name: cfg[name] for name in _INIT})
+    config = SteinConfig(particles=cfg["runs"], **{name: cfg[name] for name in (*_ICP, *_INIT)})
+    dist = mc_ground_truth(source, reference, config)
     elapsed = time.perf_counter() - start
     _write_csv(DIMENSION_NAMES, dist.samples, out / "mc_samples.csv")
     _write_json(_summary_payload(dist), out / "mc_summary.json")

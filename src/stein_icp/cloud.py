@@ -285,8 +285,10 @@ def format_table(values, sep: str = " ", end: str = "\n", index: bool = False) -
 
 def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
     """Write a cloud. ASCII floats use round-trip formatting, so a
-    write/load cycle reproduces the arrays bit for bit. PLY and PCD lines
-    end in "\n"; xyz-csv is comma separated with "\r\n" line ends."""
+    write/load cycle reproduces the arrays bit for bit. The headers declare
+    64-bit values (PLY `property double`, PCD `SIZE 8`), so a reader that
+    honours them keeps every bit too. PLY and PCD lines end in "\n";
+    xyz-csv is comma separated with "\r\n" line ends."""
     path = Path(path)
     fmt = _detect_format(path, format)
     has_normals = cloud.normals is not None
@@ -296,9 +298,9 @@ def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
         return
     if fmt == "ply":
         header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}"]
-        header += [f"property float {a}" for a in ("x", "y", "z")]
+        header += [f"property double {a}" for a in ("x", "y", "z")]
         if has_normals:
-            header += [f"property float {a}" for a in ("nx", "ny", "nz")]
+            header += [f"property double {a}" for a in ("nx", "ny", "nz")]
         header.append("end_header")
     else:
         names = "x y z" + (" normal_x normal_y normal_z" if has_normals else "")

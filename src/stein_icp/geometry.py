@@ -191,7 +191,7 @@ def matrix_to_pose(T: np.ndarray) -> Pose6D:
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4):
-        raise ValueError(f"expected 4x4 matrix, got {T.shape}")
+        raise InputError(f"expected 4x4 matrix, got {T.shape}")
     R = T[:3, :3]
     if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHO_TOL:
         R = _reorthonormalize(R)

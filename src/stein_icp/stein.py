@@ -32,7 +32,12 @@ yaw), one pose per row.
 run_particle_engine is the one optimization loop, and its three front ends
 live here with the seed-stream labels they draw from: run_stein_icp (the
 coupled swarm), run_sgd_icp (one pose, no prior) and mc_ground_truth
-(uncoupled restarts, the Monte-Carlo reference).
+(uncoupled restarts, the Monte-Carlo reference). All three return or read
+one EngineResult. The loop raises no numerical failure: it freezes a
+particle that fails and records its iteration and cause in
+EngineResult.failures. run_stein_icp and run_sgd_icp raise the first
+recorded failure through one helper; mc_ground_truth drops its failed
+restarts.
 """
 
 from __future__ import annotations
@@ -76,6 +81,12 @@ _BANDWIDTH_FLOOR = 1e-8
 _TWO_PI = 2.0 * np.pi
 
 _COARSE_SHARE = 3         # the coarse table answers iterations [0, iterations // 3)
+
+# The causes an EngineResult records, in the order a front end reports them
+# when several fail in one iteration.
+_LOST = "no finite match"
+_REJECTED = "all pairs rejected"
+_NON_FINITE = "non-finite pose"
 
 
 @dataclass(frozen=True)
@@ -374,6 +385,10 @@ class EngineResult:
     particles: np.ndarray             # (K, 6) final (or last finite) poses
     cost_trace: np.ndarray            # (T,) mean batch cost over live particles
     failed: np.ndarray                # (K,) bool
+    # (iteration, particle, cause) of each frozen particle, in the order it
+    # failed; the cause is "no finite match", "all pairs rejected" or
+    # "non-finite pose".
+    failures: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     # Wall time of the iteration loop, on the clock the phase timings use.
     loop_seconds: float = 0.0
@@ -390,14 +405,23 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
                         prior: PriorConfig = UNIFORM_PRIOR, *,
                         interacting: bool = True, repulsion: bool = True,
                         record_trace: bool = False) -> EngineResult:
-    """Iterate the particle population. Both public optimizers reduce to
+    """Iterate the particle population. All three front ends reduce to
     this loop, which is what makes the K=1 equivalence exact.
 
-    interacting=True applies the kernel coupling (Stein mode, failures
-    raise), with the kernel-gradient term unless repulsion=False;
-    interacting=False treats particles as independent restarts
-    (Monte-Carlo mode, failures freeze the particle and are reported).
-    Of config the engine reads only the IcpConfig fields.
+    Bad input raises InputError (particles not (K, 6) or not finite are
+    checked before the loop); a numerical failure raises nothing. A
+    particle that fails is frozen at its last finite pose, marked in failed and appended to
+    failures as (iteration, particle, cause): "no finite match" when its
+    moved points leave the floating-point range (no finite nearest-neighbor
+    distance), "all pairs rejected" when max_dist rejects every pair of its
+    batch, "non-finite pose" when its update is not finite.
+    interacting=True applies the kernel coupling (Stein mode), with the
+    kernel-gradient term unless repulsion=False; since every particle's
+    update then reads every other's, the loop ends with the iteration of
+    the first failure. interacting=False treats particles as independent
+    restarts (Monte-Carlo mode), which run on past a failure. That is all
+    interacting selects. Of config the engine reads only the IcpConfig
+    fields.
     Every iteration runs all live particles through the stacked kernels
     in one array pass: the engine is single-threaded and data-parallel
     over particles.
@@ -405,8 +429,6 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     per epoch of N // batch_size iterations (ReshuffledBatches), each
     particle from its own seed stream, so particle j's batches do not
     depend on K.
-    A particle whose moved points leave the floating-point range (no finite
-    nearest-neighbor distance) has diverged.
 
     Matching is coarse to fine (Jost & Hugli, 3DIM 2003): iterations
     before iterations // _COARSE_SHARE match a NearestTable over the exact
@@ -452,11 +474,14 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     if trace is not None:
         trace[0] = theta
     timings = {k: 0.0 for k in ("sampling", "transform", "matching", "gradients", "update")}
+    failures = []
 
     loop_start = time.perf_counter()
     for it in range(config.iterations):
         live = np.flatnonzero(active)
-        if live.size == 0:
+        # A coupled particle's update reads every other's through the kernel,
+        # so a coupled swarm stops after the iteration of its first failure.
+        if live.size == 0 or (interacting and failures):
             break
 
         t0 = time.perf_counter()
@@ -479,15 +504,9 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         timings["matching"] += time.perf_counter() - t0
 
         if dead.any():
-            if interacting:
-                if lost.any():
-                    raise DivergedError(
-                        f"iteration {it}: particle(s) {live[lost].tolist()} left the "
-                        "floating-point range (no finite nearest-neighbor distance)")
-                raise MatchRejectionError(
-                    f"iteration {it}: all pairs rejected for particle(s) "
-                    f"{live[dead].tolist()} (max_dist={config.max_dist})")
-            # Freeze failed restarts; the rest are independent.
+            # Freeze the failed particles; the rest finish the iteration.
+            failures += [(it, j, _LOST if gone else _REJECTED)
+                         for j, gone in zip(live[dead].tolist(), lost[dead])]
             active[live[dead]] = False
             keep = ~dead
             live = live[keep]
@@ -523,9 +542,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         new_theta[:, 3:] = wrap_angle(new_theta[:, 3:])
         bad = ~np.isfinite(new_theta).all(axis=1)
         if bad.any():
-            if interacting:
-                raise DivergedError(f"iteration {it}: non-finite pose for particle(s) "
-                                    f"{live[bad].tolist()}")
+            failures += [(it, j, _NON_FINITE) for j in live[bad].tolist()]
             active[live[bad]] = False
             new_theta[bad] = th[bad]
         theta[live] = new_theta
@@ -536,7 +553,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     loop_seconds = time.perf_counter() - loop_start
 
     return EngineResult(particles=theta, cost_trace=cost_trace, failed=~active,
-                        timings=timings, loop_seconds=loop_seconds,
+                        failures=failures, timings=timings, loop_seconds=loop_seconds,
                         build_seconds=build_seconds, particle_trace=trace,
                         match_counts={"queried": index.queried,
                                       "certified": index.certified,
@@ -548,31 +565,45 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
 # Front ends: the coupled swarm, one pose, independent restarts
 
 
+def _raise_first_failure(result: EngineResult, max_dist) -> None:
+    """Raise the error of the first iteration in which a particle of result
+    failed, if any: DivergedError when one left the floating-point range,
+    else MatchRejectionError when every pair of one was rejected, else
+    DivergedError for a non-finite pose. The message names the iteration
+    and the particles that failed with that cause."""
+    if not result.failures:
+        return
+    first = result.failures[0][0]
+    causes = {cause for it, _, cause in result.failures if it == first}
+    cause = next(c for c in (_LOST, _REJECTED, _NON_FINITE) if c in causes)
+    rows = [j for it, j, c in result.failures if it == first and c == cause]
+    if cause == _LOST:
+        raise DivergedError(f"iteration {first}: particle(s) {rows} left the floating-point "
+                            "range (no finite nearest-neighbor distance)")
+    if cause == _REJECTED:
+        raise MatchRejectionError(f"iteration {first}: all pairs rejected for particle(s) "
+                                  f"{rows} (max_dist={max_dist})")
+    raise DivergedError(f"iteration {first}: non-finite pose for particle(s) {rows}")
+
+
 def run_stein_icp(source: PointCloud, reference: PointCloud, config: SteinConfig,
-                  prior: PriorConfig = UNIFORM_PRIOR, *,
-                  initial_particles: np.ndarray | None = None,
-                  full_output: bool = False):
+                  prior: PriorConfig = UNIFORM_PRIOR, *, full_output: bool = False):
     """Run the full K-particle inference and return the pose posterior.
 
     Initial particles are uniform draws inside config.init_bounds(), or
-    prior draws when an informed prior is supplied, or exactly the given
-    initial_particles array. With full_output=True the EngineResult
-    (timings, loop time, cost trace, trace) rides along as a second return
-    value.
+    prior draws when an informed prior is supplied. A particle that fails
+    numerically stops the coupled swarm, and the first failure raises
+    DivergedError or MatchRejectionError naming its iteration and
+    particles. With full_output=True the EngineResult (timings, loop time,
+    cost trace, trace) rides along as a second return value.
     """
-    if initial_particles is None:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_INIT]))
-        init_prior = prior if prior.kind == "informed" else None
-        particles = sample_initial_particles(config.particles, config.init_bounds(), rng,
-                                             init_prior)
-    else:
-        particles = np.asarray(initial_particles, dtype=float)
-        if particles.shape != (config.particles, 6):
-            raise InputError(
-                f"initial_particles must be ({config.particles}, 6), got {particles.shape}")
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_INIT]))
+    init_prior = prior if prior.kind == "informed" else None
+    particles = sample_initial_particles(config.particles, config.init_bounds(), rng, init_prior)
     result = run_particle_engine(source, reference, particles, config, prior,
                                  interacting=True, repulsion=config.repulsion,
                                  record_trace=full_output)
+    _raise_first_failure(result, config.max_dist)
     dist = PoseDistribution.from_samples(result.particles)
     if full_output:
         return dist, result
@@ -586,53 +617,33 @@ def run_sgd_icp(source: PointCloud, reference: PointCloud, init: Pose6D,
 
     Runs the shared particle engine with one particle and no prior, so a
     one-particle Stein run under the same seed reproduces this trajectory
-    exactly. Returns (pose, diagnostics); diagnostics carries per-iteration
-    cost and the full parameter trace.
+    exactly, and a failure raises the same error. Returns (pose, result):
+    the EngineResult carries the per-iteration cost and the pose trace,
+    particle_trace[:, 0] of shape (T + 1, 6) from init.
     """
-    result = run_particle_engine(
-        source=source,
-        reference=reference,
-        particles=pose_array(init).reshape(1, 6),
-        config=config,
-        prior=UNIFORM_PRIOR,
-        interacting=True,
-        record_trace=True,
-    )
-    pose = Pose6D.from_array(result.particles[0])
-    return pose, IcpDiagnostics(cost_trace=result.cost_trace,
-                                pose_trace=result.particle_trace[:, 0, :])
+    result = run_particle_engine(source, reference, pose_array(init).reshape(1, 6), config,
+                                 interacting=True, record_trace=True)
+    _raise_first_failure(result, config.max_dist)
+    return Pose6D.from_array(result.particles[0]), result
 
 
-@dataclass(frozen=True)
-class IcpDiagnostics:
-    """Per-iteration cost and pose trace of a single-estimate run."""
+def mc_ground_truth(source: PointCloud, reference: PointCloud,
+                    config: SteinConfig) -> PoseDistribution:
+    """Reference posterior from config.particles independent SGD-ICP restarts.
 
-    cost_trace: np.ndarray   # (T,)
-    pose_trace: np.ndarray   # (T + 1, 6) includes the initial pose
-
-
-def mc_ground_truth(source: PointCloud, reference: PointCloud, n: int, config,
-                    **init_box) -> PoseDistribution:
-    """Reference posterior from n independent SGD-ICP restarts.
-
-    Initializations are uniform per dimension in init_center +- range:
-    init_box holds SteinConfig's init_center, trans_range and rot_range
-    keywords, and one left out takes that field's default. Each restart
-    has its own seed stream and its own optimizer state and shares nothing
-    with the others; they are evaluated as one uncoupled particle batch so
-    the nearest-neighbor queries vectorize. A restart that fails numerically is dropped; more
-    than half failing is an error.
+    Initializations are uniform per dimension in config.init_bounds(),
+    init_center +- range. Each restart has its own seed stream and its own
+    optimizer state and shares nothing with the others; they are evaluated
+    as one uncoupled particle batch so the nearest-neighbor queries
+    vectorize. A restart that fails numerically is frozen and dropped (the
+    engine records its iteration and cause); more than half failing is an
+    error.
     """
-    check_count("n", n, 1)
-    unknown = sorted(init_box.keys() - {"init_center", "trans_range", "rot_range"})
-    if unknown:
-        raise TypeError(f"mc_ground_truth() got unexpected keyword(s) {unknown}")
-    bounds = SteinConfig(**init_box).init_bounds()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_MC_INIT]))
-    inits = sample_initial_particles(n, bounds, rng)
+    inits = sample_initial_particles(config.particles, config.init_bounds(), rng)
     result = run_particle_engine(source, reference, inits, config,
                                  interacting=False, record_trace=False)
     ok = ~result.failed
-    if 2 * ok.sum() < n:
-        raise NumericalError(f"{int(result.failed.sum())} of {n} restarts failed")
+    if 2 * ok.sum() < config.particles:
+        raise NumericalError(f"{int(result.failed.sum())} of {config.particles} restarts failed")
     return PoseDistribution.from_samples(result.particles[ok])

@@ -41,18 +41,20 @@ import oracles
 
 RING_STEIN = SteinConfig(particles=100, batch_size=150, step_size=0.05,
                          iterations=400, seed=11, likelihood_scale=2.5e4)
-RING_MC = IcpConfig(batch_size=100, step_size=0.1, iterations=1000, seed=7)
+RING_MC = SteinConfig(particles=1000, batch_size=100, step_size=0.1, iterations=1000, seed=7)
 
 BLOB_TRUE = Pose6D(0.3, -0.2, 0.1, 0.05, -0.03, 0.4)
 BLOB_STEIN = SteinConfig(particles=100, batch_size=300, step_size=0.02,
                          iterations=100, seed=11, trans_range=0.1,
                          rot_range=0.1745, likelihood_scale=5e5)
-BLOB_MC = IcpConfig(batch_size=150, step_size=0.07, iterations=300, seed=7)
+BLOB_MC = SteinConfig(particles=1000, batch_size=150, step_size=0.07, iterations=300, seed=7,
+                      trans_range=0.3)
 
 BLOCK_STEIN = SteinConfig(particles=100, batch_size=300, step_size=0.02,
                           iterations=150, seed=11, likelihood_scale=5e5,
                           trans_range=(0.6, 0.1, 0.1), rot_range=0.1745)
-BLOCK_MC = IcpConfig(batch_size=150, step_size=0.07, iterations=300, seed=7)
+BLOCK_MC = SteinConfig(particles=1000, batch_size=150, step_size=0.07, iterations=300,
+                       seed=7, trans_range=(0.6, 0.1, 0.1))
 
 DIMS = ("x", "y", "z", "roll", "pitch", "yaw")
 
@@ -95,7 +97,7 @@ def _modes_above_half_peak(samples):
 def ring():
     source, reference, _ = make_scene("ring", n=8000, seed=5)
     stein = run_stein_icp(source, reference, RING_STEIN)
-    mc = mc_ground_truth(source, reference, 1000, RING_MC)
+    mc = mc_ground_truth(source, reference, RING_MC)
     collapsed = run_stein_icp(source, reference, _collapsed(RING_STEIN))
     return {"stein": stein, "mc": mc, "collapsed": collapsed}
 
@@ -106,7 +108,7 @@ def blob():
     t0 = time.perf_counter()
     stein = run_stein_icp(source, reference, BLOB_STEIN)
     elapsed = time.perf_counter() - t0
-    mc = mc_ground_truth(source, reference, 1000, BLOB_MC, trans_range=0.3)
+    mc = mc_ground_truth(source, reference, BLOB_MC)
     collapsed = run_stein_icp(source, reference, _collapsed(BLOB_STEIN))
     return {"stein": stein, "mc": mc, "collapsed": collapsed, "elapsed": elapsed}
 
@@ -115,8 +117,7 @@ def blob():
 def block():
     source, reference, _ = make_scene("block", n=4000, seed=3)
     stein = run_stein_icp(source, reference, BLOCK_STEIN)
-    mc = mc_ground_truth(source, reference, 1000, BLOCK_MC,
-                         trans_range=(0.6, 0.1, 0.1))
+    mc = mc_ground_truth(source, reference, BLOCK_MC)
     collapsed = run_stein_icp(source, reference, _collapsed(BLOCK_STEIN))
     return {"stein": stein, "mc": mc, "collapsed": collapsed}
 
@@ -150,10 +151,10 @@ def test_criterion_02_single_particle_reproduces_plain_sgd_icp():
     config = IcpConfig(batch_size=100, step_size=0.02, iterations=100, seed=3)
     one = SteinConfig(batch_size=100, step_size=0.02, iterations=100, seed=3, particles=1,
                       init_center=tuple(init.to_array()), trans_range=0.0, rot_range=0.0)
-    _, diag = run_sgd_icp(source, reference, init, config)
+    _, sgd = run_sgd_icp(source, reference, init, config)
     _, engine = run_stein_icp(source, reference, one, full_output=True)
-    same_path = np.array_equal(engine.particle_trace[:, 0, :], diag.pose_trace)
-    same_cost = np.array_equal(engine.cost_trace, diag.cost_trace)
+    same_path = np.array_equal(engine.particle_trace, sgd.particle_trace)
+    same_cost = np.array_equal(engine.cost_trace, sgd.cost_trace)
     _report(2, same_path and same_cost,
             f"pose trace identical={same_path}, cost trace identical={same_cost} "
             f"over {config.iterations} iterations")

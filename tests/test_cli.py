@@ -154,14 +154,14 @@ class TestRegister:
         src, ref = pair
         out = tmp_path / "sgd"
         assert _register(src, ref, out, *_ONE_POSE, "--trace", "true") == 0
-        pose, diag = run_sgd_icp(load_cloud(src), load_cloud(ref), Pose6D(),
-                                 IcpConfig(batch_size=60, iterations=15))
+        pose, sgd = run_sgd_icp(load_cloud(src), load_cloud(ref), Pose6D(),
+                                IcpConfig(batch_size=60, iterations=15))
         samples = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
         np.testing.assert_array_equal(samples, pose.to_array()[None])
         trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
         np.testing.assert_array_equal(trace[:, 0], np.arange(15))
-        np.testing.assert_array_equal(trace[:, 1], diag.cost_trace)
-        np.testing.assert_array_equal(trace[:, 2:], diag.pose_trace[1:])
+        np.testing.assert_array_equal(trace[:, 1], sgd.cost_trace)
+        np.testing.assert_array_equal(trace[:, 2:], sgd.particle_trace[1:, 0])
 
     @pytest.mark.parametrize("command, option, value", [
         ("register", "method", "sgd"),

@@ -166,18 +166,19 @@ class TestFileRoundtrip:
             load_cloud(tmp_path / "nope.ply")
 
 
-# The bytes each writer produced before the bulk codec, kept as literals: the
-# text of a float is its repr (-0.0, 5e-324 and 1e+16 included), PLY and PCD
-# lines end in "\n", xyz-csv is comma separated with "\r\n" ends.
+# The bytes each writer produces, kept as literals: the text of a float is its
+# repr (-0.0, 5e-324 and 1e+16 included), PLY declares its properties double
+# as PCD declares SIZE 8, PLY and PCD lines end in "\n", xyz-csv is comma
+# separated with "\r\n" ends.
 _ODD_POINTS = [[-0.0, 5e-324, 1e16], [1e-05, 0.1, -2.5]]
 _ODD_NORMALS = [[0.0, 0.0, 1.0], [-0.0, 0.6, 0.8]]
-_PLY_HEAD = (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
-             b"property float y\nproperty float z\n")
+_PLY_HEAD = (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+             b"property double y\nproperty double z\n")
 _PCD_HEAD = b"# .PCD v0.7 - Point Cloud Data file format\nVERSION 0.7\n"
 _PCD_TAIL = b"WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n"
 _WRITTEN = {
     (".ply", False): _PLY_HEAD + b"end_header\n-0.0 5e-324 1e+16\n1e-05 0.1 -2.5\n",
-    (".ply", True): (_PLY_HEAD + b"property float nx\nproperty float ny\nproperty float nz\n"
+    (".ply", True): (_PLY_HEAD + b"property double nx\nproperty double ny\nproperty double nz\n"
                      b"end_header\n-0.0 5e-324 1e+16 0.0 0.0 1.0\n"
                      b"1e-05 0.1 -2.5 -0.0 0.6 0.8\n"),
     (".pcd", False): (_PCD_HEAD + b"FIELDS x y z\nSIZE 8 8 8\nTYPE F F F\nCOUNT 1 1 1\n"

@@ -18,6 +18,7 @@ from stein_icp import (
     make_scene,
     match_stacked,
     run_particle_engine,
+    run_stein_icp,
 )
 from stein_icp.correspondence import NearestTable, ReshuffledBatches
 
@@ -518,15 +519,20 @@ class TestMatchStackedOneRow:
         np.testing.assert_array_equal(keep, [[True, False]])
 
     def test_all_rejected_raises(self):
-        """A batch with no surviving pair is an all-False mask row, and the
-        engine stops on it with MatchRejectionError."""
+        """A batch with no surviving pair is an all-False mask row: the
+        engine records it as the particle's failure, and the swarm's front
+        end raises MatchRejectionError on it."""
         reference = PointCloud([[0.0, 0.0, 0.0]])
         index = build_index(reference)
         keep = match_stacked(np.array([[[5.0, 5.0, 5.0]]]), index, max_dist=0.1)[3]
         assert not keep.any()
-        cfg = SteinConfig(particles=1, batch_size=1, iterations=1, max_dist=0.1)
+        cfg = SteinConfig(particles=1, batch_size=1, iterations=1, max_dist=0.1,
+                          trans_range=0.0, rot_range=0.0)
+        source = PointCloud([[5.0, 5.0, 5.0]])
+        result = run_particle_engine(source, reference, np.zeros((1, 6)), cfg)
+        assert result.failures == [(0, 0, "all pairs rejected")]
         with pytest.raises(MatchRejectionError):
-            run_particle_engine(PointCloud([[5.0, 5.0, 5.0]]), reference, np.zeros((1, 6)), cfg)
+            run_stein_icp(source, reference, cfg)
 
     def test_normals_attached_and_zero_marker_dropped(self):
         nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])

@@ -2,18 +2,19 @@
 oracles), KDE, relative pose error, and the Monte-Carlo reference."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stein_icp import (
     DIMENSION_NAMES,
-    IcpConfig,
     InputError,
     NumericalError,
     PointCloud,
     Pose6D,
     PoseDistribution,
+    SteinConfig,
     fit_gaussian,
     kde_1d,
     kl_gaussian,
@@ -28,7 +29,7 @@ from stein_icp import (
     transform_cloud,
     wrap_angle,
 )
-from stein_icp import evaluation
+from stein_icp import evaluation, stein
 
 from oracles import (
     kde_modes,
@@ -413,8 +414,9 @@ class TestMcGroundTruth:
         """With no init dispersion the only difference between restarts is
         the mini-batch stream, which must not move the optimum by much."""
         src, ref = self._scene(rng)
-        cfg = IcpConfig(batch_size=100, step_size=0.02, iterations=120, seed=3)
-        dist = mc_ground_truth(src, ref, 2, cfg, trans_range=0.0, rot_range=0.0)
+        cfg = SteinConfig(particles=2, batch_size=100, step_size=0.02, iterations=120, seed=3,
+                          trans_range=0.0, rot_range=0.0)
+        dist = mc_ground_truth(src, ref, cfg)
         assert len(dist) == 2
         gap = dist.samples[0] - dist.samples[1]
         gap[3:] = wrap_angle(gap[3:])
@@ -422,9 +424,10 @@ class TestMcGroundTruth:
 
     def test_deterministic(self, rng):
         src, ref = self._scene(rng)
-        cfg = IcpConfig(batch_size=80, step_size=0.02, iterations=40, seed=8)
-        a = mc_ground_truth(src, ref, 5, cfg, trans_range=0.05, rot_range=0.02)
-        b = mc_ground_truth(src, ref, 5, cfg, trans_range=0.05, rot_range=0.02)
+        cfg = SteinConfig(particles=5, batch_size=80, step_size=0.02, iterations=40, seed=8,
+                          trans_range=0.05, rot_range=0.02)
+        a = mc_ground_truth(src, ref, cfg)
+        b = mc_ground_truth(src, ref, cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     @pytest.mark.filterwarnings("error")
@@ -434,17 +437,18 @@ class TestMcGroundTruth:
         error counts them, and the overflow warns nothing."""
         _, ref = self._scene(rng)
         src = PointCloud([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        cfg = IcpConfig(batch_size=3, iterations=2, seed=1)
+        cfg = SteinConfig(particles=4, batch_size=3, iterations=2, seed=1,
+                          init_center=(0, 0, 0, 0, 0, np.pi / 4), trans_range=0.01,
+                          rot_range=0.01)
         with pytest.raises(NumericalError, match=r"^4 of 4 restarts failed$"):
-            mc_ground_truth(src, ref, 4, cfg, init_center=(0, 0, 0, 0, 0, np.pi / 4),
-                            trans_range=0.01, rot_range=0.01)
+            mc_ground_truth(src, ref, cfg)
 
     def test_all_failures_raise(self, rng):
         src, ref = self._scene(rng)
         far = PointCloud(src.points + [50.0, 0.0, 0.0])
-        cfg = IcpConfig(batch_size=40, iterations=5, max_dist=0.01, seed=1)
+        cfg = SteinConfig(particles=4, batch_size=40, iterations=5, max_dist=0.01, seed=1)
         with pytest.raises(NumericalError):
-            mc_ground_truth(far, ref, 4, cfg)
+            mc_ground_truth(far, ref, cfg)
 
     @pytest.mark.parametrize("n, failed, survivors", [
         (3, 2, None),
@@ -456,32 +460,51 @@ class TestMcGroundTruth:
     def test_more_than_half_failing_raises(self, rng, monkeypatch, n, failed, survivors):
         """The engine is stubbed to fail a chosen number of restarts: more
         than half failing raises, exactly half keeps the survivors."""
-        from stein_icp import stein
-
         mask = np.arange(n) < failed
         particles = rng.normal(0, 0.01, (n, 6))
         monkeypatch.setattr(stein, "run_particle_engine", lambda *a, **k: stein.EngineResult(
             particles=particles, cost_trace=np.zeros(1), failed=mask))
         src, ref = self._scene(rng)
-        cfg = IcpConfig(batch_size=40, iterations=5)
+        cfg = SteinConfig(particles=n, batch_size=40, iterations=5)
         if survivors is None:
             with pytest.raises(NumericalError, match=f"{failed} of {n} restarts failed"):
-                mc_ground_truth(src, ref, n, cfg)
+                mc_ground_truth(src, ref, cfg)
         else:
-            dist = mc_ground_truth(src, ref, n, cfg)
+            dist = mc_ground_truth(src, ref, cfg)
             assert len(dist) == survivors
             np.testing.assert_array_equal(dist.samples[:, :3], particles[~mask, :3])
 
     def test_validation(self, rng):
-        src, ref = self._scene(rng)
-        cfg = IcpConfig(batch_size=40, iterations=5)
+        """The restart count and the init box are SteinConfig fields, checked
+        when the config is built."""
+        cfg = SteinConfig(particles=2, batch_size=40, iterations=5)
         for n in (0, 2.5, True):
-            with pytest.raises(InputError, match="n must be"):
-                mc_ground_truth(src, ref, n, cfg)
+            with pytest.raises(InputError, match="particles must be"):
+                replace(cfg, particles=n)
         with pytest.raises(InputError, match="init_center"):
-            mc_ground_truth(src, ref, 2, cfg, init_center=(float("nan"), 0, 0, 0, 0, 0))
-        with pytest.raises(TypeError, match=r"unexpected keyword\(s\) \['particles'\]"):
-            mc_ground_truth(src, ref, 2, cfg, particles=3)
+            replace(cfg, init_center=(float("nan"), 0, 0, 0, 0, 0))
+
+    def test_the_config_sets_the_restart_count_and_the_box(self, rng, monkeypatch):
+        """Every restart starts at init_center when both ranges are 0, and
+        there are config.particles of them; a wider box spreads them."""
+        starts = []
+        engine = stein.run_particle_engine
+
+        def spy(source, reference, particles, config, **kwargs):
+            starts.append(particles.copy())
+            return engine(source, reference, particles, config, **kwargs)
+
+        monkeypatch.setattr(stein, "run_particle_engine", spy)
+        src, ref = self._scene(rng)
+        center = (0.01, -0.02, 0.03, 0.04, -0.05, 0.06)
+        cfg = SteinConfig(particles=3, batch_size=50, iterations=1, seed=3,
+                          init_center=center, trans_range=0.0, rot_range=0.0)
+        assert len(mc_ground_truth(src, ref, cfg)) == 3
+        np.testing.assert_array_equal(starts[0], np.tile(center, (3, 1)))
+        mc_ground_truth(src, ref, replace(cfg, particles=4, trans_range=0.5))
+        assert starts[1].shape == (4, 6)
+        assert np.abs(starts[1][:, :3] - center[:3]).max() > 0.05
+        np.testing.assert_array_equal(starts[1][:, 3:], np.tile(center[3:], (4, 1)))
 
 
 class TestSummaries:

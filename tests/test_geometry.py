@@ -185,7 +185,7 @@ class TestPoseMatrixRoundtrip:
         np.testing.assert_allclose(back.to_array(), pose.to_array(), atol=1e-5)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=r"expected 4x4 matrix, got \(3, 3\)"):
             matrix_to_pose(np.eye(3))
 
 

@@ -126,6 +126,37 @@ def test_detects_a_package_import_inside_a_function():
     assert _deferred_package_imports(trees) == ["a.py:5", "a.py:6", "a.py:7", "a.py:13"]
 
 
+def _raises_in_loops(tree: ast.Module, function: str) -> list | None:
+    """Lines of the raise statements inside a for or while loop of the
+    named module-level function, or None when the module has no such
+    function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return sorted({inner.lineno for loop in ast.walk(node)
+                           if isinstance(loop, (ast.For, ast.While))
+                           for inner in ast.walk(loop) if isinstance(inner, ast.Raise)})
+    return None
+
+
+def test_the_engine_loop_raises_nothing():
+    """The engine freezes a particle that fails and records its iteration
+    and cause; only the front ends raise. Its input checks come before its
+    loop."""
+    path = PACKAGE / "stein.py"
+    assert _raises_in_loops(ast.parse(path.read_text(), filename=str(path)),
+                            "run_particle_engine") == []
+
+
+def test_detects_a_raise_in_a_loop():
+    tree = ast.parse("def run(xs):\n    if not xs:\n        raise ValueError\n"
+                     "    for x in xs:\n        while x:\n            if x < 0:\n"
+                     "                raise RuntimeError(x)\n            x -= 1\n"
+                     "    return xs\n\n\ndef other():\n    for _ in ():\n"
+                     "        raise KeyError\n")
+    assert _raises_in_loops(tree, "run") == [7]
+    assert _raises_in_loops(tree, "missing") is None
+
+
 def _module_all(tree: ast.Module) -> list:
     """The literal __all__ of a module, or [] when it declares none."""
     for node in tree.body:

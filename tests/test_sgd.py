@@ -7,6 +7,7 @@ import pytest
 from stein_icp import (
     AdamState,
     DivergedError,
+    EngineResult,
     IcpConfig,
     InputError,
     PointCloud,
@@ -249,35 +250,37 @@ class TestRunSgdIcp:
         true = Pose6D(0.08, -0.05, 0.03)
         src = transform_cloud(ref, true)
         cfg = IcpConfig(batch_size=150, step_size=0.02, iterations=120, seed=4)
-        pose, diag = run_sgd_icp(src, ref, Pose6D(), cfg)
+        pose, result = run_sgd_icp(src, ref, Pose6D(), cfg)
         est = pose.to_array()
         target = -true.to_array()
         np.testing.assert_allclose(est[:3], target[:3], atol=0.02)
-        assert diag.cost_trace[-1] < diag.cost_trace[0]
+        assert result.cost_trace[-1] < result.cost_trace[0]
 
     def test_diagnostics_shapes(self, rng):
-        """One cost per iteration, and the pose trace runs from the initial
-        pose to the returned one."""
+        """The engine's one result record at K=1: one cost per iteration, a
+        pose trace from the initial pose to the returned one, no failure."""
         ref = self._clouds(rng, 200)
         cfg = IcpConfig(batch_size=50, step_size=0.01, iterations=7, seed=1)
-        pose, diag = run_sgd_icp(ref, ref, Pose6D(0.02, 0, 0), cfg)
-        assert diag.cost_trace.shape == (7,)
-        assert np.isfinite(diag.cost_trace).all()
-        assert diag.pose_trace.shape == (8, 6)
-        np.testing.assert_array_equal(diag.pose_trace[0], [0.02, 0, 0, 0, 0, 0])
-        np.testing.assert_array_equal(pose.to_array(), diag.pose_trace[-1])
+        pose, result = run_sgd_icp(ref, ref, Pose6D(0.02, 0, 0), cfg)
+        assert isinstance(result, EngineResult)
+        assert result.cost_trace.shape == (7,)
+        assert np.isfinite(result.cost_trace).all()
+        assert result.particle_trace.shape == (8, 1, 6)
+        np.testing.assert_array_equal(result.particle_trace[0, 0], [0.02, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(pose.to_array(), result.particle_trace[-1, 0])
+        assert result.failures == [] and not result.failed.any()
 
     def test_seeded_determinism(self, rng):
         ref = self._clouds(rng, 300)
         src = PointCloud(ref.points + [0.05, 0.0, 0.0])
         cfg = IcpConfig(batch_size=80, step_size=0.02, iterations=25, seed=9)
-        p1, d1 = run_sgd_icp(src, ref, Pose6D(), cfg)
-        p2, d2 = run_sgd_icp(src, ref, Pose6D(), cfg)
-        np.testing.assert_array_equal(d1.pose_trace, d2.pose_trace)
-        np.testing.assert_array_equal(d1.cost_trace, d2.cost_trace)
+        p1, r1 = run_sgd_icp(src, ref, Pose6D(), cfg)
+        p2, r2 = run_sgd_icp(src, ref, Pose6D(), cfg)
+        np.testing.assert_array_equal(r1.particle_trace, r2.particle_trace)
+        np.testing.assert_array_equal(r1.cost_trace, r2.cost_trace)
         cfg2 = IcpConfig(batch_size=80, step_size=0.02, iterations=25, seed=10)
-        _, d3 = run_sgd_icp(src, ref, Pose6D(), cfg2)
-        assert not np.array_equal(d1.pose_trace, d3.pose_trace)
+        _, r3 = run_sgd_icp(src, ref, Pose6D(), cfg2)
+        assert not np.array_equal(r1.particle_trace, r3.particle_trace)
 
     def test_plane_metric_without_normals_raises(self, rng):
         ref = self._clouds(rng, 100)

@@ -458,8 +458,8 @@ class TestSteinConfig:
         ("trans_range", lambda big: SteinConfig(trans_range=big)),
         ("rot_range", lambda big: SteinConfig(rot_range=(0, 0, big))),
         ("init_center", lambda big: mc_ground_truth(
-            PointCloud(np.zeros((4, 3))), PointCloud(np.zeros((4, 3))), 4, IcpConfig(),
-            init_center=(0, 0, 0, big, 0, 0))),
+            PointCloud(np.zeros((4, 3))), PointCloud(np.zeros((4, 3))),
+            SteinConfig(particles=4, init_center=(0, 0, 0, big, 0, 0)))),
     ], ids=["prior_mean", "trans_variance", "kappa", "init_center", "trans_range",
             "rot_range", "mc_ground_truth_center"])
     def test_vector_fields_reject_an_int_beyond_the_float_range(self, field, make):
@@ -480,12 +480,12 @@ class TestParticleEngine:
         src = transform_cloud(ref, Pose6D(0.05, -0.03, 0.02, 0.02, -0.01, 0.04))
         init = Pose6D(0.01, 0.0, 0.0, 0.0, 0.0, -0.02)
         knobs = {"batch_size": 100, "step_size": 0.02, "iterations": 30, "seed": 21}
-        pose, diag = run_sgd_icp(src, ref, init, IcpConfig(**knobs))
+        pose, sgd = run_sgd_icp(src, ref, init, IcpConfig(**knobs))
         one = SteinConfig(**knobs, particles=1, init_center=tuple(init.to_array()),
                           trans_range=0.0, rot_range=0.0)
         dist, result = run_stein_icp(src, ref, one, full_output=True)
-        np.testing.assert_array_equal(result.particle_trace[:, 0, :], diag.pose_trace)
-        np.testing.assert_array_equal(result.cost_trace, diag.cost_trace)
+        np.testing.assert_array_equal(result.particle_trace, sgd.particle_trace)
+        np.testing.assert_array_equal(result.cost_trace, sgd.cost_trace)
         np.testing.assert_array_equal(dist.samples[0], pose.to_array())
 
     @settings(max_examples=30, deadline=None)
@@ -508,14 +508,14 @@ class TestParticleEngine:
         one = SteinConfig(**knobs, particles=1, init_center=tuple(init.to_array()),
                           trans_range=0.0, rot_range=0.0)
         try:
-            pose, diag = run_sgd_icp(src, ref, init, IcpConfig(**knobs))
+            pose, sgd = run_sgd_icp(src, ref, init, IcpConfig(**knobs))
         except (DivergedError, MatchRejectionError) as e:
             with pytest.raises(type(e), match=re.escape(str(e))):
                 run_stein_icp(src, ref, one)
             return
         dist, result = run_stein_icp(src, ref, one, full_output=True)
-        np.testing.assert_array_equal(result.particle_trace[:, 0, :], diag.pose_trace)
-        np.testing.assert_array_equal(result.cost_trace, diag.cost_trace)
+        np.testing.assert_array_equal(result.particle_trace, sgd.particle_trace)
+        np.testing.assert_array_equal(result.cost_trace, sgd.cost_trace)
         np.testing.assert_array_equal(dist.samples[0], pose.to_array())
 
     def test_bitwise_deterministic(self, rng):
@@ -544,16 +544,19 @@ class TestParticleEngine:
         assert dist.samples.shape == (4, 6)
 
     def test_explicit_initial_particles(self, rng):
+        """The engine starts from the given rows, angles wrapped, and takes
+        only a (K, 6) array."""
         ref = _wavy_cloud(rng, 300)
         cfg = SteinConfig(particles=3, batch_size=50, iterations=4, seed=1)
         init = rng.uniform(-0.05, 0.05, (3, 6))
-        _, result = run_stein_icp(ref, ref, cfg, initial_particles=init,
-                                  full_output=True)
+        init[0, 5] = 4.0
+        result = run_particle_engine(ref, ref, init, cfg, record_trace=True)
         np.testing.assert_array_equal(result.particle_trace[0, :, :3], init[:, :3])
         np.testing.assert_array_equal(result.particle_trace[0, :, 3:],
                                       wrap_angle(init[:, 3:]))
-        with pytest.raises(InputError):
-            run_stein_icp(ref, ref, cfg, initial_particles=np.zeros((2, 6)))
+        assert result.particle_trace[0, 0, 5] < np.pi
+        with pytest.raises(InputError, match=r"particles must be \(K, 6\), got \(3, 5\)"):
+            run_particle_engine(ref, ref, np.zeros((3, 5)), cfg)
 
     def test_colocated_restarts_separate_under_particle_batches(self, rng):
         """With independent (non-interacting) updates, co-located restarts
@@ -575,9 +578,9 @@ class TestParticleEngine:
         init = np.tile(rng.uniform(-0.02, 0.02, 6), (4, 1))
         cfg = SteinConfig(particles=4, batch_size=60, iterations=8, seed=3,
                           repulsion=False)
-        dist = run_stein_icp(src, ref, cfg, initial_particles=init)
+        res = run_particle_engine(src, ref, init, cfg, repulsion=cfg.repulsion)
         for k in range(1, 4):
-            np.testing.assert_array_equal(dist.samples[k], dist.samples[0])
+            np.testing.assert_array_equal(res.particles[k], res.particles[0])
 
     def test_repulsion_only_spreads_particles(self, rng):
         """likelihood_scale = 0 silences the data term; with the plain sgd
@@ -677,9 +680,11 @@ class TestParticleEngine:
         cfg = SteinConfig(particles=3, batch_size=20, iterations=3, seed=2)
         init = np.zeros((3, 6))
         init[1, 0] = 1e300
+        result = run_particle_engine(ref, ref, init, cfg)
+        assert result.failures == [(0, 1, "no finite match")]
         with pytest.raises(DivergedError, match=r"iteration 0: particle\(s\) \[1\] left the "
                                                 r"floating-point range"):
-            run_stein_icp(ref, ref, cfg, initial_particles=init)
+            stein._raise_first_failure(result, cfg.max_dist)
 
     def test_noninteracting_freezes_overflowing_restarts(self, rng):
         ref = _wavy_cloud(rng, 100)
@@ -698,7 +703,7 @@ class TestParticleEngine:
         init = np.zeros((2, 6))
         init[1, 4] = value
         with pytest.raises(InputError, match=r"row\(s\) \[1\]"):
-            run_stein_icp(ref, ref, cfg, initial_particles=init)
+            run_particle_engine(ref, ref, init, cfg)
 
     def test_match_counts(self, rng):
         """Every matched point is counted once, on the level that matched
@@ -801,3 +806,99 @@ class TestParticleEngine:
         cfg = SteinConfig(particles=2, batch_size=20, iterations=2, metric="plane")
         with pytest.raises(InputError):
             run_stein_icp(ref, ref, cfg)
+
+
+# One scene per failure cause: (reference shift, IcpConfig knobs, the row and
+# x of the restart that differs from the other two, the start of the coupled
+# runs).
+# "no finite match": a pose at 1e300 moves every point past the float range.
+# "all pairs rejected": a reference 100 away under max_dist=0.5; the restart
+# started at x = 100 lies on it and survives.
+# "non-finite pose": a 1e30 sgd step on a 1e300-scaled gradient; a restart
+# that starts on the reference has zero residuals and stays.
+_FAILURES = {
+    "no finite match": ((0.0, 0.0, 0.0), {"iterations": 3, "step_size": 0.01},
+                        (1, 1e300), (1e300, 0, 0, 0, 0, 0)),
+    "all pairs rejected": ((100.0, 0.0, 0.0), {"iterations": 3, "max_dist": 0.5},
+                           (1, 100.0), (0, 0, 0, 0, 0, 0)),
+    "non-finite pose": ((0.0, 0.0, 0.0), {"iterations": 2, "optimizer": "sgd",
+                                          "step_size": 1e30, "likelihood_scale": 1e300},
+                        (1, 0.5), (0.5, 0, 0, 0, 0, 0)),
+}
+_COUPLED_ERRORS = {
+    "no finite match": (DivergedError, "iteration 0: particle(s) {} left the floating-point "
+                                       "range (no finite nearest-neighbor distance)"),
+    "all pairs rejected": (MatchRejectionError,
+                           "iteration 0: all pairs rejected for particle(s) {} (max_dist=0.5)"),
+    "non-finite pose": (DivergedError, "iteration 0: non-finite pose for particle(s) {}"),
+}
+_CAUSES = [pytest.param(c, marks=pytest.mark.filterwarnings("ignore:overflow",
+                                                             "ignore:invalid value"))
+           if c == "non-finite pose" else c for c in _FAILURES]
+
+
+class TestFailureRecord:
+    def _scene(self, cause):
+        shift, knobs, _, _ = _FAILURES[cause]
+        src = _wavy_cloud(np.random.default_rng(12), 100)
+        return src, PointCloud(src.points + shift), {"batch_size": 20, "seed": 2, **knobs}
+
+    @pytest.mark.parametrize("cause", _CAUSES)
+    def test_uncoupled_restarts_record_iteration_and_cause(self, cause):
+        """Each failing restart is frozen where it started and recorded; the
+        others run every iteration. Where the cause is the reference's
+        shift, the two restarts started off it fail."""
+        src, ref, knobs = self._scene(cause)
+        row, value = _FAILURES[cause][2]
+        start = np.zeros((3, 6))
+        start[row, 0] = value
+        result = run_particle_engine(src, ref, start, IcpConfig(**knobs), interacting=False)
+        frozen = [0, 2] if cause == "all pairs rejected" else [1]
+        assert result.failures == [(0, j, cause) for j in frozen]
+        np.testing.assert_array_equal(np.flatnonzero(result.failed), frozen)
+        np.testing.assert_array_equal(result.particles[frozen], start[frozen])
+        assert np.isfinite(result.cost_trace).all()
+
+    @pytest.mark.parametrize("cause", _CAUSES)
+    def test_coupled_runs_raise_the_first_failure(self, cause):
+        """A swarm and a one-pose run raise the cause's error, naming the
+        iteration and every particle that failed with it."""
+        src, ref, knobs = self._scene(cause)
+        center = _FAILURES[cause][3]
+        error, message = _COUPLED_ERRORS[cause]
+        swarm = SteinConfig(**knobs, particles=2, init_center=center, trans_range=0.0,
+                            rot_range=0.0)
+        with pytest.raises(error, match=f"^{re.escape(message.format([0, 1]))}$"):
+            run_stein_icp(src, ref, swarm)
+        with pytest.raises(error, match=f"^{re.escape(message.format([0]))}$"):
+            run_sgd_icp(src, ref, center, IcpConfig(**knobs))
+
+    def test_coupled_swarm_stops_after_its_first_failure(self):
+        """Particle 1 leaves the float range at iteration 0: the others finish
+        that iteration and the loop ends there."""
+        ref = _wavy_cloud(np.random.default_rng(12), 100)
+        cfg = IcpConfig(batch_size=20, iterations=5, step_size=0.01, seed=2)
+        start = np.zeros((3, 6))
+        start[1, 0] = 1e300
+        result = run_particle_engine(ref, ref, start, cfg, record_trace=True)
+        assert result.failures == [(0, 1, "no finite match")]
+        np.testing.assert_array_equal(result.failed, [False, True, False])
+        assert np.isfinite(result.cost_trace[0]) and np.isnan(result.cost_trace[1:]).all()
+        np.testing.assert_array_equal(result.particles, result.particle_trace[1])
+
+    def test_the_lost_cause_is_reported_before_a_rejection(self):
+        """Two causes in one iteration: the front ends report the lost
+        particles, as the loop once raised for them first."""
+        result = EngineResult(particles=np.zeros((3, 6)), cost_trace=np.zeros(1),
+                              failed=np.ones(3, dtype=bool),
+                              failures=[(4, 0, "all pairs rejected"), (4, 2, "no finite match"),
+                                        (4, 1, "non-finite pose")])
+        with pytest.raises(DivergedError, match=r"^iteration 4: particle\(s\) \[2\] left"):
+            stein._raise_first_failure(result, 0.5)
+        result.failures = [(4, 1, "non-finite pose"), (4, 0, "all pairs rejected")]
+        with pytest.raises(MatchRejectionError,
+                           match=r"^iteration 4: all pairs rejected for particle\(s\) \[0\] "
+                                 r"\(max_dist=0.5\)$"):
+            stein._raise_first_failure(result, 0.5)
+        result.failures = []
+        stein._raise_first_failure(result, 0.5)
