@@ -20,8 +20,11 @@ the time it took to build the exact index and the coarse table before the
 loop (build_seconds), the five phase times on that loop's clock (phases),
 the share of the exact index's queries its cell grid certified
 (certified_share), the number of cells that grid filled (filled_cells) and
-the points matched on the coarse table (coarse_queries). Timings stay out
-of summary.json, which is byte-stable across reruns.
+the points matched on the coarse table (coarse_queries). ground-truth
+writes the same keys next to its mc_samples.csv and mc_summary.json, plus
+failed_restarts: the index, iteration and cause of each restart the engine
+froze. Timings stay out of summary.json and mc_summary.json, which are
+byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import FORMATS, estimate_normals, format_table, load_cloud, write_cloud
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_count
 from .evaluation import (
     ANGULAR_DIMS,
     DIMENSION_NAMES,
@@ -269,6 +272,17 @@ def _summary_payload(dist: PoseDistribution) -> dict:
     }
 
 
+def _diagnostics_payload(seconds: float, engine) -> dict:
+    """The keys of diagnostics.json every solving command writes, from the
+    solve's wall time and its EngineResult."""
+    counts = engine.match_counts
+    return {"seconds": seconds, "engine_seconds": engine.loop_seconds,
+            "build_seconds": engine.build_seconds, "phases": engine.timings,
+            "certified_share": counts["certified"] / counts["queried"],
+            "filled_cells": counts["filled"],
+            "coarse_queries": counts["coarse_queried"]}
+
+
 def _print_pose(label: str, pose: np.ndarray) -> None:
     parts = ", ".join(f"{n}={v:.6f}" for n, v in zip(DIMENSION_NAMES, pose))
     print(f"{label}: {parts}")
@@ -289,13 +303,7 @@ def cmd_register(cfg: dict) -> int:
     elapsed = time.perf_counter() - start
     _write_csv(DIMENSION_NAMES, dist.samples, out / "samples.csv")
     _write_json(_summary_payload(dist), out / "summary.json")
-    counts = engine.match_counts
-    _write_json({"seconds": elapsed, "engine_seconds": engine.loop_seconds,
-                 "build_seconds": engine.build_seconds, "phases": engine.timings,
-                 "certified_share": counts["certified"] / counts["queried"],
-                 "filled_cells": counts["filled"],
-                 "coarse_queries": counts["coarse_queried"]},
-                out / "diagnostics.json")
+    _write_json(_diagnostics_payload(elapsed, engine), out / "diagnostics.json")
     if cfg["trace"]:
         mean_poses = engine.particle_trace.mean(axis=1)
         _write_csv(["iteration", "cost", *DIMENSION_NAMES],
@@ -308,15 +316,20 @@ def cmd_register(cfg: dict) -> int:
 
 def cmd_ground_truth(cfg: dict) -> int:
     """Monte-Carlo reference posterior from many independent restarts"""
+    check_count("--runs", cfg["runs"], 1)
+    config = SteinConfig(particles=cfg["runs"], **{name: cfg[name] for name in (*_ICP, *_INIT)})
     source, reference = _load_pair(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    config = SteinConfig(particles=cfg["runs"], **{name: cfg[name] for name in (*_ICP, *_INIT)})
-    dist = mc_ground_truth(source, reference, config)
+    dist, engine = mc_ground_truth(source, reference, config, full_output=True)
     elapsed = time.perf_counter() - start
     _write_csv(DIMENSION_NAMES, dist.samples, out / "mc_samples.csv")
     _write_json(_summary_payload(dist), out / "mc_summary.json")
+    diagnostics = _diagnostics_payload(elapsed, engine)
+    diagnostics["failed_restarts"] = [{"restart": j, "iteration": it, "cause": cause}
+                                      for it, j, cause in engine.failures]
+    _write_json(diagnostics, out / "diagnostics.json")
     _print_pose("mc mean pose", dist.mean)
     print(f"wrote {out / 'mc_samples.csv'} ({len(dist)} of {cfg['runs']} runs) in {elapsed:.2f}s")
     return 0

@@ -1,7 +1,12 @@
 """Nearest-neighbor search, mini-batch sampling and stacked matching.
 
 Both matchers work on one CellGrid over the reference cloud: its cells,
-its two ways to locate a point and its one squared-distance sum.
+its two ways to locate a point and its one squared-distance sum. Query
+points are (3, n) coordinate rows, one contiguous row per axis, the layout
+the particle engine carries its minibatches in: match_stacked takes a
+(3, K, m) stack of them and answers with (3, K, m) rows of matched points
+and normals. Only the points the exact index sends to the kd-tree are
+transposed to the (p, 3) points the tree takes.
 
 The index wraps a kd-tree and guarantees two things the optimizer relies
 on: queries are exact (never approximate), and exact distance ties resolve
@@ -59,10 +64,13 @@ class CellGrid:
     Cell (i, j, k) is flat cell (i * dims[1] + j) * dims[2] + k. centers[c]
     holds origin[c] + (i + 0.5) * h along axis c, the one rounding of a
     cell center that every reader of the grid uses. cols holds the
-    reference's coordinates, one contiguous array per axis.
+    reference's coordinates as (3, N) rows, one contiguous row per axis,
+    and normal_cols its normals likewise (None when it has none): the
+    rows both matchers measure and gather from.
 
-    A point's fractional cell coordinates are (q - origin) / h, rounded
-    once. There are two ways to locate points: inside keeps the points
+    Query points are (3, n) coordinate rows as well. A point's fractional
+    cell coordinates are (q - origin) / h, rounded once. There are two
+    ways to locate points: inside keeps the points
     whose fractional coordinates all lie in [0, dims) and truncates them;
     clamped clamps every point's fractional coordinates to [0, dims - 1]
     (a NaN goes to 0, a point outside lands on the border) and truncates
@@ -71,8 +79,11 @@ class CellGrid:
     query points, summed as the kd-tree sums it.
     """
 
-    def __init__(self, points: np.ndarray, tree: cKDTree):
-        self.cols = [np.ascontiguousarray(points[:, c]) for c in range(3)]
+    def __init__(self, reference: PointCloud, tree: cKDTree):
+        points = reference.points
+        self.cols = np.ascontiguousarray(points.T)
+        self.normal_cols = (None if reference.normals is None
+                            else np.ascontiguousarray(reference.normals.T))
         lo = points.min(axis=0)
         extent = points.max(axis=0) - lo
         self.spacing, self.h, self.dims = np.nan, 1.0, np.zeros(3, dtype=np.intp)
@@ -90,11 +101,11 @@ class CellGrid:
         self.centers = [self.origin[c] + (np.arange(self.dims[c]) + 0.5) * self.h
                         for c in range(3)]
 
-    def inside(self, points: np.ndarray):
-        """(rows, q, cell, flat) of the points inside the grid: their row
-        numbers (None when every point is inside), their (3, p) coordinate
-        rows and cell coordinates, and their flat cells."""
-        q = np.ascontiguousarray(points.T)
+    def inside(self, q: np.ndarray):
+        """(rows, q, cell, flat) of the points with coordinate rows q,
+        shape (3, n), that lie inside the grid: their column numbers (None
+        when every point is inside), their (3, p) coordinate rows and cell
+        coordinates, and their flat cells."""
         frac = q - self.origin[:, None]
         frac /= self.h
         # A NaN coordinate fails both tests; an empty query passes them.
@@ -112,12 +123,12 @@ class CellGrid:
         flat += cell[2]
         return rows, q, cell, flat
 
-    def clamped(self, points: np.ndarray) -> np.ndarray:
-        """The flat cell of every point, its cell coordinates clamped to
-        the grid."""
-        flat = np.zeros(len(points), dtype=np.intp)
+    def clamped(self, q: np.ndarray) -> np.ndarray:
+        """The flat cell of every point with coordinate rows q, shape
+        (3, n), its cell coordinates clamped to the grid."""
+        flat = np.zeros(q.shape[1], dtype=np.intp)
         for c in range(3):
-            frac = points[:, c] - self.origin[c]
+            frac = q[c] - self.origin[c]
             frac /= self.h
             np.fmax(frac, 0.0, out=frac)
             np.fmin(frac, self.dims[c] - 1, out=frac)
@@ -199,14 +210,15 @@ class NeighborIndex:
         self._bound = np.empty(0)
 
     def query(self, points: np.ndarray):
-        """Nearest reference point for each query point.
+        """Nearest reference point for each query point, given as (3, n)
+        coordinate rows.
 
-        Returns (distances, indices). Ties on distance go to the lowest
-        reference index. Points the grid does not certify go to the
-        kd-tree.
+        Returns (distances, indices), each of length n. Ties on distance go
+        to the lowest reference index. Points the grid does not certify go
+        to the kd-tree, transposed to the (p, 3) points it takes.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = len(points)
+        points = _query_rows(points)
+        n = points.shape[1]
         dist = np.empty(n)
         idx = np.empty(n, dtype=np.intp)
         hit = np.zeros(n, dtype=bool)
@@ -227,11 +239,11 @@ class NeighborIndex:
         self.certified += n - miss.size
         # The kd-tree rejects a non-finite coordinate; such a point has no
         # reference point at a finite distance.
-        finite = np.isfinite(points[miss]).all(axis=1)
+        finite = np.isfinite(points[:, miss]).all(axis=0)
         dist[miss[~finite]], idx[miss[~finite]] = np.inf, len(self.reference)
         miss = miss[finite]
         if miss.size:
-            dist[miss], idx[miss] = self._kd_query(points[miss])
+            dist[miss], idx[miss] = self._kd_query(points[:, miss].T)
         return dist, idx
 
     def _kd_query(self, points: np.ndarray):
@@ -323,7 +335,7 @@ class NeighborIndex:
 def build_index(reference: PointCloud) -> NeighborIndex:
     """Build the search structure once per reference cloud."""
     tree = cKDTree(reference.points)
-    return NeighborIndex(reference, tree, CellGrid(reference.points, tree))
+    return NeighborIndex(reference, tree, CellGrid(reference, tree))
 
 
 class NearestTable:
@@ -355,30 +367,40 @@ class NearestTable:
         self.reference = reference
         self.grid = grid
         self.queried = 0
-        self._table = _face_sweep(_transform_entries(reference.points, grid), grid).ravel()
+        self._table = _face_sweep(_transform_entries(grid), grid).ravel()
 
     def query(self, points: np.ndarray):
         """(distances, indices) of the table's reference point for each
-        query point."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        query point, given as (3, n) coordinate rows."""
+        points = _query_rows(points)
         with np.errstate(over="ignore", invalid="ignore"):    # such points get the marker
             idx = np.take(self._table, self.grid.clamped(points)).astype(np.intp)
-            dist = self.grid.squared_distances(idx, points.T)
+            dist = self.grid.squared_distances(idx, points)
             np.sqrt(dist, out=dist)
         lost = ~np.isfinite(dist)
         dist[lost], idx[lost] = np.inf, len(self.reference)
-        self.queried += len(points)
+        self.queried += points.shape[1]
         return dist, idx
 
 
-def _transform_entries(points: np.ndarray, grid: CellGrid) -> np.ndarray:
-    """The int32 id, shape dims, of the lowest-index point in each cell's
-    nearest occupied cell (the cell itself when occupied), by one Euclidean
-    distance transform over the grid, which holds every point."""
+def _query_rows(points) -> np.ndarray:
+    """Query points as float64 (3, n) coordinate rows; any other shape
+    raises InputError."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] != 3:
+        raise InputError(f"query points must be (3, n) coordinate rows, got shape {points.shape}")
+    return points
+
+
+def _transform_entries(grid: CellGrid) -> np.ndarray:
+    """The int32 id, shape dims, of the lowest-index reference point in
+    each cell's nearest occupied cell (the cell itself when occupied), by
+    one Euclidean distance transform over the grid, which holds every
+    reference point."""
     from scipy.ndimage import distance_transform_edt
 
     dims = tuple(grid.dims)
-    occupied, first = np.unique(grid.inside(points)[3], return_index=True)
+    occupied, first = np.unique(grid.inside(grid.cols)[3], return_index=True)
     owner = np.zeros(int(np.prod(dims)), dtype=np.int32)
     owner[occupied] = first
     empty = np.ones(dims, dtype=bool)
@@ -461,21 +483,25 @@ class ReshuffledBatches:
 
 def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | None = None,
                   *, with_normals: bool = False):
-    """Match a (K, m, 3) stack of points to their nearest reference points.
+    """Match K batches of points, held as (3, K, m) coordinate rows, to
+    their nearest reference points; index is a NeighborIndex or a
+    NearestTable.
 
     Returns (reference_points, normals, distances, keep): the matched points
-    and, when with_normals, their normals (else None), both (K, m, 3); the
-    (K, m) distances; and the (K, m) bool mask of pairs that survive
-    rejection. A point with no neighbor at a finite distance (overflowing
-    coordinates) is rejected and keeps distance inf. max_dist, when set,
-    rejects pairs farther apart than the threshold; with_normals rejects
-    pairs whose reference normal is the zero marker.
+    and, when with_normals, their normals (else None), both (3, K, m) rows
+    gathered from the grid's reference rows; the (K, m) distances; and the
+    (K, m) bool mask of pairs that survive rejection. A point with no
+    neighbor at a finite distance (overflowing coordinates) is rejected and
+    keeps distance inf. max_dist, when set, rejects pairs farther apart
+    than the threshold; with_normals rejects pairs whose reference normal
+    is the zero marker.
     """
-    if with_normals and index.reference.normals is None:
+    if with_normals and index.grid.normal_cols is None:
         raise InputError("point-to-plane matching needs reference normals")
-    dist, ref_idx = index.query(points.reshape(-1, 3))
-    dist = dist.reshape(points.shape[:-1])
-    ref_idx = ref_idx.reshape(points.shape[:-1])
+    shape = points.shape[1:]
+    dist, ref_idx = index.query(points.reshape(3, -1))
+    dist = dist.reshape(shape)
+    ref_idx = ref_idx.reshape(shape)
     # Points without a neighbor at a finite distance carry the index marker
     # len(reference); they are rejected and never index the reference.
     keep = ref_idx < len(index.reference)
@@ -484,6 +510,6 @@ def match_stacked(points: np.ndarray, index: NeighborIndex, max_dist: float | No
         keep &= dist <= max_dist
     normals = None
     if with_normals:
-        normals = np.take(index.reference.normals, ref_idx, axis=0)
-        keep &= np.einsum("...i,...i->...", normals, normals) > 0.5
-    return np.take(index.reference.points, ref_idx, axis=0), normals, dist, keep
+        normals = np.take(index.grid.normal_cols, ref_idx, axis=1)
+        keep &= np.einsum("ikm,ikm->km", normals, normals) > 0.5
+    return np.take(index.grid.cols, ref_idx, axis=1), normals, dist, keep

@@ -6,6 +6,11 @@ built from extrinsic Euler angles in ZYX order,
     R = Rz(yaw) @ Ry(pitch) @ Rx(roll).
 
 Angles live in [-pi, pi). All arrays are float64.
+
+A single cloud is an (N, 3) array of points. The particle engine's
+minibatches are (3, K, m) coordinate rows instead: axis c of batch k is
+the contiguous row [c, k], so per-axis arithmetic and per-batch sums run
+over contiguous memory. transform_stacked moves such a stack.
 """
 
 from __future__ import annotations
@@ -228,15 +233,21 @@ def transform_points(points: np.ndarray, pose) -> np.ndarray:
 
 
 def transform_stacked(R: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply R_k p + t_k to a (K, m, 3) stack of points, one pose per row.
+    """Apply R_k p + t_k to K batches of points held as (3, K, m)
+    coordinate rows, one pose per batch; R is (K, 3, 3) and t (K, 3).
+    Returns the moved points in a new (3, K, m) row buffer.
 
-    One matrix product per row, so each row's result does not depend on
-    how many rows are stacked with it. A point that leaves the float range
-    comes back as inf or nan, without a warning: the matcher gives it no
-    neighbor.
+    One matrix product R_k @ points[:, k] per batch, written straight into
+    the buffer, so a batch's result does not depend on how many batches
+    are stacked with it; it equals the point-major product p @ R_k.T bit
+    for bit. A point that leaves the float range comes back as inf or nan,
+    without a warning: the matcher gives it no neighbor.
     """
+    out = np.empty(points.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(points, np.swapaxes(R, -1, -2)) + t[:, None, :]
+        np.matmul(R, points.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        out += t.T[:, :, None]
+    return out
 
 
 def skew(v: np.ndarray) -> np.ndarray:

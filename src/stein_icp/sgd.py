@@ -21,9 +21,13 @@ Equivalently, g is the exact gradient of half the batch cost.
 `stacked_cost_gradients` is the one implementation of this arithmetic: it
 evaluates K particles' batches at once, with a mask of the pairs that
 survived matching, and the particle engine runs it on all live particles
-at once. A single pose is the K=1 stack: the one-pose optimizer,
-stein.run_sgd_icp, is the engine at K=1. This module imports nothing from
-the engine.
+at once. Its inputs are (3, K, m) coordinate rows, the engine's one layout
+of a minibatch, so the sum over a particle's m pairs runs over contiguous
+memory: numpy sums such a row pairwise, which rounds no worse than a
+sequential sum (Higham, "The accuracy of floating point summation", SIAM
+J. Sci. Comput. 1993). A single pose is the K=1 stack: the one-pose
+optimizer, stein.run_sgd_icp, is the engine at K=1. This module imports
+nothing from the engine.
 """
 
 from __future__ import annotations
@@ -121,26 +125,42 @@ def stacked_cost_gradients(residuals: np.ndarray, mask: np.ndarray,
                            normals: np.ndarray | None = None):
     """Batch cost and half-quadratic gradient of K particles at once.
 
-    residuals, source_points and normals (point-to-plane only) are
-    (K, m, 3); mask is the (K, m) bool of pairs that count, with at least
-    one per row; partials is rotation_partials of the K poses, (K, 3, 3, 3).
-    Returns (cost (K,), grads (K, 6)), averaged over each row's kept pairs.
+    residuals, source_points and normals (point-to-plane only) are (3, K, m)
+    coordinate rows; mask is the (K, m) bool of pairs that count, with at
+    least one per particle; partials is rotation_partials of the K poses,
+    (K, 3, 3, 3). Returns (cost (K,), grads (K, 6)), averaged over each
+    particle's kept pairs.
 
-    Every contraction is a per-row reduction or matrix product, so a row's
-    result is the same whatever rows are stacked with it.
+    A pair's squared residual (or normal projection) adds its three axis
+    terms as (x + z) + y, the order in which numpy's einsum sums the three
+    coordinates of an (m, 3) point, so the costs keep the bits of the
+    point-major computation. The translation gradient sums each contiguous
+    row of m pairs (numpy's pairwise sum); the 3x3 moment is one stacked
+    matrix product. Every contraction is a per-particle reduction or matrix
+    product, so a particle's result is the same whatever particles are
+    stacked with it.
     """
-    K = residuals.shape[0]
+    K = residuals.shape[1]
     w = mask.astype(float)
     count = w.sum(axis=1)
     if normals is None:
-        sq = np.einsum("kmi,kmi->km", residuals, residuals) * w
-        p = residuals * w[:, :, None]
+        sq = _axis_dot(residuals, residuals) * w
+        p = residuals * w
     else:
-        proj = np.einsum("kmi,kmi->km", normals, residuals) * w
+        proj = _axis_dot(normals, residuals) * w
         sq = proj * proj
-        p = normals * proj[:, :, None]
-    moment = np.matmul(np.swapaxes(p, 1, 2), source_points)              # (K, 3, 3)
+        p = normals * proj
+    moment = np.matmul(p.transpose(1, 0, 2), source_points.transpose(1, 2, 0))    # (K, 3, 3)
     g = np.empty((K, 6))
-    g[:, :3] = p.sum(axis=1)
+    g[:, :3] = p.sum(axis=2).T
     g[:, 3:] = np.matmul(partials.reshape(K, 3, 9), moment.reshape(K, 9, 1))[:, :, 0]
     return sq.sum(axis=1) / count, g / count[:, None]
+
+
+def _axis_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-pair dot product of two (3, K, m) row stacks, shape (K, m),
+    summed (x + z) + y."""
+    out = a[0] * b[0]
+    out += a[2] * b[2]
+    out += a[1] * b[1]
+    return out

@@ -27,7 +27,13 @@ built once by a distance transform, whose queries cost one cell lookup,
 and the rest match the exact index (see run_particle_engine).
 
 Particles are plain (K, 6) float64 arrays ordered (x, y, z, roll, pitch,
-yaw), one pose per row.
+yaw), one pose per row. A minibatch has one layout from the source gather
+to the gradient: (3, K, m) coordinate rows, axis c of particle k's batch
+being the contiguous row [c, k]. The source is stored once per solve as
+(3, N) rows and gathered per axis; transform_stacked writes one matrix
+product per particle into the row buffer; both matchers take the rows;
+and stacked_cost_gradients sums each particle's pairs over a contiguous
+row and forms the moments in one stacked matrix product.
 
 run_particle_engine is the one optimization loop, and its three front ends
 live here with the seed-stream labels they draw from: run_stein_icp (the
@@ -37,7 +43,7 @@ one EngineResult. The loop raises no numerical failure: it freezes a
 particle that fails and records its iteration and cause in
 EngineResult.failures. run_stein_icp and run_sgd_icp raise the first
 recorded failure through one helper; mc_ground_truth drops its failed
-restarts.
+restarts and, on request, returns the EngineResult that lists them.
 """
 
 from __future__ import annotations
@@ -424,7 +430,10 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     fields.
     Every iteration runs all live particles through the stacked kernels
     in one array pass: the engine is single-threaded and data-parallel
-    over particles.
+    over particles. The minibatch is (3, K, m) coordinate rows throughout
+    (source, moved points, matches, residuals), and every per-particle
+    operation on it reads only that particle's rows, so a particle's
+    result does not depend on the particles stacked with it.
     Minibatches come from random reshuffling, one permutation per particle
     per epoch of N // batch_size iterations (ReshuffledBatches), each
     particle from its own seed stream, so particle j's batches do not
@@ -458,6 +467,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PARTICLE, j]))
             for j in range(K)]
     sampler = ReshuffledBatches(N, config.batch_size, rngs)
+    source_rows = np.ascontiguousarray(source.points.T)               # (3, N)
     build_start = time.perf_counter()
     index = build_index(reference)
     coarse_until = config.iterations // _COARSE_SHARE
@@ -491,7 +501,7 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         t0 = time.perf_counter()
         th = theta[live]
         R = rotation_from_euler(th[:, 3], th[:, 4], th[:, 5])       # (Ka, 3, 3)
-        batches = np.take(source.points, idx, axis=0)                # (Ka, m, 3)
+        batches = np.take(source_rows, idx, axis=1)                  # (3, Ka, m)
         moved = transform_stacked(R, th[:, :3], batches)
         timings["transform"] += time.perf_counter() - t0
 
@@ -512,14 +522,15 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
             live = live[keep]
             if live.size == 0:
                 break
-            th, batches, moved, matched, mask = (
-                th[keep], batches[keep], moved[keep], matched[keep], mask[keep])
+            th, mask = th[keep], mask[keep]
+            batches, moved, matched = batches[:, keep], moved[:, keep], matched[:, keep]
             if normals is not None:
-                normals = normals[keep]
+                normals = normals[:, keep]
 
         t0 = time.perf_counter()
         partials = rotation_partials(th[:, 3], th[:, 4], th[:, 5])   # (Ka, 3, 3, 3)
-        costs, grads = stacked_cost_gradients(moved - matched, mask, batches, partials, normals)
+        residuals = np.subtract(moved, matched, out=moved)
+        costs, grads = stacked_cost_gradients(residuals, mask, batches, partials, normals)
         cost_trace[it] = float(costs.mean())
 
         if interacting:
@@ -628,7 +639,7 @@ def run_sgd_icp(source: PointCloud, reference: PointCloud, init: Pose6D,
 
 
 def mc_ground_truth(source: PointCloud, reference: PointCloud,
-                    config: SteinConfig) -> PoseDistribution:
+                    config: SteinConfig, *, full_output: bool = False):
     """Reference posterior from config.particles independent SGD-ICP restarts.
 
     Initializations are uniform per dimension in config.init_bounds(),
@@ -636,8 +647,10 @@ def mc_ground_truth(source: PointCloud, reference: PointCloud,
     optimizer state and shares nothing with the others; they are evaluated
     as one uncoupled particle batch so the nearest-neighbor queries
     vectorize. A restart that fails numerically is frozen and dropped (the
-    engine records its iteration and cause); more than half failing is an
-    error.
+    engine records its iteration and cause in EngineResult.failures, its
+    particle number being the restart's index); more than half failing is
+    an error. With full_output=True the EngineResult (timings, loop time,
+    failures) rides along as a second return value.
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_MC_INIT]))
     inits = sample_initial_particles(config.particles, config.init_bounds(), rng)
@@ -646,4 +659,7 @@ def mc_ground_truth(source: PointCloud, reference: PointCloud,
     ok = ~result.failed
     if 2 * ok.sum() < config.particles:
         raise NumericalError(f"{int(result.failed.sum())} of {config.particles} restarts failed")
-    return PoseDistribution.from_samples(result.particles[ok])
+    dist = PoseDistribution.from_samples(result.particles[ok])
+    if full_output:
+        return dist, result
+    return dist

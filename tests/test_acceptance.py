@@ -129,11 +129,12 @@ def test_criterion_01_analytic_gradients_match_finite_differences(rng):
         metric = "plane" if k % 2 else "point"
         pairs = oracles.random_pairs(rng, m=30, with_normals=(metric == "plane"))
         pose = np.concatenate([rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.3, 0.3, 3)])
-        # The engine's kernel on the K=1 stack of this pose, every pair kept.
-        src = pairs.source_points[None]
+        # The engine's kernel on the K=1 stack of this pose, as (3, 1, m)
+        # coordinate rows, every pair kept.
+        src = pairs.source_points.T[:, None]
         moved = transform_stacked(rotation_from_euler(*pose[3:])[None], pose[None, :3], src)
-        normals = pairs.reference_normals[None] if metric == "plane" else None
-        _, grads = stacked_cost_gradients(moved - pairs.reference_points[None],
+        normals = pairs.reference_normals.T[:, None] if metric == "plane" else None
+        _, grads = stacked_cost_gradients(moved - pairs.reference_points.T[:, None],
                                           np.ones((1, 30), dtype=bool), src,
                                           rotation_partials(*pose[3:])[None], normals)
         analytic = grads[0]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from stein_icp import (IcpConfig, InputError, PointCloud, Pose6D, PoseDistribution,
                        SteinConfig, estimate_normals, load_cloud, run_sgd_icp, write_cloud)
-from stein_icp import cli
+from stein_icp import cli, stein
 from stein_icp.cli import main
 
 from test_cloud import bits, finite_floats
@@ -412,6 +412,16 @@ class TestGroundTruth:
         err = capsys.readouterr().err
         assert err == "numerical failure: 4 of 4 restarts failed\n"
 
+    def test_zero_runs_is_bad_input_before_any_write(self, pair, tmp_path, capsys):
+        """--runs 0 names its own flag and fails before --out is created."""
+        src, ref = pair
+        out = tmp_path / "gt"
+        rc = main(["ground-truth", "--source", str(src), "--reference", str(ref),
+                   "--out", str(out), "--runs", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --runs must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_non_finite_init_center_is_bad_input(self, pair, tmp_path, capsys):
         src, ref = pair
         rc = main(["ground-truth", "--source", str(src), "--reference", str(ref),
@@ -713,36 +723,75 @@ class TestArtifactBytes:
 
 
 PHASES = {"sampling", "transform", "matching", "gradients", "update"}
+DIAGNOSTICS = {"seconds", "engine_seconds", "build_seconds", "phases", "certified_share",
+               "filled_cells", "coarse_queries"}
 
 
 class TestDiagnostics:
-    """register's diagnostics.json: the solve's wall time, the engine loop's
-    own time, the index and table build time, the phase times on that
-    loop's clock, the grid's share and the coarse table's queries."""
+    """diagnostics.json of register and ground-truth: the solve's wall time,
+    the engine loop's own time, the index and table build time, the phase
+    times on that loop's clock, the grid's share and the coarse table's
+    queries; ground-truth adds its failed restarts."""
 
-    def test_phases_cover_the_engine_loop(self, tmp_path):
+    @staticmethod
+    def _solve(tmp_path, command, count):
+        """diagnostics.json of one solve on a 2000-point blob scene: count
+        particles or restarts, 40 iterations, batches of 100."""
         scene = tmp_path / "scene"
         assert main(["synth", "--scene", "blob", "--points", "2000", "--out", str(scene)]) == 0
-        out = tmp_path / "reg"
-        rc = main(["register", "--source", str(scene / "source.ply"),
+        out = tmp_path / command
+        rc = main([command, "--source", str(scene / "source.ply"),
                    "--reference", str(scene / "reference.ply"), "--out", str(out),
-                   "--particles", "20", "--iterations", "40",
-                   "--batch-size", "100", "--threads", "1",
+                   "--particles" if command == "register" else "--runs", str(count),
+                   "--iterations", "40", "--batch-size", "100", "--threads", "1",
                    "--trans-range", "0.05", "--rot-range", "0.02"])
         assert rc == 0
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert set(diag) == {"seconds", "engine_seconds", "build_seconds", "phases",
-                             "certified_share", "filled_cells", "coarse_queries"}
+        return json.loads((out / "diagnostics.json").read_text())
+
+    def _assert_covers_the_loop(self, diag, count):
         assert set(diag["phases"]) == PHASES
         # the five phases account for nearly all of the engine loop's time
         assert sum(diag["phases"].values()) / diag["engine_seconds"] > 0.95
         assert 0.5 < diag["certified_share"] <= 1.0
         assert isinstance(diag["filled_cells"], int) and diag["filled_cells"] > 0
         # the coarse table answers iterations 0 to 40 // 3 - 1
-        assert diag["coarse_queries"] == 20 * 100 * 13
+        assert diag["coarse_queries"] == count * 100 * 13
         assert 0 < diag["engine_seconds"] <= diag["seconds"]
         # the builds run before the loop, inside the solve
         assert 0 < diag["build_seconds"] <= diag["seconds"] - diag["engine_seconds"]
+
+    def test_ground_truth_phases_cover_the_engine_loop(self, tmp_path):
+        diag = self._solve(tmp_path, "ground-truth", 20)
+        assert set(diag) == DIAGNOSTICS | {"failed_restarts"}
+        self._assert_covers_the_loop(diag, 20)
+        assert diag["failed_restarts"] == []
+
+    def test_ground_truth_reports_a_failed_restart_with_its_cause(self, pair, tmp_path,
+                                                                  monkeypatch):
+        """Restart 2 starts beyond the float range: the engine freezes it at
+        iteration 0, the samples leave it out, and diagnostics.json names
+        it with its cause."""
+        draw = stein.sample_initial_particles
+
+        def one_overflowing(*args, **kwargs):
+            inits = draw(*args, **kwargs)
+            inits[2, 0] = 1e300
+            return inits
+
+        monkeypatch.setattr(stein, "sample_initial_particles", one_overflowing)
+        src, ref = pair
+        out = tmp_path / "gt"
+        assert main(["ground-truth", "--source", str(src), "--reference", str(ref),
+                     "--out", str(out), *_GT_FAST]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["failed_restarts"] == [{"restart": 2, "iteration": 0,
+                                            "cause": "no finite match"}]
+        assert json.loads((out / "mc_summary.json").read_text())["samples"] == 3
+
+    def test_phases_cover_the_engine_loop(self, tmp_path):
+        diag = self._solve(tmp_path, "register", 20)
+        assert set(diag) == DIAGNOSTICS
+        self._assert_covers_the_loop(diag, 20)
 
     def test_plane_metric_estimates_normals(self, pair, tmp_path):
         src, ref = pair

@@ -31,7 +31,7 @@ class TestQueryAgainstLinearScan:
         ref = rng.uniform(-1, 1, (300, 3))
         queries = rng.uniform(-1.2, 1.2, (150, 3))
         index = build_index(PointCloud(ref))
-        dist, idx = index.query(queries)
+        dist, idx = index.query(queries.T)
         odist, oidx = linear_scan_nn(queries, ref)
         np.testing.assert_array_equal(idx, oidx)
         np.testing.assert_allclose(dist, odist, rtol=1e-12)
@@ -39,14 +39,26 @@ class TestQueryAgainstLinearScan:
     def test_single_query_point(self, rng):
         ref = rng.uniform(-1, 1, (50, 3))
         index = build_index(PointCloud(ref))
-        dist, idx = index.query(ref[7])
+        dist, idx = index.query(ref[7][:, None])
         assert idx.shape == (1,)
         assert idx[0] == 7
         assert dist[0] == 0.0
 
+    def test_points_must_be_coordinate_rows(self, rng):
+        """Both matchers take (3, n) coordinate rows; (n, 3) points, a lone
+        3-vector and a (3, K, m) stack are bad input."""
+        cloud = PointCloud(rng.uniform(-1, 1, (50, 3)))
+        index = build_index(cloud)
+        for matcher in (index, NearestTable(cloud, index.grid)):
+            for points in (np.zeros((5, 3)), np.zeros(3), np.zeros((3, 2, 2))):
+                with pytest.raises(InputError, match=r"^query points must be \(3, n\) "
+                                                     r"coordinate rows, got shape"):
+                    matcher.query(points)
+            assert matcher.queried == 0
+
     def test_single_reference_point(self, rng):
         index = build_index(PointCloud([[1.0, 2.0, 3.0]]))
-        dist, idx = index.query(rng.uniform(-1, 1, (5, 3)))
+        dist, idx = index.query(rng.uniform(-1, 1, (5, 3)).T)
         np.testing.assert_array_equal(idx, np.zeros(5, dtype=int))
 
 
@@ -62,22 +74,22 @@ class TestTieBreaking:
             [3.0, 3.0, 3.0],
         ])
         index = build_index(PointCloud(ref))
-        dist, idx = index.query(np.zeros((1, 3)))
+        dist, idx = index.query(np.zeros((3, 1)))
         assert idx[0] == 0
         assert dist[0] == pytest.approx(1.0)
 
     def test_duplicate_reference_points(self):
         ref = np.array([[0.5, 0.5, 0.5]] * 4 + [[2.0, 2.0, 2.0]])
         index = build_index(PointCloud(ref))
-        _, idx = index.query(np.array([[0.4, 0.5, 0.5]]))
+        _, idx = index.query(np.array([[0.4, 0.5, 0.5]]).T)
         assert idx[0] == 0
 
     def test_tie_order_is_input_order(self):
         """Reversing the reference changes which point is 'lowest index'."""
         a = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
         b = a[::-1].copy()
-        ia = build_index(PointCloud(a)).query(np.zeros((1, 3)))[1][0]
-        ib = build_index(PointCloud(b)).query(np.zeros((1, 3)))[1][0]
+        ia = build_index(PointCloud(a)).query(np.zeros((3, 1)))[1][0]
+        ib = build_index(PointCloud(b)).query(np.zeros((3, 1)))[1][0]
         assert ia == 0
         assert ib == 1  # the -x point now precedes the +x point
 
@@ -89,7 +101,7 @@ class TestTieBreaking:
         ref = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [1e308, 0.0, 0.0],
                         [-1e308, 0.0, 0.0]])
         index = build_index(PointCloud(ref))
-        dist, idx = index.query(np.array([[0.05, 0.0, 0.0], [0.09, 0.0, 0.0]]))
+        dist, idx = index.query(np.array([[0.05, 0.0, 0.0], [0.09, 0.0, 0.0]]).T)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_allclose(dist, [0.05, 0.01], rtol=1e-12)
 
@@ -106,14 +118,15 @@ class TestTieBreaking:
     def test_mixed_tied_and_untied_queries(self, rng):
         ref = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.2, 0.1, 5.0]])
         queries = np.array([[0.0, 0.0, 0.0], [0.19, 0.1, 5.0]])
-        _, idx = build_index(PointCloud(ref)).query(queries)
+        _, idx = build_index(PointCloud(ref)).query(queries.T)
         np.testing.assert_array_equal(idx, [0, 2])
 
 
 def _warm_query(index, queries):
-    """Query twice: the second pass runs on the cells the first one filled."""
-    cold = index.query(queries)
-    dist, idx = index.query(queries)
+    """Query the (n, 3) points twice, as coordinate rows: the second pass
+    runs on the cells the first one filled."""
+    cold = index.query(queries.T)
+    dist, idx = index.query(queries.T)
     np.testing.assert_array_equal(dist, cold[0])
     np.testing.assert_array_equal(idx, cold[1])
     return dist, idx
@@ -178,7 +191,7 @@ class TestCertifiedGrid:
         dist, idx = _warm_query(index, far)
         _assert_kd_answer(ref, far, dist, idx)
         assert index.certified == 0
-        dist, idx = index.query(np.array([[1e300, 0.0, 0.0], [0.0, -1e300, 1e300]]))
+        dist, idx = index.query(np.array([[1e300, 0.0, 0.0], [0.0, -1e300, 1e300]]).T)
         np.testing.assert_array_equal(dist, [np.inf, np.inf])
         np.testing.assert_array_equal(idx, [500, 500])
 
@@ -204,7 +217,7 @@ class TestCertifiedGrid:
         ref = np.asarray(ref, dtype=float)
         queries = np.asarray(queries, dtype=float)
         index = build_index(PointCloud(ref))
-        index.query((queries + rng.normal(0, 0.05, (50,) + queries.shape)).reshape(-1, 3))
+        index.query((queries + rng.normal(0, 0.05, (50,) + queries.shape)).reshape(-1, 3).T)
         dist, idx = _warm_query(index, queries)
         np.testing.assert_array_equal(idx, expected)
         _assert_kd_answer(ref, queries, dist, idx)
@@ -216,7 +229,7 @@ class TestCertifiedGrid:
         ref = np.vstack([[[1.0, 0, 0], [-(1.0 - 1e-14), 0, 0]], rng.uniform(3, 4, (30, 3))])
         index = build_index(PointCloud(ref))
         origin = np.zeros((1, 3))
-        index.query(rng.normal(0, 0.05, (200, 3)))
+        index.query(rng.normal(0, 0.05, (200, 3)).T)
         dist, idx = _warm_query(index, origin)
         assert idx[0] == 0
         assert dist[0] == np.linalg.norm(ref[0])
@@ -241,7 +254,7 @@ class TestCertifiedGrid:
         ref = _surface(rng, 1500)
         index = build_index(PointCloud(ref))
         queries = ref[rng.integers(0, 1500, 5000)] + rng.normal(0, 0.01, (5000, 3))
-        assert index.grid.inside(queries)[0] is None
+        assert index.grid.inside(queries.T)[0] is None
         dist, idx = _warm_query(index, queries)
         _assert_kd_answer(ref, queries, dist, idx)
         assert index.certified > 0.7 * index.queried
@@ -295,10 +308,10 @@ class TestCertifiedGrid:
         queries = ref[rng.integers(0, 1200, n)] + rng.normal(0, 0.03, (n, 3))
         queries[rng.random(n) < 0.1] *= 4.0
         whole = build_index(PointCloud(ref))
-        dist, idx = whole.query(queries)
+        dist, idx = whole.query(queries.T)
         split = build_index(PointCloud(ref))
         cuts = np.sort(rng.choice(np.arange(1, n), 6, replace=False))
-        parts = [split.query(part) for part in np.split(queries, cuts)]
+        parts = [split.query(part.T) for part in np.split(queries, cuts)]
         np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]).view(np.int64),
                                       dist.view(np.int64))
         np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), idx)
@@ -322,7 +335,7 @@ class TestCertifiedGrid:
         index._tree = FiniteOnly()
         queries = np.array([[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0], [0.0, 0.2, -np.inf],
                             [5.0, 5.0, 5.0], [np.nan, np.nan, np.nan], ref[3]])
-        dist, idx = index.query(queries)
+        dist, idx = index.query(queries.T)
         np.testing.assert_array_equal(dist[[0, 1, 2, 4]], np.inf)
         np.testing.assert_array_equal(idx[[0, 1, 2, 4]], 300)
         assert idx[5] == 3 and dist[5] == 0.0
@@ -339,8 +352,8 @@ class TestCertifiedGrid:
                              rng.uniform(-1, 1, (20, 3))])
         index = build_index(PointCloud(ref))
         for _ in range(3):
-            dist, idx = index.query(queries[rng.permutation(len(queries))])
-        dist, idx = index.query(queries)
+            dist, idx = index.query(queries[rng.permutation(len(queries))].T)
+        dist, idx = index.query(queries.T)
         _assert_kd_answer(ref, queries, dist, idx)
 
 
@@ -362,8 +375,8 @@ class TestCellGrid:
                 faces.append(on)
         outside = rng.uniform(grid.origin - 3.0, top + 3.0, (500, 3))
         points = np.vstack([inner, *faces, outside, [[np.nan, 0.0, 0.0]], ref])
-        rows, q, cell, flat = grid.inside(points)
-        clamped = grid.clamped(points)
+        rows, q, cell, flat = grid.inside(points.T)
+        clamped = grid.clamped(points.T)
         assert rows is not None
         np.testing.assert_array_equal(q, points[rows].T)
         np.testing.assert_array_equal(cell, np.unravel_index(flat, tuple(grid.dims)))
@@ -373,9 +386,9 @@ class TestCellGrid:
         border = np.array(np.unravel_index(clamped[out], tuple(grid.dims))).T
         assert ((border == 0) | (border == grid.dims - 1)).any(axis=1).all()
         assert np.isin(np.arange(len(points) - len(ref), len(points)), rows).all()
-        rows, _, _, flat = grid.inside(ref)
+        rows, _, _, flat = grid.inside(ref.T)
         assert rows is None
-        np.testing.assert_array_equal(grid.clamped(ref), flat)
+        np.testing.assert_array_equal(grid.clamped(ref.T), flat)
 
 
 _SCENES = {"blob": {"n": 5000, "seed": 1}, "ring": {"n": 8000, "seed": 5},
@@ -400,7 +413,7 @@ class TestNearestTable:
         nearest reference point."""
         ref, grid, table = _scene_table(scene)
         queries = rng.uniform(grid.origin, grid.origin + grid.dims * grid.h, (200_000, 3))
-        dist, idx = table.query(queries)
+        dist, idx = table.query(queries.T)
         exact = cKDTree(ref).query(queries)[0]
         np.testing.assert_array_equal(dist, np.sqrt(((ref[idx] - queries) ** 2).sum(axis=1)))
         assert (dist >= exact).all()
@@ -418,7 +431,7 @@ class TestNearestTable:
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         queries = (ref[rng.integers(len(ref), size=100_000)]
                    + direction * rng.uniform(0.0, 0.01, (100_000, 1)))
-        _, idx = table.query(queries)
+        _, idx = table.query(queries.T)
         _, exact = cKDTree(ref).query(queries)
         drift = (ref[idx] - ref[exact]).mean(axis=0)
         assert (np.abs(drift) < 0.05 * grid.h).all(), drift / grid.h
@@ -433,7 +446,7 @@ class TestNearestTable:
         table = NearestTable(cloud, build_index(cloud).grid)
         queries = np.array([[np.nan, 0.0, 0.0], [0.1, np.inf, 0.0], [0.0, 0.2, -np.inf],
                             [1e200, 1e200, 0.0], [50.0, -40.0, 30.0], [-1e6, 0.0, 0.0]])
-        dist, idx = table.query(queries)
+        dist, idx = table.query(queries.T)
         np.testing.assert_array_equal(dist[:4], np.inf)
         np.testing.assert_array_equal(idx[:4], 300)
         assert (idx[4:] < 300).all()
@@ -496,6 +509,11 @@ class TestReshuffledBatches:
                 ReshuffledBatches(10, m, _streams(1))
 
 
+def _rows(stack):
+    """(3, K, m) coordinate rows of a (K, m, 3) stack of points."""
+    return np.ascontiguousarray(np.asarray(stack, dtype=float).transpose(2, 0, 1))
+
+
 class TestMatchStackedOneRow:
     """match_stacked on the one-pose batches of a K=1 stack."""
 
@@ -503,18 +521,18 @@ class TestMatchStackedOneRow:
         ref = rng.uniform(-1, 1, (60, 3))
         index = build_index(PointCloud(ref))
         pts = rng.uniform(-1, 1, (20, 3))
-        matched, normals, dist, keep = match_stacked(pts[None], index)
-        assert matched.shape == (1, 20, 3) and dist.shape == keep.shape == (1, 20)
+        matched, normals, dist, keep = match_stacked(_rows(pts[None]), index)
+        assert matched.shape == (3, 1, 20) and dist.shape == keep.shape == (1, 20)
         assert keep.all()
-        d, i = index.query(pts)
-        np.testing.assert_array_equal(matched[0], ref[i])
+        d, i = index.query(pts.T)
+        np.testing.assert_array_equal(matched[:, 0], ref[i].T)
         np.testing.assert_array_equal(dist[0], d)
         assert normals is None
 
     def test_max_dist_filters(self):
         ref = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         index = build_index(PointCloud(ref))
-        pts = np.array([[[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]]])
+        pts = _rows([[[0.1, 0.0, 0.0], [5.0, 0.0, 0.0]]])
         keep = match_stacked(pts, index, max_dist=1.0)[3]
         np.testing.assert_array_equal(keep, [[True, False]])
 
@@ -524,7 +542,7 @@ class TestMatchStackedOneRow:
         end raises MatchRejectionError on it."""
         reference = PointCloud([[0.0, 0.0, 0.0]])
         index = build_index(reference)
-        keep = match_stacked(np.array([[[5.0, 5.0, 5.0]]]), index, max_dist=0.1)[3]
+        keep = match_stacked(_rows([[[5.0, 5.0, 5.0]]]), index, max_dist=0.1)[3]
         assert not keep.any()
         cfg = SteinConfig(particles=1, batch_size=1, iterations=1, max_dist=0.1,
                           trans_range=0.0, rot_range=0.0)
@@ -538,15 +556,15 @@ class TestMatchStackedOneRow:
         nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         ref = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         index = build_index(PointCloud(ref, nrm))
-        pts = np.array([[[0.1, 0.0, 0.0], [1.9, 0.0, 0.0]]])
+        pts = _rows([[[0.1, 0.0, 0.0], [1.9, 0.0, 0.0]]])
         _, normals, _, keep = match_stacked(pts, index, with_normals=True)
         np.testing.assert_array_equal(keep, [[True, False]])
-        np.testing.assert_array_equal(normals, [nrm])
+        np.testing.assert_array_equal(normals, _rows([nrm]))
 
     def test_normals_requested_but_absent(self):
         index = build_index(PointCloud([[0.0, 0.0, 0.0]]))
         with pytest.raises(InputError):
-            match_stacked(np.zeros((1, 1, 3)), index, with_normals=True)
+            match_stacked(np.zeros((3, 1, 1)), index, with_normals=True)
 
     def test_indices_and_source_passthrough(self):
         """The optimizer keeps the untransformed source batch next to the
@@ -554,11 +572,12 @@ class TestMatchStackedOneRow:
         layout and the mask selects the source points of the kept pairs."""
         ref = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         index = build_index(PointCloud(ref))
-        src = np.array([[[0.5, 0.0, 0.0], [50.0, 0.0, 0.0]]])
-        matched, _, dist, keep = match_stacked(src + [0.01, 0, 0], index, max_dist=1.0)
+        src = _rows([[[0.5, 0.0, 0.0], [50.0, 0.0, 0.0]]])
+        matched, _, dist, keep = match_stacked(src + [[[0.01]], [[0]], [[0]]], index,
+                                               max_dist=1.0)
         assert matched.shape == src.shape and dist.shape == keep.shape == (1, 2)
-        np.testing.assert_array_equal(src[keep], [[0.5, 0.0, 0.0]])
-        np.testing.assert_array_equal(matched[keep], [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(src[:, keep], [[0.5], [0.0], [0.0]])
+        np.testing.assert_array_equal(matched[:, keep], [[0.0], [0.0], [0.0]])
 
 
 class TestMatchStacked:
@@ -573,7 +592,7 @@ class TestMatchStacked:
         nrm[::4] = 0.0
         index = build_index(PointCloud(ref, nrm))
         pts = rng.uniform(-1.1, 1.1, (3, 25, 3))
-        stacked = match_stacked(pts, index, 0.3, with_normals=with_normals)
+        stacked = match_stacked(_rows(pts), index, 0.3, with_normals=with_normals)
         matched, normals, dist, keep = stacked
         assert (normals is not None) == with_normals
         assert 0 < keep.sum() < keep.size
@@ -583,9 +602,9 @@ class TestMatchStacked:
             if with_normals:
                 expected &= np.any(nrm[oidx] != 0.0, axis=1)
             np.testing.assert_array_equal(keep[k], expected)
-            np.testing.assert_array_equal(matched[k], ref[oidx])
+            np.testing.assert_array_equal(matched[:, k], ref[oidx].T)
 
-            alone = match_stacked(pts[k][None], index, 0.3, with_normals=with_normals)
+            alone = match_stacked(_rows(pts[k][None]), index, 0.3, with_normals=with_normals)
             for whole, row in zip(stacked, alone):
                 if whole is not None:
-                    np.testing.assert_array_equal(row[0], whole[k])
+                    np.testing.assert_array_equal(row[..., 0, :], whole[..., k, :])

@@ -24,23 +24,28 @@ from stein_icp import (
 from oracles import Pairs, fd_pose_gradient, pair_loop_cost, random_pairs
 
 
+def _rows(batches):
+    """(3, K, m) coordinate rows of K batches of (m, 3) points."""
+    return np.ascontiguousarray(np.stack(batches).transpose(2, 0, 1))
+
+
 def _stacked_inputs(rows, poses, metric):
     """The stacked kernel's inputs for one batch of pairs per pose, built
-    with the geometry calls the engine makes: residuals, source points,
-    rotation partials and (point-to-plane) normals, each with K rows."""
+    with the geometry calls the engine makes: residual rows, source rows,
+    rotation partials and (point-to-plane) normal rows, each for K poses."""
     poses = np.atleast_2d(np.asarray(poses, dtype=float))
-    src = np.stack([r.source_points for r in rows])
+    src = _rows([r.source_points for r in rows])
     R = rotation_from_euler(poses[:, 3], poses[:, 4], poses[:, 5])
-    e = transform_stacked(R, poses[:, :3], src) - np.stack([r.reference_points for r in rows])
+    e = transform_stacked(R, poses[:, :3], src) - _rows([r.reference_points for r in rows])
     partials = rotation_partials(poses[:, 3], poses[:, 4], poses[:, 5])
-    normals = np.stack([r.reference_normals for r in rows]) if metric == "plane" else None
+    normals = _rows([r.reference_normals for r in rows]) if metric == "plane" else None
     return e, src, partials, normals
 
 
 def _single(pairs, pose, metric="point"):
     """Cost and gradient of one pose's batch: the K=1 stack, every pair kept."""
     e, src, partials, normals = _stacked_inputs([pairs], pose, metric)
-    cost, g = stacked_cost_gradients(e, np.ones(e.shape[:2], dtype=bool), src, partials,
+    cost, g = stacked_cost_gradients(e, np.ones(e.shape[1:], dtype=bool), src, partials,
                                      normals)
     return float(cost[0]), g[0]
 
@@ -140,15 +145,17 @@ class TestStackedCostGradients:
 
     @pytest.mark.parametrize("metric", ["point", "plane"])
     def test_rows_equal_single_pose_views_bitwise(self, rng, metric):
-        """Each row of a K=5 stack equals that row's own K=1 stack bit for
-        bit: a row does not depend on the rows stacked with it."""
-        rows, poses, (e, src, partials, normals) = self._stack(rng, 5, 40, metric)
-        cost, g = stacked_cost_gradients(e, np.ones((5, 40), dtype=bool), src, partials,
-                                         normals)
-        for k, pairs in enumerate(rows):
-            single_cost, single_g = _single(pairs, poses[k], metric)
-            assert cost[k] == single_cost
-            np.testing.assert_array_equal(g[k], single_g)
+        """Each particle of a K=2 and a K=7 stack equals its own K=1 stack
+        bit for bit: a particle does not depend on the particles stacked
+        with it, whatever the stride between its rows."""
+        for K in (2, 7):
+            rows, poses, (e, src, partials, normals) = self._stack(rng, K, 40, metric)
+            cost, g = stacked_cost_gradients(e, np.ones((K, 40), dtype=bool), src, partials,
+                                             normals)
+            for k, pairs in enumerate(rows):
+                single_cost, single_g = _single(pairs, poses[k], metric)
+                assert cost[k] == single_cost
+                np.testing.assert_array_equal(g[k], single_g)
 
 
 class TestAdam:
@@ -298,8 +305,8 @@ class TestRunSgdIcp:
         src = PointCloud([[1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         init = np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi / 4])
         moved = transform_stacked(rotation_from_euler(init[3:4], init[4:5], init[5:6]),
-                                  init[None, :3], src.points[None])
-        assert not np.isfinite(moved[0, 0]).all()
+                                  init[None, :3], src.points.T[:, None])
+        assert not np.isfinite(moved[:, 0, 0]).all()
         cfg = IcpConfig(batch_size=3, iterations=2)
         with pytest.raises(DivergedError, match=r"^iteration 0: particle\(s\) \[0\] left the "
                                                 r"floating-point range"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from stein_icp import (
     DivergedError,
@@ -24,16 +25,18 @@ from stein_icp import (
     mc_ground_truth,
     median_bandwidth,
     prior_gradient,
+    rotation_from_euler,
     run_particle_engine,
     run_sgd_icp,
     run_stein_icp,
     sample_initial_particles,
+    stacked_cost_gradients,
     stein_direction,
     transform_cloud,
     wrap_angle,
 )
 from stein_icp import stein
-from stein_icp.correspondence import ReshuffledBatches
+from stein_icp.correspondence import NeighborIndex, ReshuffledBatches
 
 from oracles import (
     naive_median_bandwidth,
@@ -902,3 +905,101 @@ class TestFailureRecord:
             stein._raise_first_failure(result, 0.5)
         result.failures = []
         stein._raise_first_failure(result, 0.5)
+
+
+class TestIterationZero:
+    """The engine carries each minibatch as (3, K, m) coordinate rows.
+    Iteration 0 must equal a point-major (K, m, 3) computation bit for bit:
+    moved points, match ids, distances, per-pair squared residuals and the
+    cost. The gradient sums the translation pairwise over rows, so it is
+    held within 1e-12 of a sequential sum instead."""
+
+    @staticmethod
+    def _first_call(monkeypatch, owner, name, calls):
+        """Record the arguments and result of the first call of owner.name,
+        the arrays copied as they are at that call."""
+        original = getattr(owner, name)
+
+        def copied(value):
+            if isinstance(value, tuple):
+                return tuple(copied(v) for v in value)
+            return np.array(value) if isinstance(value, np.ndarray) else value
+
+        def spy(*args, **kwargs):
+            copy = copied(args)
+            result = original(*args, **kwargs)
+            calls.setdefault(name, (copy, copied(result)))
+            return result
+
+        monkeypatch.setattr(owner, name, spy)
+
+    @pytest.mark.parametrize("metric", ["point", "plane"])
+    @pytest.mark.parametrize("max_dist", [None, 0.05])
+    def test_matches_a_point_major_reference(self, rng, monkeypatch, metric, max_dist):
+        reference = estimate_normals(_wavy_cloud(rng, 400), k=10)
+        source = transform_cloud(reference, Pose6D(0.03, -0.02, 0.01, 0.02, 0.0, -0.03))
+        K, m = 5, 40
+        inits = np.concatenate([rng.uniform(-0.05, 0.05, (K, 3)),
+                                rng.uniform(-0.1, 0.1, (K, 3))], axis=1)
+        # Two iterations: no coarse level, iteration 0 matches exactly.
+        cfg = IcpConfig(metric=metric, batch_size=m, iterations=2, max_dist=max_dist, seed=3)
+        calls = {}
+        self._first_call(monkeypatch, ReshuffledBatches, "batches", calls)
+        self._first_call(monkeypatch, NeighborIndex, "query", calls)
+        self._first_call(monkeypatch, stein, "match_stacked", calls)
+        self._first_call(monkeypatch, stein, "stacked_cost_gradients", calls)
+        result = run_particle_engine(source, reference, inits, cfg, interacting=False)
+
+        # The point-major reference.
+        src = source.points[calls["batches"][1]]                           # (K, m, 3)
+        R = rotation_from_euler(inits[:, 3], inits[:, 4], inits[:, 5])
+        moved = np.matmul(src, np.swapaxes(R, -1, -2)) + inits[:, None, :3]
+        kd_dist, kd_ids = cKDTree(reference.points).query(moved.reshape(-1, 3))
+        matched = reference.points[kd_ids].reshape(K, m, 3)
+        e = moved - matched
+        keep = np.ones((K, m), dtype=bool)
+        if max_dist is not None:
+            keep &= kd_dist.reshape(K, m) <= max_dist
+        normals = reference.normals[kd_ids].reshape(K, m, 3)
+        if metric == "plane":
+            keep &= np.einsum("kmi,kmi->km", normals, normals) > 0.5
+            per_pair = np.einsum("kmi,kmi->km", normals, e) ** 2
+        else:
+            per_pair = np.einsum("kmi,kmi->km", e, e)
+        assert 0 < keep.sum() and (max_dist is None or not keep.all())
+        w = keep.astype(float)
+        count = w.sum(axis=1)
+        cost = (per_pair * w).sum(axis=1) / count
+
+        (rows, *_), _ = calls["match_stacked"]
+        np.testing.assert_array_equal(rows, moved.transpose(2, 0, 1))
+        _, (dist, ids) = calls["query"]
+        np.testing.assert_array_equal(ids, kd_ids)
+        np.testing.assert_array_equal(dist, kd_dist)
+        args, (costs, grads) = calls["stacked_cost_gradients"]
+        residuals, mask, src_rows, partials, normal_rows = args
+        np.testing.assert_array_equal(mask, keep)
+        np.testing.assert_array_equal(residuals, e.transpose(2, 0, 1))
+        np.testing.assert_array_equal(src_rows, src.transpose(2, 0, 1))
+        # Each pair as its own one-pair batch gives its squared residual.
+        single = [a.reshape(3, K * m, 1) for a in (residuals, src_rows)]
+        pair_cost, _ = stacked_cost_gradients(
+            single[0], np.ones((K * m, 1), dtype=bool), single[1],
+            np.repeat(partials, m, axis=0),
+            None if normal_rows is None else normal_rows.reshape(3, K * m, 1))
+        np.testing.assert_array_equal(pair_cost.reshape(K, m), per_pair)
+        np.testing.assert_array_equal(costs, cost)
+        assert result.cost_trace[0] == float(cost.mean())
+
+        # The gradient against a sequential sum over the pairs.
+        if metric == "point":
+            p = e * w[..., None]
+        else:
+            p = normals * (np.einsum("kmi,kmi->km", normals, e) * w)[..., None]
+        g = np.empty((K, 6))
+        g[:, :3] = np.cumsum(p, axis=1)[:, -1]
+        moment = np.matmul(np.swapaxes(p, 1, 2), src)
+        g[:, 3:] = np.matmul(partials.reshape(K, 3, 9), moment.reshape(K, 9, 1))[:, :, 0]
+        g /= count[:, None]
+        err = np.linalg.norm(grads - g, axis=1) / np.linalg.norm(g, axis=1)
+        assert (err <= 1e-12).all(), err
