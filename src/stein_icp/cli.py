@@ -15,16 +15,18 @@ one-pose SGD-ICP baseline is `--particles 1 --trans-range 0 --rot-range 0`
 (from --init-center, without a prior), which reproduces run_sgd_icp bit
 for bit.
 Next to its samples and summary, register writes diagnostics.json: the
-solve's wall time (seconds), the engine loop's own time (engine_seconds),
-the time it took to build the exact index and the coarse table before the
-loop (build_seconds), the five phase times on that loop's clock (phases),
-the share of the exact index's queries its cell grid certified
-(certified_share), the number of cells that grid filled (filled_cells) and
-the points matched on the coarse table (coarse_queries). ground-truth
-writes the same keys next to its mc_samples.csv and mc_summary.json, plus
-failed_restarts: the index, iteration and cause of each restart the engine
-froze. Timings stay out of summary.json and mc_summary.json, which are
-byte-stable across reruns.
+solve's wall time (seconds), the time to load both clouds and estimate the
+reference normals that --metric plane needs (load_seconds), the time to
+write the samples and the summary (write_seconds), the engine loop's own
+time (engine_seconds), the time it took to build the exact index and the
+coarse table before the loop (build_seconds), the five phase times on that
+loop's clock (phases), the share of the exact index's queries its cell grid
+certified (certified_share), the number of cells that grid filled
+(filled_cells) and the points matched on the coarse table (coarse_queries).
+ground-truth writes the same keys next to its mc_samples.csv and
+mc_summary.json, plus failed_restarts: the index, iteration and cause of
+each restart the engine froze. Timings stay out of summary.json and
+mc_summary.json, which are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -263,6 +265,19 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
+def _timed(call, *args, **kwargs):
+    """call(*args, **kwargs) and the seconds it took."""
+    start = time.perf_counter()
+    result = call(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def _write_posterior(dist: PoseDistribution, samples: Path, summary: Path) -> None:
+    """The samples CSV and the summary JSON of a solve."""
+    _write_csv(DIMENSION_NAMES, dist.samples, samples)
+    _write_json(_summary_payload(dist), summary)
+
+
 def _summary_payload(dist: PoseDistribution) -> dict:
     return {
         "mean": {n: float(v) for n, v in zip(DIMENSION_NAMES, dist.mean)},
@@ -272,11 +287,14 @@ def _summary_payload(dist: PoseDistribution) -> dict:
     }
 
 
-def _diagnostics_payload(seconds: float, engine) -> dict:
+def _diagnostics_payload(seconds: float, engine, load_seconds: float,
+                         write_seconds: float) -> dict:
     """The keys of diagnostics.json every solving command writes, from the
-    solve's wall time and its EngineResult."""
+    solve's wall time and its EngineResult, the time _load_pair took and
+    the time the artifacts written before diagnostics.json took."""
     counts = engine.match_counts
-    return {"seconds": seconds, "engine_seconds": engine.loop_seconds,
+    return {"seconds": seconds, "load_seconds": load_seconds, "write_seconds": write_seconds,
+            "engine_seconds": engine.loop_seconds,
             "build_seconds": engine.build_seconds, "phases": engine.timings,
             "certified_share": counts["certified"] / counts["queried"],
             "filled_cells": counts["filled"],
@@ -295,15 +313,15 @@ def _print_pose(label: str, pose: np.ndarray) -> None:
 def cmd_register(cfg: dict) -> int:
     """estimate the pose posterior aligning --source onto --reference"""
     config, prior = _config(SteinConfig, cfg), _prior_config(cfg)
-    source, reference = _load_pair(cfg)
+    (source, reference), load_seconds = _timed(_load_pair, cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     dist, engine = run_stein_icp(source, reference, config, prior, full_output=True)
     elapsed = time.perf_counter() - start
-    _write_csv(DIMENSION_NAMES, dist.samples, out / "samples.csv")
-    _write_json(_summary_payload(dist), out / "summary.json")
-    _write_json(_diagnostics_payload(elapsed, engine), out / "diagnostics.json")
+    _, write_seconds = _timed(_write_posterior, dist, out / "samples.csv", out / "summary.json")
+    _write_json(_diagnostics_payload(elapsed, engine, load_seconds, write_seconds),
+                out / "diagnostics.json")
     if cfg["trace"]:
         mean_poses = engine.particle_trace.mean(axis=1)
         _write_csv(["iteration", "cost", *DIMENSION_NAMES],
@@ -318,15 +336,15 @@ def cmd_ground_truth(cfg: dict) -> int:
     """Monte-Carlo reference posterior from many independent restarts"""
     check_count("--runs", cfg["runs"], 1)
     config = SteinConfig(particles=cfg["runs"], **{name: cfg[name] for name in (*_ICP, *_INIT)})
-    source, reference = _load_pair(cfg)
+    (source, reference), load_seconds = _timed(_load_pair, cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     dist, engine = mc_ground_truth(source, reference, config, full_output=True)
     elapsed = time.perf_counter() - start
-    _write_csv(DIMENSION_NAMES, dist.samples, out / "mc_samples.csv")
-    _write_json(_summary_payload(dist), out / "mc_summary.json")
-    diagnostics = _diagnostics_payload(elapsed, engine)
+    _, write_seconds = _timed(_write_posterior, dist, out / "mc_samples.csv",
+                              out / "mc_summary.json")
+    diagnostics = _diagnostics_payload(elapsed, engine, load_seconds, write_seconds)
     diagnostics["failed_restarts"] = [{"restart": j, "iteration": it, "cause": cause}
                                       for it, j, cause in engine.failures]
     _write_json(diagnostics, out / "diagnostics.json")

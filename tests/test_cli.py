@@ -4,9 +4,11 @@ file precedence, determinism of the written artifacts, and exit codes."""
 import contextlib
 import io
 import json
+import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -235,6 +237,38 @@ class TestRegister:
         rc = main(["register", "--source", str(tmp_path / "absent.ply"),
                    "--reference", str(ref), "--out", str(tmp_path / "o"), *_FAST])
         assert rc == 2
+
+    def test_big_endian_float_source(self, pair, tmp_path):
+        """A binary PLY of another byte order and property type registers;
+        cut short, it is bad input."""
+        src, ref = pair
+        points = load_cloud(src).points
+        head = ("ply\nformat binary_big_endian 1.0\nelement vertex 300\nproperty float x\n"
+                "property float y\nproperty float z\nend_header\n").encode()
+        body = struct.pack(f">{points.size}f", *points.ravel())
+        whole, cut = tmp_path / "be.ply", tmp_path / "cut.ply"
+        whole.write_bytes(head + body)
+        cut.write_bytes(head + body[:-1])
+        assert _register(whole, ref, tmp_path / "o") == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert _register(cut, ref, tmp_path / "o") == 2
+        assert f"error: {cut}: header promises 300 vertices, body has 299" in err.getvalue()
+
+    def test_non_utf8_header_is_bad_input(self, pair, tmp_path, capsys):
+        """A Latin-1 comment exits 2 with a message naming the file and
+        line, not with a traceback."""
+        _, ref = pair
+        src = tmp_path / "cafe.ply"
+        src.write_bytes("ply\nformat ascii 1.0\ncomment café\nelement vertex 1\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "end_header\n0 0 0\n".encode("latin-1"))
+        rc = main(["register", "--source", str(src), "--reference", str(ref),
+                   "--out", str(tmp_path / "o"), *_FAST])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{src}:3: byte 0xe9 is not UTF-8 text" in err
+        assert "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, pair, tmp_path, rng, capsys):
         src, ref = pair
@@ -723,15 +757,27 @@ class TestArtifactBytes:
 
 
 PHASES = {"sampling", "transform", "matching", "gradients", "update"}
-DIAGNOSTICS = {"seconds", "engine_seconds", "build_seconds", "phases", "certified_share",
-               "filled_cells", "coarse_queries"}
+DIAGNOSTICS = {"seconds", "load_seconds", "write_seconds", "engine_seconds", "build_seconds",
+               "phases", "certified_share", "filled_cells", "coarse_queries"}
+
+
+def _slowed(monkeypatch, name, seconds):
+    """Make every call of cli.<name> take `seconds` longer."""
+    original = getattr(cli, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, slow)
 
 
 class TestDiagnostics:
     """diagnostics.json of register and ground-truth: the solve's wall time,
-    the engine loop's own time, the index and table build time, the phase
-    times on that loop's clock, the grid's share and the coarse table's
-    queries; ground-truth adds its failed restarts."""
+    the load and write times around it, the engine loop's own time, the
+    index and table build time, the phase times on that loop's clock, the
+    grid's share and the coarse table's queries; ground-truth adds its
+    failed restarts."""
 
     @staticmethod
     def _solve(tmp_path, command, count):
@@ -757,6 +803,7 @@ class TestDiagnostics:
         # the coarse table answers iterations 0 to 40 // 3 - 1
         assert diag["coarse_queries"] == count * 100 * 13
         assert 0 < diag["engine_seconds"] <= diag["seconds"]
+        assert diag["load_seconds"] > 0 and diag["write_seconds"] > 0
         # the builds run before the loop, inside the solve
         assert 0 < diag["build_seconds"] <= diag["seconds"] - diag["engine_seconds"]
 
@@ -793,12 +840,34 @@ class TestDiagnostics:
         assert set(diag) == DIAGNOSTICS
         self._assert_covers_the_loop(diag, 20)
 
-    def test_plane_metric_estimates_normals(self, pair, tmp_path):
+    def test_plane_metric_estimates_normals(self, pair, tmp_path, monkeypatch):
+        """The normal estimation counts as loading."""
         src, ref = pair
         assert load_cloud(ref).normals is None
+        _slowed(monkeypatch, "estimate_normals", 0.05)
         out = tmp_path / "plane"
         assert _register(src, ref, out, "--metric", "plane") == 0
-        assert set(json.loads((out / "diagnostics.json").read_text())["phases"]) == PHASES
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert set(diag["phases"]) == PHASES
+        assert diag["load_seconds"] >= 0.05
+
+    @pytest.mark.parametrize("command, fast, samples", [
+        ("register", _FAST, "samples.csv"),
+        ("ground-truth", _GT_FAST, "mc_samples.csv"),
+    ])
+    def test_load_and_write_seconds(self, pair, tmp_path, monkeypatch, command, fast, samples):
+        """load_seconds covers both cloud loads and write_seconds the samples
+        CSV: 0.05 s added to each of those three calls shows in them."""
+        _slowed(monkeypatch, "load_cloud", 0.05)
+        _slowed(monkeypatch, "_write_csv", 0.05)
+        src, ref = pair
+        out = tmp_path / command
+        assert main([command, "--source", str(src), "--reference", str(ref),
+                     "--out", str(out), *fast]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["load_seconds"] >= 0.1
+        assert diag["write_seconds"] >= 0.05
+        assert (out / samples).is_file()
 
 
 class TestThreadsFlag:

@@ -1,5 +1,7 @@
-"""Point cloud container, ASCII parsers/writers, normals, downsampling."""
+"""Point cloud container, file parsers and writers, normals."""
 
+import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -81,9 +83,11 @@ class TestTransformCloud:
         np.testing.assert_allclose(np.linalg.norm(moved.normals, axis=1), 1.0, atol=1e-12)
 
 
-# Finite float64 values, with the edge cases of the text format always in
-# reach: signed zeros, subnormals, and the largest magnitudes.
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7976931348623157e308]
+# Finite float64 values, with the edge cases of the text and binary
+# formats always in reach: signed zeros, subnormals, and the largest
+# magnitudes.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7e308, -1.7e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
 finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
                           st.floats(allow_nan=False, allow_infinity=False))
 
@@ -118,8 +122,9 @@ class TestFileRoundtrip:
     @settings(max_examples=25, deadline=None)
     @given(cloud=clouds())
     def test_write_load_bitwise_property(self, suffix, cloud):
-        """The single float format reproduces every finite float64 bit for
-        bit through each cloud format, normals or zero markers included."""
+        """Every finite float64 comes back bit for bit through each cloud
+        format, binary PLY and PCD and text xyz-csv, normals or zero
+        markers included."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"cloud{suffix}"
             write_cloud(cloud, path)
@@ -133,8 +138,7 @@ class TestFileRoundtrip:
     @pytest.mark.parametrize("suffix,fmt", [(".ply", "ply"), (".pcd", "pcd"), (".csv", "xyz-csv")])
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_write_load_bitwise(self, tmp_path, rng, suffix, fmt, with_normals):
-        """Round-trip float formatting makes write -> load reproduce arrays
-        bit for bit."""
+        """write -> load reproduces the arrays bit for bit."""
         pts = rng.uniform(-5, 5, (23, 3))
         nrm = None
         if with_normals:
@@ -166,29 +170,60 @@ class TestFileRoundtrip:
             load_cloud(tmp_path / "nope.ply")
 
 
-# The bytes each writer produces, kept as literals: the text of a float is its
-# repr (-0.0, 5e-324 and 1e+16 included), PLY declares its properties double
-# as PCD declares SIZE 8, PLY and PCD lines end in "\n", xyz-csv is comma
-# separated with "\r\n" ends.
+# The bytes each writer produces, kept as literals. PLY and PCD: a text
+# header that declares 64-bit floats (PLY `property double`, PCD `SIZE 8`),
+# each line ended by "\n", then little-endian float64 rows, written below as
+# the hex of each value's 8 bytes. xyz-csv: the text of a float is its repr
+# (-0.0, 5e-324 and 1e+16 included), comma separated with "\r\n" ends.
 _ODD_POINTS = [[-0.0, 5e-324, 1e16], [1e-05, 0.1, -2.5]]
 _ODD_NORMALS = [[0.0, 0.0, 1.0], [-0.0, 0.6, 0.8]]
-_PLY_HEAD = (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
-             b"property double y\nproperty double z\n")
+_ROWS = bytes.fromhex(
+    "0000000000000080" "0100000000000000" "0080e03779c34143"     # -0.0 5e-324 1e+16
+    "f168e388b5f8e43e" "9a9999999999b93f" "00000000000004c0")    # 1e-05 0.1 -2.5
+_ROWS_WITH_NORMALS = bytes.fromhex(
+    "0000000000000080" "0100000000000000" "0080e03779c34143"     # -0.0 5e-324 1e+16
+    "0000000000000000" "0000000000000000" "000000000000f03f"     # 0.0 0.0 1.0
+    "f168e388b5f8e43e" "9a9999999999b93f" "00000000000004c0"     # 1e-05 0.1 -2.5
+    "0000000000000080" "333333333333e33f" "9a9999999999e93f")    # -0.0 0.6 0.8
+
+
+def _ply_head(encoding):
+    return (b"ply\nformat " + encoding + b" 1.0\nelement vertex 2\nproperty double x\n"
+            b"property double y\nproperty double z\n")
+
+
+_PLY_NORMALS = b"property double nx\nproperty double ny\nproperty double nz\n"
 _PCD_HEAD = b"# .PCD v0.7 - Point Cloud Data file format\nVERSION 0.7\n"
-_PCD_TAIL = b"WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA ascii\n"
+_PCD_FIELDS = b"FIELDS x y z\nSIZE 8 8 8\nTYPE F F F\nCOUNT 1 1 1\n"
+_PCD_FIELDS_WITH_NORMALS = (b"FIELDS x y z normal_x normal_y normal_z\n"
+                            b"SIZE 8 8 8 8 8 8\nTYPE F F F F F F\nCOUNT 1 1 1 1 1 1\n")
+
+
+def _pcd_tail(encoding):
+    return b"WIDTH 2\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS 2\nDATA " + encoding + b"\n"
+
+
 _WRITTEN = {
-    (".ply", False): _PLY_HEAD + b"end_header\n-0.0 5e-324 1e+16\n1e-05 0.1 -2.5\n",
-    (".ply", True): (_PLY_HEAD + b"property double nx\nproperty double ny\nproperty double nz\n"
-                     b"end_header\n-0.0 5e-324 1e+16 0.0 0.0 1.0\n"
-                     b"1e-05 0.1 -2.5 -0.0 0.6 0.8\n"),
-    (".pcd", False): (_PCD_HEAD + b"FIELDS x y z\nSIZE 8 8 8\nTYPE F F F\nCOUNT 1 1 1\n"
-                      + _PCD_TAIL + b"-0.0 5e-324 1e+16\n1e-05 0.1 -2.5\n"),
-    (".pcd", True): (_PCD_HEAD + b"FIELDS x y z normal_x normal_y normal_z\n"
-                     b"SIZE 8 8 8 8 8 8\nTYPE F F F F F F\nCOUNT 1 1 1 1 1 1\n"
-                     + _PCD_TAIL + b"-0.0 5e-324 1e+16 0.0 0.0 1.0\n"
-                     b"1e-05 0.1 -2.5 -0.0 0.6 0.8\n"),
+    (".ply", False): _ply_head(b"binary_little_endian") + b"end_header\n" + _ROWS,
+    (".ply", True): (_ply_head(b"binary_little_endian") + _PLY_NORMALS + b"end_header\n"
+                     + _ROWS_WITH_NORMALS),
+    (".pcd", False): _PCD_HEAD + _PCD_FIELDS + _pcd_tail(b"binary") + _ROWS,
+    (".pcd", True): (_PCD_HEAD + _PCD_FIELDS_WITH_NORMALS + _pcd_tail(b"binary")
+                     + _ROWS_WITH_NORMALS),
     (".csv", False): b"-0.0,5e-324,1e+16\r\n1e-05,0.1,-2.5\r\n",
     (".csv", True): b"-0.0,5e-324,1e+16,0.0,0.0,1.0\r\n1e-05,0.1,-2.5,-0.0,0.6,0.8\r\n",
+}
+
+# The bytes earlier versions wrote for the same clouds, with ASCII bodies
+# of repr text; they must keep loading bit for bit.
+_ASCII_WRITTEN = {
+    (".ply", False): _ply_head(b"ascii") + b"end_header\n-0.0 5e-324 1e+16\n1e-05 0.1 -2.5\n",
+    (".ply", True): (_ply_head(b"ascii") + _PLY_NORMALS + b"end_header\n"
+                     b"-0.0 5e-324 1e+16 0.0 0.0 1.0\n1e-05 0.1 -2.5 -0.0 0.6 0.8\n"),
+    (".pcd", False): (_PCD_HEAD + _PCD_FIELDS + _pcd_tail(b"ascii")
+                      + b"-0.0 5e-324 1e+16\n1e-05 0.1 -2.5\n"),
+    (".pcd", True): (_PCD_HEAD + _PCD_FIELDS_WITH_NORMALS + _pcd_tail(b"ascii")
+                     + b"-0.0 5e-324 1e+16 0.0 0.0 1.0\n1e-05 0.1 -2.5 -0.0 0.6 0.8\n"),
 }
 
 
@@ -211,6 +246,18 @@ def test_written_bytes_are_pinned(tmp_path, suffix, with_normals):
     assert path.read_bytes() == _WRITTEN[suffix, with_normals]
     back = load_cloud(path)
     np.testing.assert_array_equal(bits(back.points), bits(cloud.points))
+
+
+@pytest.mark.parametrize("suffix,with_normals", sorted(_ASCII_WRITTEN), ids=str)
+def test_files_of_earlier_versions_load_bitwise(tmp_path, suffix, with_normals):
+    path = tmp_path / f"cloud{suffix}"
+    path.write_bytes(_ASCII_WRITTEN[suffix, with_normals])
+    back = load_cloud(path)
+    np.testing.assert_array_equal(bits(back.points), bits(np.array(_ODD_POINTS)))
+    if with_normals:
+        np.testing.assert_array_equal(bits(back.normals), bits(np.array(_ODD_NORMALS)))
+    else:
+        assert back.normals is None
 
 
 class TestPlyParser:
@@ -248,8 +295,13 @@ class TestPlyParser:
 
     @pytest.mark.parametrize("text,fragment", [
         ("not ply\nend_header\n", "magic"),
-        ("ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty float x\n"
-         "property float y\nproperty float z\nend_header\n0 0 0\n", "ascii"),
+        ("ply\nformat ascii 2.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\nend_header\n0 0 0\n", "unsupported 'format ascii 2.0'"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty real y\n"
+         "property float z\nend_header\n0 0 0\n", "bad.ply:5: unknown property type 'real'"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+         "property float z\nproperty list uchar int idx\nend_header\n0 0 0 1 7\n",
+         "bad.ply:7: vertex property 'idx' is a list"),
         ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
          "property float z\nend_header\n0 0 0\n", "promises"),
         ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
@@ -292,7 +344,11 @@ class TestPcdParser:
         ("FIELDS x y z\nPOINTS 1\n0 0 0\n", "DATA"),
         ("FIELDS x y\nDATA ascii\n0 0\n", "lacks"),
         ("FIELDS x y z\nPOINTS 2\nDATA ascii\n0 0 0\n", "promises"),
-        ("FIELDS x y z\nDATA binary\n", "ascii"),
+        ("FIELDS x y z\nDATA binary_compressed\n", "compressed"),
+        ("FIELDS x y z\nPOINTS 1\nDATA binary\n", "DATA binary needs SIZE and TYPE"),
+        ("FIELDS x y z\nCOUNT 1 1\nDATA ascii\n0 0 0\n", "bad.pcd:2: COUNT has 2 entries"),
+        ("FIELDS x y z\nCOUNT 1 1 1000000000000\nDATA ascii\n0 0 0\n",
+         "bad.pcd:4: expected 1000000000002 values, got 3"),
         ("FIELDS x y z\nPOINTS -1\nDATA ascii\n0 0 0\n0 0 0\n", "bad POINTS count"),
     ])
     def test_malformed(self, tmp_path, text, fragment):
@@ -307,6 +363,151 @@ class TestPcdParser:
         path = tmp_path / "gap.pcd"
         path.write_text("FIELDS x y z\nDATA ascii\n1 2 3\n\n\n4 5 6\n7 eight 9\n")
         with pytest.raises(CloudParseError, match=r"gap\.pcd:7: could not convert"):
+            load_cloud(path)
+
+
+def _bytes_file(path, header, body=b""):
+    """Write header lines joined by "\n", then the raw body; returns path."""
+    path.write_bytes("".join(line + "\n" for line in header).encode() + body)
+    return path
+
+
+_XYZ = ["property float x", "property float y", "property float z"]
+
+
+class TestBinaryBodies:
+    """Binary PLY (either byte order) and PCD bodies are read through the
+    declared property types. The bodies are packed with `struct`, and every
+    value comes back widened to float64 exactly."""
+
+    def test_float_properties_widen_exactly(self, tmp_path):
+        """The header this reader used to reject as not ASCII."""
+        values = [0.1, -2.5, 3e38, 1e-40, -0.0, 7.0]
+        path = _bytes_file(tmp_path / "f.ply",
+                           ["ply", "format binary_little_endian 1.0", "element vertex 2", *_XYZ,
+                            "end_header"], struct.pack("<6f", *values))
+        cloud = load_cloud(path)
+        expected = np.array(values, dtype=np.float32).astype(np.float64).reshape(2, 3)
+        np.testing.assert_array_equal(bits(cloud.points), bits(expected))
+        assert cloud.points.dtype == np.float64 and cloud.points.flags.c_contiguous
+        assert cloud.points.flags.owndata and cloud.normals is None
+
+    @pytest.mark.parametrize("encoding,order", [("binary_little_endian", "<"),
+                                                ("binary_big_endian", ">")])
+    def test_byte_order_colors_normals_and_faces(self, tmp_path, encoding, order):
+        """Mixed types, uchar red/green/blue between the coordinates and the
+        normals, and a face element after the vertices."""
+        rows = [(0.25, -1e300, 5e-324, 255, 0, 7, 0.0, 0.6, 0.8),
+                (-3.5, 2.0, 1e16, 1, 2, 3, -0.0, -1.0, 0.0)]
+        body = b"".join(struct.pack(order + "fddBBBddd", *r) for r in rows)
+        body += struct.pack(order + "Biii", 3, 0, 1, 0)
+        path = _bytes_file(tmp_path / "c.ply", [
+            "ply", f"format {encoding} 1.0", "comment made by hand", "element vertex 2",
+            "property float32 x", "property double y", "property float64 z",
+            "property uchar red", "property uint8 green", "property uchar blue",
+            "property double nx", "property double ny", "property double nz",
+            "element face 1", "property list uchar int vertex_indices", "end_header"], body)
+        cloud = load_cloud(path)
+        table = np.array([r[:3] + r[6:] for r in rows])
+        np.testing.assert_array_equal(bits(cloud.points), bits(table[:, :3]))
+        np.testing.assert_array_equal(bits(cloud.normals), bits(table[:, 3:]))
+        assert cloud.normals.flags.c_contiguous and cloud.normals.flags.owndata
+
+    def test_pcd_counts_and_mixed_sizes(self, tmp_path):
+        """A field of COUNT 3 before x, float32 x and z, int8 values after
+        the normals: each field is read at its own offset and size."""
+        rows = [((1, 2, 3), 0.5, 1e-300, -7.25, 0.0, 0.0, -1.0, (-128, 0, 1, 2, 127)),
+                ((4, 5, 6), -0.0, 2.0, 3e38, 0.6, -0.8, 0.0, (9, 8, 7, 6, 5))]
+        body = b"".join(struct.pack("<3Hfdfddd5b", *r[0], *r[1:7], *r[7]) for r in rows)
+        path = _bytes_file(tmp_path / "m.pcd", [
+            "# .PCD v0.7", "VERSION 0.7",
+            "FIELDS tag x y z normal_x normal_y normal_z hist",
+            "SIZE 2 4 8 4 8 8 8 1", "TYPE U F F F F F F I", "COUNT 3 1 1 1 1 1 1 5",
+            "WIDTH 2", "HEIGHT 1", "VIEWPOINT 0 0 0 1 0 0 0", "POINTS 2", "DATA binary"], body)
+        cloud = load_cloud(path)
+        points = [[np.float32(r[1]), r[2], np.float32(r[3])] for r in rows]
+        np.testing.assert_array_equal(bits(cloud.points), bits(np.array(points, dtype=float)))
+        np.testing.assert_array_equal(bits(cloud.normals),
+                                      bits(np.array([r[4:7] for r in rows])))
+
+    def test_ascii_pcd_counts_place_the_fields(self, tmp_path):
+        path = tmp_path / "a.pcd"
+        path.write_text("FIELDS tag x y z\nCOUNT 2 1 1 1\nDATA ascii\n9 9 1.5 2.5 3.5\n")
+        np.testing.assert_array_equal(load_cloud(path).points, [[1.5, 2.5, 3.5]])
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary_big_endian"])
+    def test_elements_before_the_vertices_are_skipped(self, tmp_path, encoding):
+        """A camera element first: its row is not the vertex."""
+        header = ["ply", f"format {encoding} 1.0", "element camera 1",
+                  "property float a", "property float b", "property float c",
+                  "element vertex 1", *_XYZ, "end_header"]
+        body = (b"1 2 3\n4 5 6\n" if encoding == "ascii" else struct.pack(">6f", 1, 2, 3, 4, 5, 6))
+        cloud = load_cloud(_bytes_file(tmp_path / "cam.ply", header, body))
+        np.testing.assert_array_equal(cloud.points, [[4.0, 5.0, 6.0]])
+
+    def test_ascii_rows_after_skipped_elements_keep_their_lines(self, tmp_path):
+        header = ["ply", "format ascii 1.0", "element camera 2", "property float a",
+                  "element vertex 1", *_XYZ, "end_header"]
+        path = _bytes_file(tmp_path / "cam.ply", header, b"1\n2\n4 five 6\n")
+        with pytest.raises(CloudParseError, match=r"cam\.ply:12: could not convert"):
+            load_cloud(path)
+
+    def test_list_before_binary_vertices_names_its_element(self, tmp_path):
+        header = ["ply", "format binary_little_endian 1.0", "element face 1",
+                  "property list uchar int vertex_indices", "element vertex 1", *_XYZ,
+                  "end_header"]
+        body = struct.pack("<Biii", 3, 0, 1, 2) + struct.pack("<3f", 4, 5, 6)
+        with pytest.raises(CloudParseError, match="element 'face' before the vertex element"):
+            load_cloud(_bytes_file(tmp_path / "face.ply", header, body))
+
+    @pytest.mark.parametrize("suffix,header,body,fragment", [
+        (".ply", ["ply", "format binary_little_endian 1.0", "element vertex 3", *_XYZ,
+                  "end_header"], struct.pack("<8f", *range(8)),
+         "header promises 3 vertices, body has 2"),
+        (".pcd", ["FIELDS x y z", "SIZE 8 8 8", "TYPE F F F", "POINTS 2", "DATA binary"],
+         struct.pack("<5d", *range(5)), "header promises 2 points, body has 1"),
+        (".ply", ["ply", "format binary_little_endian 1.0", "element vertex 1",
+                  "property float x", "property float y", "property float16 z", "end_header"],
+         struct.pack("<3f", 1, 2, 3), "bad.ply:6: unknown property type 'float16'"),
+        (".ply", ["ply", "format binary_big_endian 1.0", "element vertex 1", *_XYZ,
+                  "property list uchar float extra", "end_header"],
+         struct.pack(">3fBf", 1, 2, 3, 1, 4), "bad.ply:7: vertex property 'extra' is a list"),
+        (".pcd", ["FIELDS x y z", "SIZE 4 4 2", "TYPE F F F", "POINTS 1", "DATA binary"],
+         struct.pack("<2fe", 1, 2, 3), "bad.pcd:3: unknown TYPE 'F' of SIZE 2"),
+        (".ply", ["ply", "format binary_little_endian 1.0", "element vertex 2", *_XYZ,
+                  "end_header"], struct.pack("<6f", 0, 0, 0, 1, float("nan"), 0), "non-finite"),
+        (".pcd", ["FIELDS x y z", "SIZE 4 4 4", "TYPE F F F", "POINTS 1", "DATA binary"],
+         struct.pack("<3f", 1, float("-inf"), 3), "non-finite"),
+        (".pcd", ["FIELDS x y z", "SIZE 4 4 4", "TYPE F F F", "COUNT 1 1 1000000000000",
+                  "POINTS 1", "DATA binary"], struct.pack("<3f", 1, 2, 3),
+         "header promises 1 points, body has 0"),
+        (".ply", ["ply", "format binary_little_endian 1.0", "element vertex 0", *_XYZ,
+                  "end_header"], b"", "point cloud is empty"),
+    ], ids=["ply-truncated", "pcd-truncated", "ply-unknown-type", "ply-vertex-list",
+            "pcd-unknown-type", "ply-nan", "pcd-inf", "pcd-huge-count", "ply-empty"])
+    def test_bad_binary_input(self, tmp_path, suffix, header, body, fragment):
+        with pytest.raises(CloudParseError, match=re.escape(fragment)):
+            load_cloud(_bytes_file(tmp_path / f"bad{suffix}", header, body))
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in a header or a text body is a
+    CloudParseError at its line."""
+
+    def test_latin1_comment(self, tmp_path):
+        path = _bytes_file(tmp_path / "cafe.ply", ["ply", "format ascii 1.0"],
+                           "comment café\nelement vertex 1\n".encode("latin-1"))
+        with pytest.raises(CloudParseError, match=r"cafe\.ply:3: byte 0xe9 is not UTF-8 text"):
+            load_cloud(path)
+
+    @pytest.mark.parametrize("name,text", [
+        ("a.pcd", b"FIELDS x y z\nDATA ascii\n1 2 3\n\n4 5 \xff\n"),
+        ("a.csv", b"# x y z\r\n1,2,3\r\n\r\n\r\n4,5,\xff\r\n"),
+    ])
+    def test_text_body(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text)
+        with pytest.raises(CloudParseError, match=rf"{name}:5: byte 0xff is not UTF-8 text"):
             load_cloud(path)
 
 
