@@ -61,7 +61,6 @@ from .odometry import (
     trajectory_rows,
 )
 from .sgd import (
-    AdamState,
     IcpConfig,
     adam_step,
     stacked_cost_gradients,
@@ -85,7 +84,6 @@ from .synthetic import BLOCK_GAP, SCENES, blob_scene, block_scene, make_scene, r
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "BLOCK_GAP",
     "CloudParseError",
     "DIMENSION_NAMES",

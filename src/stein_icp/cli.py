@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
 import sys
 import time
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import FORMATS, estimate_normals, format_table, load_cloud, write_cloud
+from .cloud import FORMATS, _utf8_text, estimate_normals, format_table, load_cloud, write_cloud
 from .errors import InputError, NumericalError, check_count
 from .evaluation import (
     ANGULAR_DIMS,
@@ -54,8 +55,7 @@ from .evaluation import (
     pose_summary,
 )
 from .geometry import Pose6D
-from .odometry import (build_trajectory, check_level, check_order, ellipse_rows,
-                       trajectory_rows)
+from .odometry import build_trajectory, check_level, ellipse_rows, trajectory_rows
 from .sgd import IcpConfig
 from .stein import UNIFORM_PRIOR, PriorConfig, SteinConfig, mc_ground_truth, run_stein_icp
 from .synthetic import BLOCK_GAP, make_scene
@@ -239,20 +239,22 @@ def _write_csv(header, values, path: Path, index: bool = False) -> None:
 
 
 def _read_samples(path) -> np.ndarray:
+    """The (n, 6) sample rows of a CSV; a byte that is not UTF-8 is bad
+    input at its line, as in a cloud file."""
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise InputError(f"{path}:{lineno}: non-numeric sample row") from None
-            if len(vals) != 6:
-                raise InputError(f"{path}:{lineno}: expected 6 columns, got {len(vals)}")
-            rows.append(vals)
+    text = io.StringIO(_utf8_text(Path(path).read_bytes(), path), newline="")
+    for lineno, row in enumerate(csv.reader(text), start=1):
+        if not row or row[0].strip().startswith("#"):
+            continue
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            raise InputError(f"{path}:{lineno}: non-numeric sample row") from None
+        if len(vals) != 6:
+            raise InputError(f"{path}:{lineno}: expected 6 columns, got {len(vals)}")
+        rows.append(vals)
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return np.array(rows)
@@ -375,7 +377,6 @@ def cmd_evaluate(cfg: dict) -> int:
 
 def cmd_odometry(cfg: dict) -> int:
     """chain pairwise registrations over a frame directory"""
-    check_order(cfg["order"])
     check_level(cfg["level"])
     frame_dir = Path(cfg["frames"])
     if not frame_dir.is_dir():
@@ -397,7 +398,7 @@ def cmd_odometry(cfg: dict) -> int:
         # Frame i registered onto frame i-1; seeds decorrelate across steps.
         step_cfg = replace(base, seed=base.seed + i)
         steps.append(run_stein_icp(clouds[i], references[i - 1], step_cfg))
-    traj = build_trajectory(steps, order=cfg["order"])
+    traj = build_trajectory(steps)
     cov_names = [f"cov_{i}{j}" for i in range(6) for j in range(i, 6)]
     _write_csv(["index", *DIMENSION_NAMES, *cov_names],
                [[*pose, *tri] for _, pose, tri in trajectory_rows(traj)],
@@ -466,7 +467,7 @@ _COMMANDS = {
     }),
     "odometry": (cmd_odometry, {
         "frames": (str, REQUIRED), "pattern": (str, "*"),
-        "out": (str, "."), "level": (float, 0.95), "order": (int, 2),
+        "out": (str, "."), "level": (float, 0.95),
         **_STEIN, **_RUN,
     }),
     "synth": (cmd_synth, {

@@ -136,7 +136,7 @@ def load_cloud(path, format: str | None = None) -> PointCloud:
         raise CloudParseError(f"{path}: {e}") from e
 
 
-def _text(data: bytes, path, first_line: int = 1) -> str:
+def _utf8_text(data: bytes, path, first_line: int = 1) -> str:
     """data decoded as UTF-8. A byte that is not UTF-8 raises
     CloudParseError at its line, counting data's first line as first_line."""
     try:
@@ -158,7 +158,7 @@ def _header(data: bytes, path):
     while pos < len(data):
         m = _LINE.match(data, pos)
         pos, lineno = m.end(), lineno + 1
-        yield lineno, _text(m.group(1), path, lineno).strip(), pos
+        yield lineno, _utf8_text(m.group(1), path, lineno).strip(), pos
 
 
 def _floats(tokens, path, lineno, n):
@@ -308,7 +308,8 @@ def _parse_ply(data: bytes, path):
     if byteorder is None:
         # An element's instance is one text line.
         skip = sum(e[1] for e in before)
-        lines = _text(data[offset:], path, header_lines + 1).splitlines()[skip:skip + n_vertex]
+        text = _utf8_text(data[offset:], path, header_lines + 1)
+        lines = text.splitlines()[skip:skip + n_vertex]
         if len(lines) < n_vertex:
             raise CloudParseError(f"{path}: header promises {n_vertex} vertices, "
                                   f"body has {len(lines)}")
@@ -394,7 +395,7 @@ def _parse_pcd(data: bytes, path):
                             _columns(layout, _PCD_NORMAL), "points", path)
 
     # Blank lines in the body are skipped; each kept row keeps its file line.
-    lines = _text(data[offset:], path, data_line + 1).splitlines()
+    lines = _utf8_text(data[offset:], path, data_line + 1).splitlines()
     rows = [k for k in range(len(lines)) if lines[k].strip()]
     if n_points is None:
         n_points = len(rows)
@@ -407,7 +408,7 @@ def _parse_pcd(data: bytes, path):
 
 
 def _parse_xyz(data: bytes, path):
-    lines = _text(data, path).splitlines()
+    lines = _utf8_text(data, path).splitlines()
     rows = [k for k, raw in enumerate(lines) if (line := raw.strip()) and line[0] != "#"]
     if not rows:
         raise CloudParseError(f"{path}: no data rows")
@@ -481,13 +482,15 @@ def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
 # Geometry preprocessing
 
 
-def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) -> PointCloud:
+def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     """Per-point normals from PCA over the k nearest neighbors.
 
     The normal is the eigenvector of the neighborhood scatter with the
     smallest eigenvalue, unit length, oriented so it points toward the
-    viewpoint. Neighborhoods with (near) collinear scatter get a zero
-    normal, which downstream point-to-plane code treats as missing.
+    origin, where a scan's sensor sits. A normal whose point sees the
+    origin in its tangent plane gets the sign that makes its largest
+    component positive. Neighborhoods with (near) collinear scatter get a
+    zero normal, which downstream point-to-plane code treats as missing.
     """
     from scipy.spatial import cKDTree
 
@@ -506,11 +509,11 @@ def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) 
     normals = v[:, :, 0].copy()
     # Rank < 2 scatter: the plane normal is not defined.
     degenerate = w[:, 1] <= 1e-12 * np.maximum(w[:, 2], 1e-300)
-    to_view = np.asarray(viewpoint, dtype=float) - pts
-    flip = np.einsum("ni,ni->n", normals, to_view)
-    normals[flip < 0.0] *= -1.0
-    # Deterministic sign when the viewpoint lies in the tangent plane.
-    ties = np.abs(flip) < 1e-12
+    # n . p > 0: the normal faces away from the origin.
+    outward = np.einsum("ni,ni->n", normals, pts)
+    normals[outward > 0.0] *= -1.0
+    # Deterministic sign when the origin lies in the tangent plane.
+    ties = np.abs(outward) < 1e-12
     if ties.any():
         sub = normals[ties]
         lead = np.argmax(np.abs(sub), axis=1)

@@ -6,8 +6,8 @@ initializations, which stein.mc_ground_truth draws; this module imports
 nothing from the engine. Fitted Gaussians (circular-aware for the angle
 block) feed a closed-form KL divergence; a per-dimension overlapping
 coefficient, also in closed form, gives a bounded [0, 1] agreement score;
-1D kernel density estimates expose multi-modal structure that moments
-hide.
+1D kernel density estimates (Silverman's-rule bandwidth, on a fixed
+512-point grid) expose multi-modal structure that moments hide.
 
 Angle dimensions (indices 3, 4, 5) are treated circularly throughout:
 circular means, wrapped residuals, wrapped mean differences, periodic
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_count, check_real
+from .errors import InputError, NumericalError
 from .geometry import invert, wrap_angle
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
 DIMENSION_NAMES = ("x", "y", "z", "roll", "pitch", "yaw")
 ANGULAR_DIMS = (3, 4, 5)
 _COV_REG = 1e-12
+# Points of the uniform grid kde_1d evaluates its density on.
+KDE_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -221,46 +223,40 @@ def _ovl_per_dimension(p, q, angular_dims) -> np.ndarray:
     return vals
 
 
-def kde_1d(samples, bandwidth: float | None = None, grid_size: int = 512,
-           angular: bool = False):
-    """Gaussian kernel density estimate on a uniform grid.
+def kde_1d(samples, angular: bool = False):
+    """Gaussian kernel density estimate on a uniform grid of KDE_GRID points.
 
-    Returns (grid, density). Bandwidth defaults to Silverman's rule,
+    Returns (grid, density). The bandwidth is Silverman's rule,
     h = 0.9 min(std, IQR/1.34) n^(-1/5). Linear grids span the samples
     plus three bandwidths; angular estimates live on [-pi, pi) with the
     kernel wrapped around the circle, so the density is periodic and
     integrates to one over the circle.
     """
-    check_count("grid_size", grid_size, 1)
     x = np.asarray(samples, dtype=float).reshape(-1)
     n = x.size
     if n < 2:
         raise InputError(f"kde needs at least 2 samples, got {n}")
     if not np.isfinite(x).all():
         raise InputError("kde samples contain non-finite values")
-    if bandwidth is None:
-        std = float(np.std(x, ddof=1))
-        q75, q25 = np.percentile(x, [75, 25])
-        iqr = float(q75 - q25)
-        spread = min(std, iqr / 1.34) if iqr > 0 else std
-        bandwidth = 0.9 * spread * n ** (-0.2)
-        if bandwidth <= 0:
-            bandwidth = 1e-9
-    else:
-        check_real("bandwidth", bandwidth)
-    h = float(bandwidth)
+    std = float(np.std(x, ddof=1))
+    q75, q25 = np.percentile(x, [75, 25])
+    iqr = float(q75 - q25)
+    spread = min(std, iqr / 1.34) if iqr > 0 else std
+    h = 0.9 * spread * n ** (-0.2)
+    if h <= 0:
+        h = 1e-9
     norm = 1.0 / (n * h * np.sqrt(2.0 * np.pi))
     if angular:
         x = wrap_angle(x)
-        grid = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
+        grid = np.linspace(-np.pi, np.pi, KDE_GRID, endpoint=False)
         diff = grid[:, None] - x[None, :]
-        dens = np.zeros(grid_size)
+        dens = np.zeros(KDE_GRID)
         for k in range(-3, 4):
             dens += np.exp(-0.5 * ((diff + 2.0 * np.pi * k) / h) ** 2).sum(axis=1)
         return grid, norm * dens
     lo = x.min() - 3.0 * h
     hi = x.max() + 3.0 * h
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, KDE_GRID)
     diff = grid[:, None] - x[None, :]
     dens = np.exp(-0.5 * (diff / h) ** 2).sum(axis=1)
     return grid, norm * dens

@@ -178,6 +178,14 @@ def pose_to_matrix(pose) -> np.ndarray:
 _ORTHO_TOL = 1e-8
 
 
+def _transform_matrix(T) -> np.ndarray:
+    """T as a float 4x4 array; any other shape raises InputError."""
+    T = np.asarray(T, dtype=float)
+    if T.shape != (4, 4):
+        raise InputError(f"expected 4x4 matrix, got {T.shape}")
+    return T
+
+
 def _reorthonormalize(R: np.ndarray) -> np.ndarray:
     # Polar decomposition: nearest rotation in Frobenius norm.
     u, _, vt = np.linalg.svd(R)
@@ -194,9 +202,7 @@ def matrix_to_pose(T: np.ndarray) -> Pose6D:
     At the pitch = +-pi/2 singularity only yaw+-roll is observable; the
     convention here is roll = 0, yaw = atan2(-R01, R11).
     """
-    T = np.asarray(T, dtype=float)
-    if T.shape != (4, 4):
-        raise InputError(f"expected 4x4 matrix, got {T.shape}")
+    T = _transform_matrix(T)
     R = T[:3, :3]
     if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHO_TOL:
         R = _reorthonormalize(R)
@@ -216,7 +222,7 @@ def matrix_to_pose(T: np.ndarray) -> Pose6D:
 
 def invert(T: np.ndarray) -> np.ndarray:
     """Inverse of a homogeneous transform without a general solve."""
-    T = np.asarray(T, dtype=float)
+    T = _transform_matrix(T)
     R = T[:3, :3]
     out = np.eye(4)
     out[:3, :3] = R.T
@@ -258,7 +264,7 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 def se3_adjoint(T: np.ndarray) -> np.ndarray:
     """6x6 adjoint of a homogeneous transform, twist ordering (trans, rot)."""
-    T = np.asarray(T, dtype=float)
+    T = _transform_matrix(T)
     R = T[:3, :3]
     t = T[:3, 3]
     ad = np.zeros((6, 6))

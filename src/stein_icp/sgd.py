@@ -1,5 +1,5 @@
 """Stochastic mini-batch ICP: the configuration, cost, analytic gradients
-and Adam.
+and Adam at its published constants.
 
 Cost over a set of matched pairs (s_i source, r_i reference, optional unit
 normal n_i at r_i), with residual e_i = R s_i + u - r_i:
@@ -40,7 +40,6 @@ from .errors import InputError, check_count, check_real
 
 __all__ = [
     "IcpConfig",
-    "AdamState",
     "adam_step",
     "stacked_cost_gradients",
 ]
@@ -56,10 +55,10 @@ class IcpConfig:
     step; None means "use the source cloud size", which puts the gradient
     on the scale of a data log-likelihood. Adam normalizes that scale away;
     the plain "sgd" optimizer with likelihood_scale=1.0 exposes the literal
-    textbook update theta <- theta - eta * g. Adam runs at adam_step's
-    default moment decays 0.9 and 0.999 and denominator floor 1e-8, the
-    published constants. batch_size, iterations and seed are integers; a
-    bool or a float is rejected.
+    textbook update theta <- theta - eta * g. Adam runs at the published
+    constants: moment decays 0.9 and 0.999 and denominator floor 1e-8.
+    batch_size, iterations and seed are integers; a bool or a float is
+    rejected.
     """
 
     metric: str = "point"
@@ -87,33 +86,28 @@ class IcpConfig:
 
 
 # --------------------------------------------------------------------------
-# Adam
+# Adam, at the published constants (Kingma & Ba, ICLR 2015)
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment accumulators. Works elementwise, so the same code
-    serves a single 6-vector or a stacked (K, 6) block of particles."""
+def adam_step(m: np.ndarray, v: np.ndarray, t: int, grad: np.ndarray, step_size: float):
+    """One Adam update for a descent gradient, after t steps taken.
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-def adam_step(state: AdamState, grad: np.ndarray, step_size: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One Adam update for a descent gradient.
-
-    Returns (delta, new_state) where delta = -step_size * mhat / (sqrt(vhat) + eps).
+    m and v are the first and second moments; the update works elementwise,
+    so they may be one 6-vector or a stacked (K, 6) block of particles.
+    Returns (delta, m, v): delta = -step_size * mhat / (sqrt(vhat) + EPS)
+    and the new moments.
     """
     grad = np.asarray(grad, dtype=float)
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    delta = -step_size * mhat / (np.sqrt(vhat) + eps)
-    return delta, AdamState(m=m, v=v, t=t)
+    t = t + 1
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    mhat = m / (1.0 - BETA1 ** t)
+    vhat = v / (1.0 - BETA2 ** t)
+    return -step_size * mhat / (np.sqrt(vhat) + EPS), m, v
 
 
 # --------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from .errors import (DivergedError, InputError, MatchRejectionError, NumericalEr
 from .evaluation import PoseDistribution
 from .geometry import (Pose6D, pose_array, rotation_from_euler, rotation_partials,
                        transform_stacked, wrap_angle)
-from .sgd import AdamState, IcpConfig, adam_step, stacked_cost_gradients
+from .sgd import IcpConfig, adam_step, stacked_cost_gradients
 
 __all__ = [
     "SteinConfig",
@@ -543,10 +543,8 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         if config.optimizer == "adam":
             # Freezing is permanent, so every live particle has taken
             # exactly `it` steps before this one.
-            step, state = adam_step(AdamState(adam_m[live], adam_v[live], t=it), -dirs,
-                                    config.step_size)
-            adam_m[live] = state.m
-            adam_v[live] = state.v
+            step, adam_m[live], adam_v[live] = adam_step(adam_m[live], adam_v[live], it, -dirs,
+                                                         config.step_size)
         else:
             step = config.step_size * dirs
         new_theta = th + step

@@ -71,12 +71,13 @@ def ring_scene(n: int = 4000, noise: float = 0.005, seed: int = 0,
     return _finish(sample(), sample(), true_pose, noise, rng)
 
 
-def block_scene(n: int = 4000, noise: float = 0.005, seed: int = 0,
-                gap: float = BLOCK_GAP) -> tuple[PointCloud, PointCloud, Pose6D]:
+def block_scene(n: int = 4000, noise: float = 0.005,
+                seed: int = 0) -> tuple[PointCloud, PointCloud, Pose6D]:
     """Two-sided block: the reference is two identical plates (normal +-x)
-    at x = -gap/2 and x = +gap/2; the source is a single centered plate at
-    x = 0. Matching the source to either face is an equally good optimum,
-    so the x posterior has modes at -gap/2 and +gap/2.
+    at x = -BLOCK_GAP/2 and x = +BLOCK_GAP/2; the source is a single
+    centered plate at x = 0. Matching the source to either face is an
+    equally good optimum, so the x posterior has modes at -BLOCK_GAP/2 and
+    +BLOCK_GAP/2.
 
     Plates span 1.2 m in y and 0.8 m in z; their edges pin y, z, and the
     rotations. The returned true_pose is the identity by convention: both
@@ -88,7 +89,7 @@ def block_scene(n: int = 4000, noise: float = 0.005, seed: int = 0,
     half = n // 2
     y = rng.uniform(-0.6, 0.6, n)
     z = rng.uniform(-0.4, 0.4, n)
-    ref_pts = np.column_stack([np.where(np.arange(n) < half, -gap / 2, gap / 2),
+    ref_pts = np.column_stack([np.where(np.arange(n) < half, -BLOCK_GAP / 2, BLOCK_GAP / 2),
                                y, z])
     src_y = rng.uniform(-0.6, 0.6, n)
     src_z = rng.uniform(-0.4, 0.4, n)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stein_icp import invert, prior_gradient, rotation_from_euler
+from stein_icp import invert, prior_gradient
 
 
 @dataclass(frozen=True)
@@ -186,36 +186,75 @@ def two_point_samples(mean, n=400):
     return out
 
 
-def batch_pose_matrices(poses):
-    """Vectorized pose -> homogeneous matrix for an (n, 6) array."""
-    poses = np.asarray(poses, dtype=float)
-    R = rotation_from_euler(poses[:, 3], poses[:, 4], poses[:, 5])
-    out = np.zeros(poses.shape[:1] + (4, 4))
+def _hat(phi):
+    """Cross-product matrices of an (n, 3) array of rotation vectors."""
+    x, y, z = phi[:, 0], phi[:, 1], phi[:, 2]
+    zero = np.zeros_like(x)
+    return np.stack([np.stack([zero, -z, y], -1),
+                     np.stack([z, zero, -x], -1),
+                     np.stack([-y, x, zero], -1)], -2)
+
+
+def _rodrigues(phi):
+    """Exp(phi) and the left Jacobian J(phi) of SO(3) for (n, 3) rotation
+    vectors, both (n, 3, 3), from the closed-form series
+
+        R = I + a Phi + b Phi^2,   J = I + b Phi + c Phi^2,
+        a = sin t / t,  b = (1 - cos t) / t^2,  c = (t - sin t) / t^3,
+
+    t = |phi|, each coefficient by its Taylor series below t = 1e-4."""
+    t = np.linalg.norm(phi, axis=1)
+    small = t < 1e-4
+    ts = np.where(small, 1.0, t)
+    t2 = t * t
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(ts) / ts)
+    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(ts)) / ts ** 2)
+    c = np.where(small, 1.0 / 6.0 - t2 / 120.0, (ts - np.sin(ts)) / ts ** 3)
+    Phi = _hat(phi)
+    Phi2 = Phi @ Phi
+    eye = np.eye(3)
+    R = eye + a[:, None, None] * Phi + b[:, None, None] * Phi2
+    J = eye + b[:, None, None] * Phi + c[:, None, None] * Phi2
+    return R, J
+
+
+def se3_exp(xi):
+    """SE(3) exponential of (n, 6) twists ordered (rho, phi), translation
+    first as in geometry.se3_adjoint: the (n, 4, 4) transforms with
+    rotation Exp(phi) and translation J(phi) rho (Barfoot & Furgale, T-RO
+    2014)."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    R, J = _rodrigues(xi[:, 3:])
+    out = np.zeros((len(xi), 4, 4))
     out[:, :3, :3] = R
-    out[:, :3, 3] = poses[:, :3]
+    out[:, :3, 3] = (J @ xi[:, :3, None])[:, :, 0]
     out[:, 3, 3] = 1.0
     return out
 
 
-def batch_matrix_poses(mats):
-    """Vectorized matrix -> pose 6-vector, valid away from the pitch
-    singularity (all uses here keep angles well inside +-pi/2)."""
-    mats = np.asarray(mats, dtype=float)
-    R = mats[:, :3, :3]
-    sp = np.clip(-R[:, 2, 0], -1.0, 1.0)
-    pitch = np.arcsin(sp)
-    roll = np.arctan2(R[:, 2, 1], R[:, 2, 2])
-    yaw = np.arctan2(R[:, 1, 0], R[:, 0, 0])
-    return np.column_stack([mats[:, :3, 3], roll, pitch, yaw])
+def se3_log(T):
+    """Inverse of se3_exp on (n, 4, 4) transforms whose rotation angle is
+    below pi: phi = t u with cos t = (tr R - 1)/2 and u the unit axis of
+    R - R^T, and rho = J(phi)^-1 p by a linear solve."""
+    T = np.asarray(T, dtype=float).reshape(-1, 4, 4)
+    R = T[:, :3, :3]
+    v = 0.5 * np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                        R[:, 1, 0] - R[:, 0, 1]], -1)
+    s = np.linalg.norm(v, axis=1)
+    t = np.arctan2(s, 0.5 * (np.trace(R, axis1=1, axis2=2) - 1.0))
+    phi = (t / np.where(s > 0.0, s, 1.0))[:, None] * v
+    _, J = _rodrigues(phi)
+    rho = np.linalg.solve(J, T[:, :3, 3:])[:, :, 0]
+    return np.column_stack([rho, phi])
 
 
 def mc_compose_chain(step_means, step_covs, n_samples, rng):
     """Monte-Carlo composition oracle.
 
-    Every step transform is perturbed on the left by a Gaussian twist drawn
-    from its covariance; the perturbed chain is composed per sample and the
-    left-error twist of the total extracted. Returns the sample covariance
-    of those twists.
+    Every step transform is perturbed on the left by the SE(3) exponential
+    of a Gaussian twist drawn from its covariance; the perturbed chain is
+    composed per sample and the logarithm of the total's left error
+    extracted. Returns the sample covariance of those twists.
     """
     total = np.eye(4)
     for T in step_means:
@@ -224,10 +263,8 @@ def mc_compose_chain(step_means, step_covs, n_samples, rng):
     for T, cov in zip(step_means, step_covs):
         eps = rng.multivariate_normal(np.zeros(6), cov, size=n_samples,
                                       method="cholesky")
-        acc = acc @ batch_pose_matrices(eps) @ T
-    err = acc @ invert(total)
-    twists = batch_matrix_poses(err)
-    return np.cov(twists, rowvar=False)
+        acc = acc @ se3_exp(eps) @ T
+    return np.cov(se3_log(acc @ invert(total)), rowvar=False)
 
 
 def kl_gaussian_1d(m1, v1, m2, v2):
@@ -257,11 +294,11 @@ def ovl_trapezoid(m1, v1, m2, v2, n_grid=200001):
     return float(np.trapezoid(np.minimum(p1, p2), x))
 
 
-def kde_modes(samples, rel_height=0.5, bandwidth=None, angular=False):
+def kde_modes(samples, rel_height=0.5, angular=False):
     """Locations of KDE local maxima above rel_height of the peak."""
     from stein_icp import kde_1d
 
-    grid, dens = kde_1d(samples, bandwidth=bandwidth, angular=angular)
+    grid, dens = kde_1d(samples, angular=angular)
     peak = dens.max()
     modes = []
     for i in range(1, len(grid) - 1):

@@ -285,7 +285,7 @@ def test_criterion_09_covariance_compounding_matches_monte_carlo():
             steps.append((mat, cov))
             mats.append(mat)
             covs.append(cov)
-        traj = build_trajectory(steps, order=2)
+        traj = build_trajectory(steps)
         estimate = traj.covariances[-1]
         reference = oracles.mc_compose_chain(mats, covs, 100000, rng)
         rel = (np.linalg.norm(estimate - reference, "fro")

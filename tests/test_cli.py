@@ -169,10 +169,12 @@ class TestRegister:
         ("register", "method", "sgd"),
         ("register", "bandwidth", "median"),
         ("odometry", "bandwidth", "median"),
-    ], ids=["method", "bandwidth", "odometry-bandwidth"])
+        ("odometry", "order", "2"),
+    ], ids=["method", "bandwidth", "odometry-bandwidth", "odometry-order"])
     def test_retired_option_is_not_an_option(self, tmp_path, capsys, command, option, value):
-        """One solve path at the median-heuristic bandwidth: neither the
-        flag nor the config key that chose another exists."""
+        """One solve path at the median-heuristic bandwidth, and one
+        (fourth-order) covariance compounding: neither the flag nor the
+        config key that chose another exists."""
         with pytest.raises(SystemExit) as exit_info:
             main([command, f"--{option}", value])
         assert exit_info.value.code == 2
@@ -523,6 +525,20 @@ class TestEvaluate:
                      "--reference-samples", str(good),
                      "--out", str(tmp_path / "o3")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--posterior", "--reference-samples"])
+    def test_non_utf8_samples_are_bad_input(self, tmp_path, rng, capsys, flag):
+        """A Latin-1 comment exits 2 with the file and line, as in a cloud
+        file, not with a traceback."""
+        good = self._samples_file(tmp_path, rng)
+        cafe = tmp_path / "cafe.csv"
+        cafe.write_bytes(good.read_bytes().replace(b"\n", "\n# café\n".encode("latin-1"), 1))
+        paths = {"--posterior": good, "--reference-samples": good, flag: cafe}
+        assert main(["evaluate", *[str(a) for kv in paths.items() for a in kv],
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cafe}:2: byte 0xe9 is not UTF-8 text" in err
+        assert "Traceback" not in err
+
 
 class TestSamplesFile:
     @settings(max_examples=25, deadline=None)
@@ -554,7 +570,6 @@ class TestOdometry:
         return frames
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--order", "3", "order must be 2 or 4, got 3"),
         ("--level", "1.5", "level must be in (0, 1), got 1.5"),
     ])
     def test_bad_order_or_level_fails_before_any_frame_is_read(
@@ -729,7 +744,7 @@ class TestArtifactBytes:
     def test_odometry_trajectory_and_ellipses(self, frames, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_stein_icp", lambda *args, **kwargs: None)
         monkeypatch.setattr(cli, "build_trajectory",
-                            lambda steps, order: SimpleNamespace(transforms=[np.eye(4)] * 2))
+                            lambda steps: SimpleNamespace(transforms=[np.eye(4)] * 2))
         monkeypatch.setattr(cli, "trajectory_rows", lambda traj: iter([
             (0, np.array(_ODD[0]), np.arange(21) / 7.0),
             (1, np.array(_ODD[1]), -np.arange(21) * 1e-05)]))

@@ -652,8 +652,8 @@ class TestBulkBody:
 
 class TestEstimateNormals:
     def test_plane_normals(self, rng):
-        """Grid on z = 1 with the viewpoint at the origin: every normal is
-        (0, 0, -1), the unit plane normal oriented toward the viewpoint."""
+        """Grid on z = 1: every normal is (0, 0, -1), the unit plane normal
+        oriented toward the origin."""
         xs, ys = np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 12))
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.ones(xs.size)])
         cloud = estimate_normals(PointCloud(pts), k=8)
@@ -664,10 +664,18 @@ class TestEstimateNormals:
         u = rng.normal(size=(600, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         cloud = estimate_normals(PointCloud(u), k=10)
-        # Viewpoint at the center: normals should be -radial within PCA noise.
+        # Oriented toward the center: normals should be -radial within PCA noise.
         dots = np.einsum("ij,ij->i", cloud.normals, -u)
         assert np.all(dots > 0.9)
         assert dots.mean() > 0.99
+
+    def test_plane_through_the_origin_gets_a_positive_lead(self):
+        """The origin lies in the plane z = 0, so no normal faces it: each
+        gets the sign that makes its largest component positive."""
+        xs, ys = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
+        pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
+        cloud = estimate_normals(PointCloud(pts), k=8)
+        np.testing.assert_array_equal(cloud.normals, np.tile([0.0, 0.0, 1.0], (len(cloud), 1)))
 
     def test_collinear_neighborhood_gets_zero_normal(self):
         pts = np.column_stack([np.linspace(0, 1, 12), np.zeros(12), np.zeros(12)])

@@ -295,6 +295,7 @@ class TestOvlCoefficient:
 class TestKde1d:
     def test_density_integrates_to_one(self, rng):
         grid, dens = kde_1d(rng.normal(0.3, 0.5, 800))
+        assert grid.shape == dens.shape == (512,)
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=5e-3)
 
     def test_angular_density_integrates_to_one_on_circle(self, rng):
@@ -321,34 +322,11 @@ class TestKde1d:
         assert abs(modes[0] + 0.25) < 0.02
         assert abs(modes[1] - 0.25) < 0.02
 
-    def test_large_bandwidth_merges_modes(self, rng):
-        samples = np.concatenate([
-            rng.normal(-0.25, 0.03, 400),
-            rng.normal(0.25, 0.03, 400),
-        ])
-        assert len(kde_modes(samples, bandwidth=1.0)) == 1
-
-    def test_validation(self, rng):
+    def test_validation(self):
         with pytest.raises(InputError):
             kde_1d(np.array([1.0]))
         with pytest.raises(InputError):
             kde_1d(np.array([1.0, np.nan]))
-        with pytest.raises(InputError):
-            kde_1d(rng.normal(size=10), bandwidth=0.0)
-
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"bandwidth": float("nan")}, "bandwidth must be positive and finite, got nan"),
-        ({"bandwidth": float("inf")}, "bandwidth must be positive and finite, got inf"),
-        ({"bandwidth": 10**400}, "bandwidth must be positive and finite, got an integer"),
-        ({"bandwidth": True}, "bandwidth must be a positive finite number, got True"),
-        ({"grid_size": 0}, "grid_size must be >= 1, got 0"),
-        ({"grid_size": 2.5}, "grid_size must be an integer, got 2.5"),
-        ({"grid_size": True}, "grid_size must be an integer, got True"),
-    ])
-    def test_rejects_bad_numbers(self, rng, kwargs, message):
-        for angular in (False, True):
-            with pytest.raises(InputError, match=f"^{message}"):
-                kde_1d(rng.normal(size=10), angular=angular, **kwargs)
 
 
 def _random_trajectory(rng, L):

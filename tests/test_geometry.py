@@ -22,6 +22,8 @@ from stein_icp import (
     wrap_angle,
 )
 
+from oracles import se3_exp
+
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
@@ -185,8 +187,13 @@ class TestPoseMatrixRoundtrip:
         np.testing.assert_allclose(back.to_array(), pose.to_array(), atol=1e-5)
 
     def test_shape_validation(self):
-        with pytest.raises(InputError, match=r"expected 4x4 matrix, got \(3, 3\)"):
-            matrix_to_pose(np.eye(3))
+        """Every taker of a 4x4 transform names the shape it got; a 5x5
+        matrix once gave a wrong adjoint without an error."""
+        for shape in ((3, 3), (5, 5), (4,), (2, 4, 4)):
+            for call in (matrix_to_pose, invert, se3_adjoint):
+                with pytest.raises(InputError,
+                                   match=rf"^expected 4x4 matrix, got \({shape[0]},"):
+                    call(np.ones(shape))
 
 
 class TestComposeInvert:
@@ -250,14 +257,14 @@ class TestSkewAdjoint:
         np.testing.assert_allclose(ad[3:, :3], 0, atol=0)
 
     def test_adjoint_transports_small_twists(self, rng):
-        """T Exp(xi) T^-1 = Exp(Ad_T xi) to first order in the twist."""
-        eps = 1e-5
+        """T Exp(xi) T^-1 = Exp(Ad_T xi), exactly for the SE(3) exponential,
+        so also for twists that are not small."""
         for _ in range(10):
             T = pose_to_matrix(random_pose(rng))
             xi = rng.normal(size=6)
-            left = T @ pose_to_matrix(eps * xi) @ invert(T)
-            right = pose_to_matrix(eps * (se3_adjoint(T) @ xi))
-            np.testing.assert_allclose(left, right, atol=5e-9)
+            left = T @ se3_exp(xi)[0] @ invert(T)
+            right = se3_exp(se3_adjoint(T) @ xi)[0]
+            np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_adjoint_of_composition(self, rng):
         a = pose_to_matrix(random_pose(rng))

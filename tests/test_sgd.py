@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from stein_icp import (
-    AdamState,
     DivergedError,
     EngineResult,
     IcpConfig,
@@ -162,43 +161,41 @@ class TestAdam:
     def test_first_step_hand_value(self):
         g = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -0.25])
         lr, eps = 0.05, 1e-8
-        delta, state = adam_step(AdamState(np.zeros(6), np.zeros(6)), g, lr, eps=eps)
+        delta, m, v = adam_step(np.zeros(6), np.zeros(6), 0, g, lr)
         expected = -lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(delta, expected, rtol=1e-12)
-        assert state.t == 1
-        np.testing.assert_allclose(state.m, 0.1 * g, rtol=1e-12)
-        np.testing.assert_allclose(state.v, 0.001 * g * g, rtol=1e-12)
+        np.testing.assert_allclose(m, 0.1 * g, rtol=1e-12)
+        np.testing.assert_allclose(v, 0.001 * g * g, rtol=1e-12)
 
     def test_second_step_hand_value(self):
         g1 = np.full(6, 2.0)
         g2 = np.full(6, -1.0)
         lr = 0.01
-        _, s1 = adam_step(AdamState(np.zeros(6), np.zeros(6)), g1, lr)
-        delta, s2 = adam_step(s1, g2, lr)
+        _, m1, v1 = adam_step(np.zeros(6), np.zeros(6), 0, g1, lr)
+        delta, _, _ = adam_step(m1, v1, 1, g2, lr)
         m = 0.9 * (0.1 * g1) + 0.1 * g2
         v = 0.999 * (0.001 * g1 * g1) + 0.001 * g2 * g2
         mhat = m / (1 - 0.9 ** 2)
         vhat = v / (1 - 0.999 ** 2)
         np.testing.assert_allclose(delta, -lr * mhat / (np.sqrt(vhat) + 1e-8), rtol=1e-12)
-        assert s2.t == 2
 
     def test_constant_gradient_converges_to_signed_step(self):
         g = np.array([4.0, -0.01, 1e3, -7.0, 0.2, 0.002])
         lr = 0.1
-        state = AdamState(np.zeros(6), np.zeros(6))
-        for _ in range(500):
-            delta, state = adam_step(state, g, lr)
+        m, v = np.zeros(6), np.zeros(6)
+        for t in range(500):
+            delta, m, v = adam_step(m, v, t, g, lr)
         np.testing.assert_allclose(delta, -lr * np.sign(g), rtol=1e-5)
 
     def test_stacked_particles_match_individual(self, rng):
         """Elementwise, so a (K, 6) block must reproduce K separate runs."""
         grads = rng.normal(size=(3, 5, 6))
-        stacked = AdamState(np.zeros((5, 6)), np.zeros((5, 6)))
-        singles = [AdamState(np.zeros(6), np.zeros(6)) for _ in range(5)]
-        for g in grads:
-            d_stack, stacked = adam_step(stacked, g, 0.02)
+        m, v = np.zeros((5, 6)), np.zeros((5, 6))
+        ms, vs = np.zeros((5, 6)), np.zeros((5, 6))
+        for t, g in enumerate(grads):
+            d_stack, m, v = adam_step(m, v, t, g, 0.02)
             for k in range(5):
-                d_k, singles[k] = adam_step(singles[k], g[k], 0.02)
+                d_k, ms[k], vs[k] = adam_step(ms[k], vs[k], t, g[k], 0.02)
                 np.testing.assert_array_equal(d_stack[k], d_k)
 
 

@@ -116,10 +116,6 @@ class TestBlockScene:
         assert np.abs(source.points[:, 1]).max() <= 0.6
         assert np.abs(source.points[:, 2]).max() <= 0.4
 
-    def test_gap_override(self):
-        _, reference, _ = block_scene(n=200, noise=0.0, seed=1, gap=0.8)
-        assert set(np.round(np.unique(reference.points[:, 0]), 12)) == {-0.4, 0.4}
-
     def test_default_gap_constant(self):
         assert BLOCK_GAP == 0.5
 
