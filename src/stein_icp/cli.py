@@ -54,7 +54,7 @@ from .evaluation import (
     metrics_report,
     pose_summary,
 )
-from .geometry import Pose6D
+from .geometry import Pose6D, wrap_angle
 from .odometry import build_trajectory, check_level, ellipse_rows, trajectory_rows
 from .sgd import IcpConfig
 from .stein import UNIFORM_PRIOR, PriorConfig, SteinConfig, mc_ground_truth, run_stein_icp
@@ -240,16 +240,19 @@ def _write_csv(header, values, path: Path, index: bool = False) -> None:
 
 def _read_samples(path) -> np.ndarray:
     """The (n, 6) sample rows of a CSV; a byte that is not UTF-8 is bad
-    input at its line, as in a cloud file."""
+    input at its line, as in a cloud file. Blank and comment (#) rows are
+    skipped; the first other row may be a header."""
     rows = []
     text = io.StringIO(_utf8_text(Path(path).read_bytes(), path), newline="")
+    seen = 0
     for lineno, row in enumerate(csv.reader(text), start=1):
         if not row or row[0].strip().startswith("#"):
             continue
+        seen += 1
         try:
             vals = [float(v) for v in row]
         except ValueError:
-            if lineno == 1:
+            if seen == 1:
                 continue  # header
             raise InputError(f"{path}:{lineno}: non-numeric sample row") from None
         if len(vals) != 6:
@@ -303,6 +306,19 @@ def _diagnostics_payload(seconds: float, engine, load_seconds: float,
             "coarse_queries": counts["coarse_queried"]}
 
 
+def _trace_means(trace: np.ndarray) -> np.ndarray:
+    """The (T + 1, 6) mean poses of a (T + 1, K, 6) particle trace.
+    Translations are averaged; each angle is the first particle's, less
+    the mean of its wrapped offsets to every particle's, so that a swarm
+    that straddles +-pi averages on the circle and one particle's angles
+    keep their bits (subtracting 0.0 keeps even -0.0)."""
+    mean = trace.mean(axis=1)
+    lead = trace[:, 0, 3:]
+    offsets = wrap_angle(lead[:, None] - trace[:, :, 3:])
+    mean[:, 3:] = wrap_angle(lead - offsets.mean(axis=1))
+    return mean
+
+
 def _print_pose(label: str, pose: np.ndarray) -> None:
     parts = ", ".join(f"{n}={v:.6f}" for n, v in zip(DIMENSION_NAMES, pose))
     print(f"{label}: {parts}")
@@ -325,7 +341,7 @@ def cmd_register(cfg: dict) -> int:
     _write_json(_diagnostics_payload(elapsed, engine, load_seconds, write_seconds),
                 out / "diagnostics.json")
     if cfg["trace"]:
-        mean_poses = engine.particle_trace.mean(axis=1)
+        mean_poses = _trace_means(engine.particle_trace)
         _write_csv(["iteration", "cost", *DIMENSION_NAMES],
                    np.column_stack([engine.cost_trace, mean_poses[1:]]), out / "trace.csv",
                    index=True)

@@ -1,12 +1,14 @@
 """Nearest-neighbor search, mini-batch sampling and stacked matching.
 
 Both matchers work on one CellGrid over the reference cloud: its cells,
-its two ways to locate a point and its one squared-distance sum. Query
-points are (3, n) coordinate rows, one contiguous row per axis, the layout
-the particle engine carries its minibatches in: match_stacked takes a
-(3, K, m) stack of them and answers with (3, K, m) rows of matched points
-and normals. Only the points the exact index sends to the kd-tree are
-transposed to the (p, 3) points the tree takes.
+its one way to locate a point (clamped to the grid, so that every point
+has a cell) and its one squared-distance sum, and both keep their
+per-cell data at the flat cell number. Query points are (3, n) coordinate
+rows, one contiguous row per axis, the layout the particle engine carries
+its minibatches in: match_stacked takes a (3, K, m) stack of them and
+answers with (3, K, m) rows of matched points and normals. Only the
+points the exact index sends to the kd-tree are transposed to the (p, 3)
+points the tree takes.
 
 The index wraps a kd-tree and guarantees two things the optimizer relies
 on: queries are exact (never approximate), and exact distance ties resolve
@@ -36,9 +38,10 @@ __all__ = ["NeighborIndex", "build_index", "match_stacked"]
 _TIE_RTOL = 1e-12
 
 # The cell grid (CellGrid) and the index's certified cells (NeighborIndex).
-# A filled cell costs one 28-byte row of candidate ids and one float64
-# bound, in tables grown by half as cells fill; the slot map holds one int32
-# per grid cell, at most _CELL_BUDGET of them (4 MiB).
+# The index keeps, per grid cell, a filled flag, a 28-byte row of candidate
+# ids and a float64 bound: 37 bytes of address space a cell, 37 MiB at
+# _CELL_BUDGET cells. A page of fresh memory is committed only when a cell
+# on it fills.
 _CANDIDATES = 7
 _CELL_SPACINGS = 1.6      # cell edge in median nearest-neighbor spacings
 _SPACING_SAMPLE = 4096    # reference points the spacing is measured on
@@ -69,14 +72,11 @@ class CellGrid:
     rows both matchers measure and gather from.
 
     Query points are (3, n) coordinate rows as well. A point's fractional
-    cell coordinates are (q - origin) / h, rounded once. There are two
-    ways to locate points: inside keeps the points
-    whose fractional coordinates all lie in [0, dims) and truncates them;
-    clamped clamps every point's fractional coordinates to [0, dims - 1]
-    (a NaN goes to 0, a point outside lands on the border) and truncates
-    them. Both give a point inside the grid the same flat cell.
-    squared_distances is the one squared distance between reference and
-    query points, summed as the kd-tree sums it.
+    cell coordinates are (q - origin) / h, rounded once; clamped, the one
+    way to locate points, clamps them to [0, dims - 1] (a NaN goes to 0,
+    a point on an upper face or outside the grid lands on a border cell)
+    and truncates them. squared_distances is the one squared distance
+    between reference and query points, summed as the kd-tree sums it.
     """
 
     def __init__(self, reference: PointCloud, tree: cKDTree):
@@ -101,40 +101,21 @@ class CellGrid:
         self.centers = [self.origin[c] + (np.arange(self.dims[c]) + 0.5) * self.h
                         for c in range(3)]
 
-    def inside(self, q: np.ndarray):
-        """(rows, q, cell, flat) of the points with coordinate rows q,
-        shape (3, n), that lie inside the grid: their column numbers (None
-        when every point is inside), their (3, p) coordinate rows and cell
-        coordinates, and their flat cells."""
-        frac = q - self.origin[:, None]
-        frac /= self.h
-        # A NaN coordinate fails both tests; an empty query passes them.
-        if ((frac.min(axis=1, initial=np.inf) >= 0).all()
-                and (frac.max(axis=1, initial=-np.inf) < self.dims).all()):
-            rows = None
-        else:
-            rows = np.flatnonzero(((frac >= 0) & (frac < self.dims[:, None])).all(axis=0))
-            q = np.take(q, rows, axis=1)
-            frac = np.take(frac, rows, axis=1)
-        cell = frac.astype(np.intp)
-        flat = cell[0] * self.dims[1]
-        flat += cell[1]
-        flat *= self.dims[2]
-        flat += cell[2]
-        return rows, q, cell, flat
-
-    def clamped(self, q: np.ndarray) -> np.ndarray:
-        """The flat cell of every point with coordinate rows q, shape
-        (3, n), its cell coordinates clamped to the grid."""
+    def clamped(self, q: np.ndarray):
+        """(cell, flat) of every point with coordinate rows q, shape
+        (3, n): its (3, n) cell coordinates, clamped to the grid, and its
+        flat cell."""
+        cell = np.empty(q.shape, dtype=np.intp)
         flat = np.zeros(q.shape[1], dtype=np.intp)
         for c in range(3):
             frac = q[c] - self.origin[c]
             frac /= self.h
             np.fmax(frac, 0.0, out=frac)
             np.fmin(frac, self.dims[c] - 1, out=frac)
+            cell[c] = frac
             flat *= self.dims[c]
-            flat += frac.astype(np.intp)
-        return flat
+            flat += cell[c]
+        return cell, flat
 
     def squared_distances(self, ids: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Squared distances from reference points ids to points with
@@ -172,20 +153,23 @@ class NeighborIndex:
     covering the rounding of r, d1 and D. Then one reference point is at
     d1 and every other one is farther than d1 + gap, so the kd-tree's two
     nearest are that candidate and a point it does not call tied: it
-    returns that candidate at distance d1. Every other point, on a
-    near-tie, a failed certificate, outside the grid or not finite, goes
-    to the kd-tree.
+    returns that candidate at distance d1. The triangle inequality holds
+    for any q, so a point outside the grid goes through the certificate
+    in the border cell clamped locates it in; far from the grid, r > D
+    and it fails. Every point not certified, on a near-tie, a failed
+    certificate or not finite, goes to the kd-tree; a grid with no cells
+    certifies nothing.
 
-    Layout: a filled cell's slot is its row in a slot-major (cells, 7)
-    int32 table of candidate ids, with one float64 D per slot; an int32
-    slot map over the grid's cells points to it.
+    Layout: per flat cell, a filled flag, a row of a (cells, 7) int32
+    table of candidate ids and a float64 D, all allocated for the whole
+    grid and written only as cells fill.
 
-    A query makes these passes. Locate: the grid's inside rows, then the
-    cells' slots, filling the cells still empty. Certify, 8192 points at a
-    time: one row gather of the candidate ids, transposed to (7, p)
-    candidate rows; the squared distances; one sweep over the rows for d1
-    and d2; the candidate at d1; r from the gathered cell centers; the
-    certificate. The kd-tree answers the rest.
+    A query makes these passes. Locate: the grid's clamped cells, filling
+    the cells still empty. Certify, 8192 points at a time: one row gather
+    of the candidate ids, transposed to (7, p) candidate rows; the squared
+    distances; one sweep over the rows for d1 and d2; the candidate at d1;
+    r from the gathered cell centers; the certificate. The kd-tree answers
+    the rest.
 
     A point with no reference point at a finite distance (its squared
     distances overflow, or a coordinate is not finite) gets distance inf
@@ -205,9 +189,10 @@ class NeighborIndex:
         self.queried = 0
         self.certified = 0
         self.filled = 0
-        self._slots = np.full(int(np.prod(grid.dims)), -1, dtype=np.int32)
-        self._ids = np.empty((0, min(_CANDIDATES, len(reference))), dtype=np.int32)
-        self._bound = np.empty(0)
+        cells = int(np.prod(grid.dims))
+        self._filled = np.zeros(cells, dtype=bool)
+        self._ids = np.empty((cells, min(_CANDIDATES, len(reference))), dtype=np.int32)
+        self._bound = np.empty(cells)
 
     def query(self, points: np.ndarray):
         """Nearest reference point for each query point, given as (3, n)
@@ -223,17 +208,15 @@ class NeighborIndex:
         idx = np.empty(n, dtype=np.intp)
         hit = np.zeros(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # such points miss
-            rows, q, cell, flat = self.grid.inside(points)
-            slot = self._slots[flat]
-            empty = slot < 0
-            if empty.any():
-                self._fill(np.unique(flat[empty]))
-                slot = self._slots[flat]
-            slot = slot.astype(np.intp)
-            for start in range(0, len(slot), _CHUNK):
-                sl = slice(start, start + _CHUNK)
-                at = sl if rows is None else rows[sl]
-                hit[at], dist[at], idx[at] = self._certify(q[:, sl], cell[:, sl], slot[sl])
+            cell, flat = self.grid.clamped(points)
+            if self._filled.size:
+                empty = ~np.take(self._filled, flat)
+                if empty.any():
+                    self._fill(np.unique(flat[empty]))
+                for start in range(0, n, _CHUNK):
+                    sl = slice(start, start + _CHUNK)
+                    hit[sl], dist[sl], idx[sl] = self._certify(points[:, sl], cell[:, sl],
+                                                               flat[sl])
         miss = np.flatnonzero(~hit)
         self.queried += n
         self.certified += n - miss.size
@@ -273,14 +256,14 @@ class NeighborIndex:
             dist[t] = dd[ii == best][0]
         return dist, idx
 
-    def _certify(self, q, cell, slot):
+    def _certify(self, q, cell, flat):
         """(ok, dist, idx) of points with coordinate rows q, shape (3, p),
-        in the given cells and table slots: ok marks the points certified,
+        in the given cells and flat cells: ok marks the points certified,
         whose dist and idx are the kd-tree's answer.
 
         Works on coordinate rows and candidate rows, (c, p), so that every
         step is a pass over contiguous memory."""
-        cand = np.take(self._ids, slot, axis=0).T.astype(np.intp, order="C")  # (c, p)
+        cand = np.take(self._ids, flat, axis=0).T.astype(np.intp, order="C")  # (c, p)
         sq = self.grid.squared_distances(cand, q)
         # Best and runner-up squared distance over the candidate rows.
         d1 = sq[0].copy()
@@ -308,7 +291,7 @@ class NeighborIndex:
         ok = d2 > gap
         gap += d1
         gap += r
-        ok &= gap < np.take(self._bound, slot)
+        ok &= gap < np.take(self._bound, flat)
         return ok, d1, best
 
     def _fill(self, cells: np.ndarray):
@@ -318,18 +301,10 @@ class NeighborIndex:
         d, i = self._tree.query(centers, k=self._ids.shape[1] + 1)
         bound = d[:, -1]
         bound = np.where(bound >= 1.0, bound * (1.0 - _CERT_SLACK), bound - _CERT_SLACK)
-        start, stop = self.filled, self.filled + len(cells)
-        if stop > len(self._bound):
-            cap = min(self._slots.size, max(stop, len(self._bound) * 3 // 2))
-            ids = np.empty((cap, self._ids.shape[1]), dtype=np.int32)
-            ids[:start] = self._ids[:start]
-            grown = np.empty(cap)
-            grown[:start] = self._bound[:start]
-            self._ids, self._bound = ids, grown
-        self._ids[start:stop] = i[:, :-1]
-        self._bound[start:stop] = bound
-        self._slots[cells] = np.arange(start, stop, dtype=np.int32)
-        self.filled = stop
+        self._ids[cells] = i[:, :-1]
+        self._bound[cells] = bound
+        self._filled[cells] = True
+        self.filled += len(cells)
 
 
 def build_index(reference: PointCloud) -> NeighborIndex:
@@ -374,7 +349,7 @@ class NearestTable:
         query point, given as (3, n) coordinate rows."""
         points = _query_rows(points)
         with np.errstate(over="ignore", invalid="ignore"):    # such points get the marker
-            idx = np.take(self._table, self.grid.clamped(points)).astype(np.intp)
+            idx = np.take(self._table, self.grid.clamped(points)[1]).astype(np.intp)
             dist = self.grid.squared_distances(idx, points)
             np.sqrt(dist, out=dist)
         lost = ~np.isfinite(dist)
@@ -400,7 +375,7 @@ def _transform_entries(grid: CellGrid) -> np.ndarray:
     from scipy.ndimage import distance_transform_edt
 
     dims = tuple(grid.dims)
-    occupied, first = np.unique(grid.inside(grid.cols)[3], return_index=True)
+    occupied, first = np.unique(grid.clamped(grid.cols)[1], return_index=True)
     owner = np.zeros(int(np.prod(dims)), dtype=np.int32)
     owner[occupied] = first
     empty = np.ones(dims, dtype=bool)

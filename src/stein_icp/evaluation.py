@@ -91,17 +91,22 @@ def fit_gaussian(samples) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     mean = np.empty(6)
     mean[:3] = x[:, :3].mean(axis=0)
-    sin_mean = np.sin(x[:, 3:]).mean(axis=0)
-    cos_mean = np.cos(x[:, 3:]).mean(axis=0)
-    mean[3:] = np.arctan2(sin_mean, cos_mean)
+    mean[3:], angle_resid = _circular_residuals(x[:, 3:])
     resid = x - mean
-    resid[:, 3:] = wrap_angle(resid[:, 3:])
+    resid[:, 3:] = angle_resid
     if n > 1:
         cov = (resid.T @ resid) / (n - 1)
     else:
         cov = np.zeros((6, 6))
     cov = cov + _COV_REG * np.eye(6)
     return mean, cov
+
+
+def _circular_residuals(angles: np.ndarray):
+    """The circular mean of angles along axis 0 (atan2 of the averaged
+    sines and cosines) and the residuals wrapped about it."""
+    mean = np.arctan2(np.sin(angles).mean(axis=0), np.cos(angles).mean(axis=0))
+    return mean, wrap_angle(angles - mean)
 
 
 def _mean_cov(d):
@@ -230,7 +235,9 @@ def kde_1d(samples, angular: bool = False):
     h = 0.9 min(std, IQR/1.34) n^(-1/5). Linear grids span the samples
     plus three bandwidths; angular estimates live on [-pi, pi) with the
     kernel wrapped around the circle, so the density is periodic and
-    integrates to one over the circle.
+    integrates to one over the circle. Their std and IQR are those of the
+    residuals wrapped about the circular mean, so that a posterior that
+    straddles +-pi keeps its spread.
     """
     x = np.asarray(samples, dtype=float).reshape(-1)
     n = x.size
@@ -238,8 +245,12 @@ def kde_1d(samples, angular: bool = False):
         raise InputError(f"kde needs at least 2 samples, got {n}")
     if not np.isfinite(x).all():
         raise InputError("kde samples contain non-finite values")
-    std = float(np.std(x, ddof=1))
-    q75, q25 = np.percentile(x, [75, 25])
+    resid = x
+    if angular:
+        x = wrap_angle(x)
+        resid = _circular_residuals(x)[1]
+    std = float(np.std(resid, ddof=1))
+    q75, q25 = np.percentile(resid, [75, 25])
     iqr = float(q75 - q25)
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     h = 0.9 * spread * n ** (-0.2)
@@ -247,7 +258,6 @@ def kde_1d(samples, angular: bool = False):
         h = 1e-9
     norm = 1.0 / (n * h * np.sqrt(2.0 * np.pi))
     if angular:
-        x = wrap_angle(x)
         grid = np.linspace(-np.pi, np.pi, KDE_GRID, endpoint=False)
         diff = grid[:, None] - x[None, :]
         dens = np.zeros(KDE_GRID)

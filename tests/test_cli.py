@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stein_icp import (IcpConfig, InputError, PointCloud, Pose6D, PoseDistribution,
-                       SteinConfig, estimate_normals, load_cloud, run_sgd_icp, write_cloud)
+                       SteinConfig, estimate_normals, load_cloud, run_sgd_icp, wrap_angle,
+                       write_cloud)
 from stein_icp import cli, stein
 from stein_icp.cli import main
 
@@ -145,6 +146,26 @@ class TestRegister:
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,cost,x,y,z,roll,pitch,yaw"
         assert len(lines) == 1 + 15
+
+    def test_trace_averages_angles_on_the_circle(self, tmp_path):
+        """A swarm that straddles yaw +-pi: the last trace row's mean angles
+        are summary.json's circular means within 1e-3 rad, not a line
+        average of angles near +pi and -pi."""
+        scene = tmp_path / "scene"
+        assert main(["synth", "--scene", "blob", "--points", "400", "--out", str(scene),
+                     "--true-pose", "0 0 0 0 0 3.13"]) == 0
+        out = tmp_path / "reg"
+        assert main(["register", "--source", str(scene / "source.ply"),
+                     "--reference", str(scene / "reference.ply"), "--out", str(out),
+                     "--particles", "30", "--iterations", "60", "--batch-size", "60",
+                     "--trans-range", "0.05", "--rot-range", "0.02",
+                     "--init-center", "0 0 0 0 0 3.13", "--trace", "1"]) == 0
+        yaw = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 5]
+        assert yaw.min() < 0 < yaw.max()
+        last = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)[-1, 2:]
+        mean = json.loads((out / "summary.json").read_text())["mean"]
+        for d, name in ((3, "roll"), (4, "pitch"), (5, "yaw")):
+            assert abs(wrap_angle(last[d] - mean[name])) < 1e-3
 
     def test_non_finite_config_value_is_bad_input(self, pair, tmp_path):
         src, ref = pair
@@ -524,6 +545,27 @@ class TestEvaluate:
         assert main(["evaluate", "--posterior", str(tmp_path / "absent.csv"),
                      "--reference-samples", str(good),
                      "--out", str(tmp_path / "o3")]) == 2
+
+    def test_header_after_comment_lines(self, tmp_path, rng, capsys):
+        """The header is the first row that is neither blank nor a comment:
+        after a comment and a blank line the file reads as without them,
+        and a non-numeric row after the header is still bad input at its
+        line."""
+        plain = self._samples_file(tmp_path, rng)
+        noted = tmp_path / "noted.csv"
+        noted.write_text("# note\n\n" + plain.read_text())
+        reports = []
+        for post in (plain, noted):
+            out = tmp_path / post.stem
+            assert main(["evaluate", "--posterior", str(post), "--reference-samples",
+                         str(plain), "--out", str(out), "--kde", "false"]) == 0
+            reports.append((out / "metrics.json").read_bytes())
+        assert reports[0] == reports[1]
+        twice = tmp_path / "twice.csv"
+        twice.write_text("# note\n" + plain.read_text() + "x,y,z,roll,pitch,yaw\n")
+        assert main(["evaluate", "--posterior", str(twice), "--reference-samples",
+                     str(plain), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {twice}:63: non-numeric sample row" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--posterior", "--reference-samples"])
     def test_non_utf8_samples_are_bad_input(self, tmp_path, rng, capsys, flag):

@@ -1,7 +1,7 @@
 """Nearest-neighbor index against a brute-force linear scan, tie-breaking,
-the certified cell grid against the kd-tree, the grid's two ways to locate
-a point against each other, the coarse nearest-point table against the
-kd-tree, the random-reshuffling minibatch sampler, and stacked matching."""
+the certified cell grid against the kd-tree, the grid's one way to locate a
+point, the coarse nearest-point table against the kd-tree, the
+random-reshuffling minibatch sampler, and stacked matching."""
 
 import numpy as np
 import pytest
@@ -248,17 +248,37 @@ class TestCertifiedGrid:
         _assert_kd_answer(ref, queries, dist, idx)
 
     def test_every_point_inside_the_grid(self, rng):
-        """One call whose points all lie in the grid: the locate step
-        gathers no rows, every answer is still the kd-tree's, and each
-        cell the points land in is filled once."""
+        """One call whose points all lie in the grid: every answer is the
+        kd-tree's, and each cell the points land in is filled once."""
         ref = _surface(rng, 1500)
         index = build_index(PointCloud(ref))
         queries = ref[rng.integers(0, 1500, 5000)] + rng.normal(0, 0.01, (5000, 3))
-        assert index.grid.inside(queries.T)[0] is None
         dist, idx = _warm_query(index, queries)
         _assert_kd_answer(ref, queries, dist, idx)
         assert index.certified > 0.7 * index.queried
         cells = np.floor((queries - index.grid.origin) / index.grid.h)
+        assert index.filled == len(np.unique(cells, axis=0))
+
+    def test_points_just_outside_the_grid_certify_in_border_cells(self, rng):
+        """Points within half a cell outside the padded box, next to a wavy
+        sheet, in one call: they locate to border cells, some certify
+        there, every answer is the kd-tree's (index and distance bits),
+        and each border cell they land in is filled once."""
+        ref = _surface(rng, 3000)
+        index = build_index(PointCloud(ref))
+        grid = index.grid
+        top = grid.origin + grid.dims * grid.h
+        queries = rng.uniform(grid.origin, top, (2000, 3))
+        axis = rng.integers(0, 3, 2000)
+        upper = rng.random(2000) < 0.5
+        step = rng.uniform(0.0, 0.5 * grid.h, 2000)
+        rows = np.arange(2000)
+        queries[rows, axis] = np.where(upper, top[axis] + step, grid.origin[axis] - step)
+        dist, idx = index.query(queries.T)
+        _assert_kd_answer(ref, queries, dist, idx)
+        assert index.certified > 0
+        cells = np.clip(np.floor((queries - grid.origin) / grid.h), 0, grid.dims - 1)
+        assert ((cells == 0) | (cells == grid.dims - 1)).any(axis=1).all()
         assert index.filled == len(np.unique(cells, axis=0))
 
     def test_inside_outside_and_overflowing_across_passes(self, rng):
@@ -358,37 +378,34 @@ class TestCertifiedGrid:
 
 
 class TestCellGrid:
-    def test_inside_and_clamped_locate_alike(self, rng):
-        """Points in the grid, on its lower and upper faces and one float
-        below the upper faces, outside it, and the reference points: for
-        the rows inside returns, clamped gives the same flat cells, and it
-        puts every other point on a border cell."""
+    def test_clamped_locates_every_point(self, rng):
+        """A point in the grid gets cell floor((q - origin) / h); points on
+        its lower and upper faces, one float below the upper faces,
+        outside it and NaN land on border cells; every reference point
+        gets its own cell."""
         ref = _surface(rng, 800)
         grid = build_index(PointCloud(ref)).grid
         top = grid.origin + grid.dims * grid.h
         inner = rng.uniform(grid.origin, top, (500, 3))
-        faces = []
+        inner = inner[(inner < top).all(axis=1)]
+        cell, flat = grid.clamped(inner.T)
+        np.testing.assert_array_equal(cell, np.floor((inner - grid.origin) / grid.h).T)
+        np.testing.assert_array_equal(flat, np.ravel_multi_index(tuple(cell), tuple(grid.dims)))
+        edge = []
         for c in range(3):
-            for value in (grid.origin[c], top[c], np.nextafter(top[c], -np.inf)):
+            for value in (grid.origin[c], top[c], np.nextafter(top[c], -np.inf),
+                          top[c] + 0.3 * grid.h, top[c] + 3.0, grid.origin[c] - 3.0, np.nan):
                 on = inner[:20].copy()
                 on[:, c] = value
-                faces.append(on)
-        outside = rng.uniform(grid.origin - 3.0, top + 3.0, (500, 3))
-        points = np.vstack([inner, *faces, outside, [[np.nan, 0.0, 0.0]], ref])
-        rows, q, cell, flat = grid.inside(points.T)
-        clamped = grid.clamped(points.T)
-        assert rows is not None
-        np.testing.assert_array_equal(q, points[rows].T)
-        np.testing.assert_array_equal(cell, np.unravel_index(flat, tuple(grid.dims)))
-        np.testing.assert_array_equal(clamped[rows], flat)
-        out = np.setdiff1d(np.arange(len(points)), rows)
-        assert len(out) > 100
-        border = np.array(np.unravel_index(clamped[out], tuple(grid.dims))).T
-        assert ((border == 0) | (border == grid.dims - 1)).any(axis=1).all()
-        assert np.isin(np.arange(len(points) - len(ref), len(points)), rows).all()
-        rows, _, _, flat = grid.inside(ref.T)
-        assert rows is None
-        np.testing.assert_array_equal(grid.clamped(ref.T), flat)
+                edge.append(on)
+        edge = np.vstack(edge)
+        cell, flat = grid.clamped(edge.T)
+        np.testing.assert_array_equal(flat, np.ravel_multi_index(tuple(cell), tuple(grid.dims)))
+        assert ((cell >= 0) & (cell < grid.dims[:, None])).all()
+        assert ((cell == 0) | (cell == grid.dims[:, None] - 1)).any(axis=0).all()
+        cell, flat = grid.clamped(ref.T)
+        np.testing.assert_array_equal(cell, np.floor((ref - grid.origin) / grid.h).T)
+        assert ((cell > 0) & (cell < grid.dims[:, None] - 1)).all()
 
 
 _SCENES = {"blob": {"n": 5000, "seed": 1}, "ring": {"n": 8000, "seed": 5},

@@ -312,6 +312,15 @@ class TestKde1d:
         # periodic continuation: first and last grid cells nearly agree
         assert abs(dens[0] - dens[-1]) < 0.05 * dens.max()
 
+    def test_angular_spread_is_measured_about_the_circular_mean(self, rng):
+        """The same draws, N(0, 0.01), centred 0.001 below the grid point 0
+        and 0.001 below +-pi, where they straddle the seam: the same
+        bandwidth, so the same peak density within 5%."""
+        draws = rng.normal(0, 0.01, 200)
+        away = kde_1d(draws - 0.001, angular=True)[1].max()
+        seam = kde_1d(wrap_angle(np.pi - 0.001 + draws), angular=True)[1].max()
+        assert seam == pytest.approx(away, rel=0.05)
+
     def test_bimodal_detection(self, rng):
         samples = np.concatenate([
             rng.normal(-0.25, 0.03, 400),
