@@ -10,10 +10,10 @@ particles; --threads accepts only 1.
 Each solver option is the IcpConfig/SteinConfig field of the same name
 (the prior options map onto PriorConfig's fields) and takes that field's
 dataclass default; this module holds only its parser. register runs one
-solve path, the Stein engine at the median-heuristic kernel bandwidth; the
-one-pose SGD-ICP baseline is `--particles 1 --trans-range 0 --rot-range 0`
-(from --init-center, without a prior), which reproduces run_sgd_icp bit
-for bit.
+solve path, the Stein engine at the median-heuristic kernel bandwidth,
+stepped by Adam; the one-pose SGD-ICP baseline is `--particles 1
+--trans-range 0 --rot-range 0` (from --init-center, without a prior),
+which reproduces run_sgd_icp bit for bit.
 Next to its samples and summary, register writes diagnostics.json: the
 solve's wall time (seconds), the time to load both clouds and estimate the
 reference normals that --metric plane needs (load_seconds), the time to
@@ -118,7 +118,7 @@ _EXPECTED = {int: "an integer", float: "a number", _parse_natural: "a non-negati
 # config-file strings, so file values and flags behave identically.
 _SOLVER_PARSERS = {
     "metric": str, "batch_size": int, "step_size": float, "iterations": int,
-    "max_dist": float, "optimizer": str, "likelihood_scale": float,
+    "max_dist": float, "likelihood_scale": float,
     "seed": _parse_natural,
     "particles": int, "repulsion": _parse_bool,
     "init_center": _parse_pose,

@@ -51,14 +51,16 @@ METRICS = ("point", "plane")
 class IcpConfig:
     """Knobs for one SGD-ICP run (also the base of the Stein config).
 
-    likelihood_scale multiplies the batch gradient before the optimizer
-    step; None means "use the source cloud size", which puts the gradient
-    on the scale of a data log-likelihood. Adam normalizes that scale away;
-    the plain "sgd" optimizer with likelihood_scale=1.0 exposes the literal
-    textbook update theta <- theta - eta * g. Adam runs at the published
-    constants: moment decays 0.9 and 0.999 and denominator floor 1e-8.
-    batch_size, iterations and seed are integers; a bool or a float is
-    rejected.
+    likelihood_scale multiplies the batch gradient before the update;
+    None means "use the source cloud size", which puts the gradient on the
+    scale of a data log-likelihood. The update is Adam at its published
+    constants (moment decays 0.9 and 0.999, denominator floor 1e-8), which
+    divides each coordinate's running mean gradient by its running RMS. So
+    for K=1 and for uncoupled restarts the scale makes almost no
+    difference: it moves only the weight of the 1e-8 floor. In a coupled
+    swarm it sets the balance between the data term and the kernel's
+    repulsion, which it does not scale. batch_size, iterations and seed are
+    integers; a bool or a float is rejected.
     """
 
     metric: str = "point"
@@ -66,7 +68,6 @@ class IcpConfig:
     step_size: float = 0.01
     iterations: int = 100
     max_dist: float | None = None
-    optimizer: str = "adam"
     likelihood_scale: float | None = None
     seed: int = 0
 
@@ -76,8 +77,6 @@ class IcpConfig:
         check_count("batch_size", self.batch_size, 1)
         check_real("step_size", self.step_size)
         check_count("iterations", self.iterations, 1)
-        if self.optimizer not in ("adam", "sgd"):
-            raise InputError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.max_dist is not None:
             check_real("max_dist", self.max_dist, zero_ok=True)
         if self.likelihood_scale is not None:

@@ -386,6 +386,21 @@ def sample_initial_particles(K: int, bounds: np.ndarray, rng: np.random.Generato
 # Shared particle engine
 
 
+def _update(theta: np.ndarray, dirs: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+            step_size: float):
+    """The engine's update rule: one Adam step of the (K, 6) poses theta
+    along their update directions dirs, after t steps taken, with the
+    (K, 6) moments m and v. Returns (theta, m, v, bad): the new poses with
+    angles wrapped, the new moments, and the (K,) rows whose new pose is
+    not finite, which keep their old pose."""
+    step, m, v = adam_step(m, v, t, -dirs, step_size)
+    new = theta + step
+    new[:, 3:] = wrap_angle(new[:, 3:])
+    bad = ~np.isfinite(new).all(axis=1)
+    new[bad] = theta[bad]
+    return new, m, v, bad
+
+
 @dataclass
 class EngineResult:
     particles: np.ndarray             # (K, 6) final (or last finite) poses
@@ -425,9 +440,11 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     kernel-gradient term unless repulsion=False; since every particle's
     update then reads every other's, the loop ends with the iteration of
     the first failure. interacting=False treats particles as independent
-    restarts (Monte-Carlo mode), which run on past a failure. That is all
-    interacting selects. Of config the engine reads only the IcpConfig
-    fields.
+    restarts (Monte-Carlo mode), which run on past a failure, each along
+    its own scaled descent direction. That is all interacting selects:
+    either way the direction goes through _update, the one update rule (an
+    Adam step, the angle wrap and the non-finite check). Of config the
+    engine reads only the IcpConfig fields.
     Every iteration runs all live particles through the stacked kernels
     in one array pass: the engine is single-threaded and data-parallel
     over particles. The minibatch is (3, K, m) coordinate rows throughout
@@ -540,21 +557,13 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         timings["gradients"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if config.optimizer == "adam":
-            # Freezing is permanent, so every live particle has taken
-            # exactly `it` steps before this one.
-            step, adam_m[live], adam_v[live] = adam_step(adam_m[live], adam_v[live], it, -dirs,
-                                                         config.step_size)
-        else:
-            step = config.step_size * dirs
-        new_theta = th + step
-        new_theta[:, 3:] = wrap_angle(new_theta[:, 3:])
-        bad = ~np.isfinite(new_theta).all(axis=1)
+        # Freezing is permanent, so every live particle has taken exactly
+        # `it` steps before this one.
+        theta[live], adam_m[live], adam_v[live], bad = _update(
+            th, dirs, adam_m[live], adam_v[live], it, config.step_size)
         if bad.any():
             failures += [(it, j, _NON_FINITE) for j in live[bad].tolist()]
             active[live[bad]] = False
-            new_theta[bad] = th[bad]
-        theta[live] = new_theta
         timings["update"] += time.perf_counter() - t0
 
         if trace is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stein_icp import invert, prior_gradient
+from stein_icp import prior_gradient
 
 
 @dataclass(frozen=True)
@@ -186,66 +186,101 @@ def two_point_samples(mean, n=400):
     return out
 
 
-def _hat(phi):
-    """Cross-product matrices of an (n, 3) array of rotation vectors."""
-    x, y, z = phi[:, 0], phi[:, 1], phi[:, 2]
-    zero = np.zeros_like(x)
-    return np.stack([np.stack([zero, -z, y], -1),
-                     np.stack([z, zero, -x], -1),
-                     np.stack([-y, x, zero], -1)], -2)
-
-
-def _rodrigues(phi):
-    """Exp(phi) and the left Jacobian J(phi) of SO(3) for (n, 3) rotation
-    vectors, both (n, 3, 3), from the closed-form series
-
-        R = I + a Phi + b Phi^2,   J = I + b Phi + c Phi^2,
-        a = sin t / t,  b = (1 - cos t) / t^2,  c = (t - sin t) / t^3,
-
-    t = |phi|, each coefficient by its Taylor series below t = 1e-4."""
-    t = np.linalg.norm(phi, axis=1)
+def _series(t):
+    """The SO(3) series coefficients a = sin t / t, b = (1 - cos t) / t^2
+    and c = (t - sin t) / t^3 at angles t >= 0, each by its Taylor series
+    below t = 1e-4."""
     small = t < 1e-4
     ts = np.where(small, 1.0, t)
-    t2 = t * t
-    a = np.where(small, 1.0 - t2 / 6.0, np.sin(ts) / ts)
-    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(ts)) / ts ** 2)
-    c = np.where(small, 1.0 / 6.0 - t2 / 120.0, (ts - np.sin(ts)) / ts ** 3)
-    Phi = _hat(phi)
-    Phi2 = Phi @ Phi
-    eye = np.eye(3)
-    R = eye + a[:, None, None] * Phi + b[:, None, None] * Phi2
-    J = eye + b[:, None, None] * Phi + c[:, None, None] * Phi2
-    return R, J
+    sin = np.sin(ts)
+    a = sin / ts
+    b = (1.0 - np.cos(ts)) / (ts * ts)
+    c = (ts - sin) / (ts * ts * ts)
+    if small.any():
+        t2 = t[small] ** 2
+        a[small] = 1.0 - t2 / 6.0
+        b[small] = 0.5 - t2 / 24.0
+        c[small] = 1.0 / 6.0 - t2 / 120.0
+    return a, b, c
+
+
+def _cross(u, v):
+    """Cross products of (3, n) rows of vectors."""
+    out = np.empty_like(u)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[j], v[k], out=out[i])
+        out[i] -= u[k] * v[j]
+    return out
+
+
+def _exp_rows(xi):
+    """SE(3) exponential of (n, 6) twists ordered (rho, phi) in row form:
+    the rotations Exp(phi) as (3, 3, n) entry rows and the translations
+    J(phi) rho as (3, n) rows, from the closed-form series
+
+        R = I + a Phi + b Phi^2,   J = I + b Phi + c Phi^2,
+
+    with t = |phi|, the coefficients of _series and Phi^2 = phi phi^T -
+    t^2 I multiplied out:
+
+        R = (1 - b t^2) I + a Phi + b phi phi^T,
+        J rho = rho + b phi x rho + c phi x (phi x rho)."""
+    rho, phi = np.ascontiguousarray(xi.T).reshape(2, 3, -1)
+    t2 = (phi * phi).sum(axis=0)
+    a, b, c = _series(np.sqrt(t2))
+    R = (b * phi)[:, None] * phi
+    ap = a * phi
+    diagonal = 1.0 - b * t2
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        R[i, j] -= ap[k]
+        R[j, i] += ap[k]
+        R[i, i] += diagonal
+    u = _cross(phi, rho)
+    w = _cross(phi, u)
+    w *= c
+    u *= b
+    u += w
+    u += rho
+    return R, u
+
+
+def _log_rows(R, p):
+    """Inverse of _exp_rows on (3, 3, n) rotation rows whose angle is below
+    pi and (3, n) translation rows, as (6, n) twist rows: phi = t u with
+    cos t = (tr R - 1)/2 and u the unit axis of R - R^T, and rho =
+    J(phi)^-1 p = p - phi x p / 2 + d phi x (phi x p), with d = (1 - a /
+    (2 b)) / t^2, by its Taylor series 1/12 + t^2/720 below t = 1e-4."""
+    v = 0.5 * np.stack([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    s = np.sqrt((v * v).sum(axis=0))
+    t = np.arctan2(s, 0.5 * (R[0, 0] + R[1, 1] + R[2, 2] - 1.0))
+    phi = v * (t / np.where(s > 0.0, s, 1.0))
+    a, b, _ = _series(t)
+    small = t < 1e-4
+    ts = np.where(small, 1.0, t)
+    d = np.where(small, 1.0 / 12.0 + t * t / 720.0, (1.0 - a / (2.0 * b)) / (ts * ts))
+    u = _cross(phi, p)
+    return np.concatenate([p - 0.5 * u + d * _cross(phi, u), phi])
 
 
 def se3_exp(xi):
     """SE(3) exponential of (n, 6) twists ordered (rho, phi), translation
     first as in geometry.se3_adjoint: the (n, 4, 4) transforms with
     rotation Exp(phi) and translation J(phi) rho (Barfoot & Furgale, T-RO
-    2014)."""
+    2014), from _exp_rows."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    R, J = _rodrigues(xi[:, 3:])
+    R, p = _exp_rows(xi)
     out = np.zeros((len(xi), 4, 4))
-    out[:, :3, :3] = R
-    out[:, :3, 3] = (J @ xi[:, :3, None])[:, :, 0]
+    out[:, :3, :3] = R.transpose(2, 0, 1)
+    out[:, :3, 3] = p.T
     out[:, 3, 3] = 1.0
     return out
 
 
 def se3_log(T):
     """Inverse of se3_exp on (n, 4, 4) transforms whose rotation angle is
-    below pi: phi = t u with cos t = (tr R - 1)/2 and u the unit axis of
-    R - R^T, and rho = J(phi)^-1 p by a linear solve."""
+    below pi, from _log_rows: (n, 6) twists."""
     T = np.asarray(T, dtype=float).reshape(-1, 4, 4)
-    R = T[:, :3, :3]
-    v = 0.5 * np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
-                        R[:, 1, 0] - R[:, 0, 1]], -1)
-    s = np.linalg.norm(v, axis=1)
-    t = np.arctan2(s, 0.5 * (np.trace(R, axis1=1, axis2=2) - 1.0))
-    phi = (t / np.where(s > 0.0, s, 1.0))[:, None] * v
-    _, J = _rodrigues(phi)
-    rho = np.linalg.solve(J, T[:, :3, 3:])[:, :, 0]
-    return np.column_stack([rho, phi])
+    return _log_rows(T[:, :3, :3].transpose(1, 2, 0), T[:, :3, 3].T).T
 
 
 def mc_compose_chain(step_means, step_covs, n_samples, rng):
@@ -255,16 +290,29 @@ def mc_compose_chain(step_means, step_covs, n_samples, rng):
     of a Gaussian twist drawn from its covariance; the perturbed chain is
     composed per sample and the logarithm of the total's left error
     extracted. Returns the sample covariance of those twists.
+
+    Rotations and translations compose apart, as (3, 3, n) and (3, n) rows:
+    a sample's (R, p) times a step's exponential (E, e) and mean (Rt, pt)
+    is (R E Rt, R (E pt + e) + p), so each sample costs 3x3 products and
+    3-vectors in place of 4x4 products.
     """
+    R = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n_samples))
+    p = np.zeros((3, n_samples))
     total = np.eye(4)
-    for T in step_means:
-        total = total @ T
-    acc = np.broadcast_to(np.eye(4), (n_samples, 4, 4)).copy()
     for T, cov in zip(step_means, step_covs):
         eps = rng.multivariate_normal(np.zeros(6), cov, size=n_samples,
                                       method="cholesky")
-        acc = acc @ se3_exp(eps) @ T
-    return np.cov(se3_log(acc @ invert(total)), rowvar=False)
+        E, e = _exp_rows(eps)
+        # A constant factor multiplies each row i of a (3, 3, n) stack as
+        # one matrix product: (E Rt)[i] = Rt^T E[i] and (E pt)[i] = pt^T E[i].
+        e += T[:3, 3] @ E
+        p += np.einsum("ikn,kn->in", R, e)
+        R = np.einsum("ikn,kjn->ijn", R, T[:3, :3].T @ E)
+        total = total @ T
+    # The left error (R, p) total^-1 = (R Rt^T, p - R Rt^T pt) of the
+    # composed mean (Rt, pt).
+    err = total[:3, :3] @ R
+    return np.cov(_log_rows(err, p - total[:3, 3] @ err))
 
 
 def kl_gaussian_1d(m1, v1, m2, v2):
@@ -294,11 +342,27 @@ def ovl_trapezoid(m1, v1, m2, v2, n_grid=200001):
     return float(np.trapezoid(np.minimum(p1, p2), x))
 
 
-def kde_modes(samples, rel_height=0.5, angular=False):
-    """Locations of KDE local maxima above rel_height of the peak."""
-    from stein_icp import kde_1d
+def gaussian_kde(samples):
+    """Gaussian kernel density of 1-D samples on a uniform grid of 2001
+    points spanning the samples plus three bandwidths, summed one sample at
+    a time. The bandwidth is Silverman's rule of thumb, h = 0.9 min(std,
+    IQR / 1.34) n^(-1/5) (Silverman, Density Estimation, 1986, eq. 3.31).
+    Returns (grid, density)."""
+    x = np.asarray(samples, dtype=float).ravel()
+    n = x.size
+    q25, q75 = np.quantile(x, [0.25, 0.75])
+    h = 0.9 * min(np.std(x, ddof=1), (q75 - q25) / 1.34) * n ** -0.2
+    grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, 2001)
+    density = np.zeros_like(grid)
+    for xi in x:
+        density += np.exp(-0.5 * ((grid - xi) / h) ** 2)
+    return grid, density / (n * h * np.sqrt(2.0 * np.pi))
 
-    grid, dens = kde_1d(samples, angular=angular)
+
+def kde_modes(samples, rel_height=0.5):
+    """Locations of gaussian_kde's local maxima above rel_height of the
+    peak."""
+    grid, dens = gaussian_kde(samples)
     peak = dens.max()
     modes = []
     for i in range(1, len(grid) - 1):

@@ -232,8 +232,7 @@ def test_criterion_07_repulsion_alone_spreads_particles():
     for particles in (2, 10):
         for seed in range(20):
             config = SteinConfig(particles=particles, batch_size=20,
-                                 step_size=0.01, iterations=100,
-                                 optimizer="sgd", likelihood_scale=0.0,
+                                 step_size=0.01, iterations=100, likelihood_scale=0.0,
                                  seed=seed, trans_range=0.1, rot_range=0.05)
             _, engine = run_stein_icp(source, reference, config, full_output=True)
             before = _min_pairwise_distance(engine.particle_trace[0].copy())

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -191,11 +192,15 @@ class TestRegister:
         ("register", "bandwidth", "median"),
         ("odometry", "bandwidth", "median"),
         ("odometry", "order", "2"),
-    ], ids=["method", "bandwidth", "odometry-bandwidth", "odometry-order"])
+        ("register", "optimizer", "sgd"),
+        ("ground-truth", "optimizer", "sgd"),
+        ("odometry", "optimizer", "sgd"),
+    ], ids=["method", "bandwidth", "odometry-bandwidth", "odometry-order", "optimizer",
+            "ground-truth-optimizer", "odometry-optimizer"])
     def test_retired_option_is_not_an_option(self, tmp_path, capsys, command, option, value):
-        """One solve path at the median-heuristic bandwidth, and one
-        (fourth-order) covariance compounding: neither the flag nor the
-        config key that chose another exists."""
+        """One solve path at the median-heuristic bandwidth, stepped by Adam,
+        and one (fourth-order) covariance compounding: neither the flag nor
+        the config key that chose another exists."""
         with pytest.raises(SystemExit) as exit_info:
             main([command, f"--{option}", value])
         assert exit_info.value.code == 2
@@ -976,6 +981,12 @@ class TestTopLevel:
     def test_missing_required_option(self, capsys, argv, message):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_every_solver_parser_is_a_config_field(self):
+        """The solver options are exactly the SteinConfig fields and the
+        prior options, so a retired field leaves no dead parser behind."""
+        assert (set(cli._SOLVER_PARSERS)
+                == {f.name for f in fields(SteinConfig)} | set(cli._PRIOR_FIELDS))
 
     def test_bench_is_not_a_command(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

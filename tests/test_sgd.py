@@ -206,7 +206,7 @@ class TestIcpConfigValidation:
         {"step_size": 0.0},
         {"step_size": -1.0},
         {"iterations": 0},
-        {"optimizer": "lbfgs"},
+        {"likelihood_scale": float("nan")},
         {"max_dist": -0.5},
         {"likelihood_scale": -1.0},
         {"step_size": float("nan")},
@@ -236,6 +236,11 @@ class TestIcpConfigValidation:
     def test_accepts_numpy_integers(self):
         cfg = IcpConfig(batch_size=np.int64(5), iterations=np.int32(3), seed=np.uint8(7))
         assert (cfg.batch_size, cfg.iterations, cfg.seed) == (5, 3, 7)
+
+    def test_adam_is_the_one_update_rule(self):
+        """No field chooses another optimizer."""
+        with pytest.raises(TypeError, match="optimizer"):
+            IcpConfig(optimizer="sgd")
 
     def test_defaults_valid(self):
         cfg = IcpConfig()
