@@ -60,11 +60,7 @@ from .odometry import (
     ellipse_rows,
     trajectory_rows,
 )
-from .sgd import (
-    IcpConfig,
-    adam_step,
-    stacked_cost_gradients,
-)
+from .sgd import IcpConfig, stacked_cost_gradients
 from .stein import (
     UNIFORM_PRIOR,
     EngineResult,
@@ -104,7 +100,6 @@ __all__ = [
     "SteinConfig",
     "TrajectoryEstimate",
     "UNIFORM_PRIOR",
-    "adam_step",
     "blob_scene",
     "block_scene",
     "build_index",

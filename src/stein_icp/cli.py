@@ -13,8 +13,10 @@ dataclass default; this module holds only its parser. register runs one
 solve path, the Stein engine at the median-heuristic kernel bandwidth,
 stepped by Adam; the one-pose SGD-ICP baseline is `--particles 1
 --trans-range 0 --rot-range 0` (from --init-center, without a prior),
-which reproduces run_sgd_icp bit for bit.
-Next to its samples and summary, register writes diagnostics.json: the
+which reproduces run_sgd_icp bit for bit. --metric plane on a reference
+without normals estimates them first (estimate_normals, over 10 neighbors).
+register and ground-truth share one load, solve and write sequence, and
+each writes diagnostics.json next to its samples and summary: the
 solve's wall time (seconds), the time to load both clouds and estimate the
 reference normals that --metric plane needs (load_seconds), the time to
 write the samples and the summary (write_seconds), the engine loop's own
@@ -23,18 +25,17 @@ coarse table before the loop (build_seconds), the five phase times on that
 loop's clock (phases), the share of the exact index's queries its cell grid
 certified (certified_share), the number of cells that grid filled
 (filled_cells) and the points matched on the coarse table (coarse_queries).
-ground-truth writes the same keys next to its mc_samples.csv and
-mc_summary.json, plus failed_restarts: the index, iteration and cause of
-each restart the engine froze. Timings stay out of summary.json and
-mc_summary.json, which are byte-stable across reruns.
+ground-truth's also lists failed_restarts: the index, iteration and cause
+of each restart the engine froze. Timings stay out of summary.json and
+mc_summary.json, which are byte-stable across reruns. evaluate reads a
+sample file as the xyz-csv cloud reader reads its rows, with an optional
+header row.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import json
 import sys
 import time
@@ -44,7 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import FORMATS, _utf8_text, estimate_normals, format_table, load_cloud, write_cloud
+from .cloud import (FORMATS, _read_body, _text_rows, estimate_normals, format_table, load_cloud,
+                    write_cloud)
 from .errors import InputError, NumericalError, check_count
 from .evaluation import (
     ANGULAR_DIMS,
@@ -141,10 +143,9 @@ _STEIN = _solver_options(f.name for f in fields(SteinConfig))
 _INIT = _solver_options(("init_center", "trans_range", "rot_range"))
 _PRIOR = _solver_options(_PRIOR_FIELDS)
 
-# Every command that solves also takes these, as (parser, default).
+# Every command that solves also takes this, as (parser, default).
 _RUN = {
     "threads": (_parse_threads, 1),   # validated only: the solver is single-threaded
-    "normals_k": (int, 10),
 }
 
 # The default of an option a command cannot run without.
@@ -218,7 +219,7 @@ def _plane_ready(reference, cfg: dict):
     """The reference, with estimated normals when point-to-plane matching
     needs them and it carries none."""
     if cfg["metric"] == "plane" and reference.normals is None:
-        reference = estimate_normals(reference, k=cfg["normals_k"])
+        reference = estimate_normals(reference)
     return reference
 
 
@@ -239,28 +240,22 @@ def _write_csv(header, values, path: Path, index: bool = False) -> None:
 
 
 def _read_samples(path) -> np.ndarray:
-    """The (n, 6) sample rows of a CSV; a byte that is not UTF-8 is bad
-    input at its line, as in a cloud file. Blank and comment (#) rows are
-    skipped; the first other row may be a header."""
-    rows = []
-    text = io.StringIO(_utf8_text(Path(path).read_bytes(), path), newline="")
-    seen = 0
-    for lineno, row in enumerate(csv.reader(text), start=1):
-        if not row or row[0].strip().startswith("#"):
-            continue
-        seen += 1
-        try:
-            vals = [float(v) for v in row]
-        except ValueError:
-            if seen == 1:
-                continue  # header
-            raise InputError(f"{path}:{lineno}: non-numeric sample row") from None
-        if len(vals) != 6:
-            raise InputError(f"{path}:{lineno}: expected 6 columns, got {len(vals)}")
-        rows.append(vals)
+    """The (n, 6) sample rows of a CSV, read as numeric text like an xyz-csv
+    cloud (cloud._text_rows and cloud._read_body): blank and comment (#)
+    rows are skipped, and a byte that is not UTF-8, a row that is not 6
+    numbers or a file without sample rows is bad input, at its line where
+    it has one. The first row may be a header."""
+    rows, linenos = _text_rows(Path(path).read_bytes(), path)
+    try:
+        list(map(float, rows[0].split() if rows else ()))
+    except ValueError:
+        rows, linenos = rows[1:], linenos[1:]          # the header
     if not rows:
         raise InputError(f"{path}: no sample rows")
-    return np.array(rows)
+    for row, lineno in zip(rows, linenos):
+        if (width := len(row.split())) != 6:
+            raise InputError(f"{path}:{lineno}: expected 6 columns, got {width}")
+    return _read_body(rows, linenos, 6, path, list(range(6)), None)[0]
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -328,25 +323,36 @@ def _print_pose(label: str, pose: np.ndarray) -> None:
 # Commands
 
 
-def cmd_register(cfg: dict) -> int:
-    """estimate the pose posterior aligning --source onto --reference"""
-    config, prior = _config(SteinConfig, cfg), _prior_config(cfg)
+def _solve(cfg: dict, solve, samples: str, summary: str):
+    """The solve path of register and ground-truth: load the pair
+    (_load_pair), solve it with solve(source, reference), which returns the
+    PoseDistribution and its EngineResult, and write the samples CSV and
+    the summary JSON under the names samples and summary in --out. Returns
+    (out, dist, engine, diagnostics), diagnostics being the payload of
+    diagnostics.json, which the command writes."""
     (source, reference), load_seconds = _timed(_load_pair, cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    dist, engine = run_stein_icp(source, reference, config, prior, full_output=True)
-    elapsed = time.perf_counter() - start
-    _, write_seconds = _timed(_write_posterior, dist, out / "samples.csv", out / "summary.json")
-    _write_json(_diagnostics_payload(elapsed, engine, load_seconds, write_seconds),
-                out / "diagnostics.json")
+    (dist, engine), seconds = _timed(solve, source, reference)
+    _, write_seconds = _timed(_write_posterior, dist, out / samples, out / summary)
+    return out, dist, engine, _diagnostics_payload(seconds, engine, load_seconds, write_seconds)
+
+
+def cmd_register(cfg: dict) -> int:
+    """estimate the pose posterior aligning --source onto --reference"""
+    config, prior = _config(SteinConfig, cfg), _prior_config(cfg)
+    out, dist, engine, diagnostics = _solve(
+        cfg, lambda source, reference: run_stein_icp(source, reference, config, prior,
+                                                     full_output=True),
+        "samples.csv", "summary.json")
+    _write_json(diagnostics, out / "diagnostics.json")
     if cfg["trace"]:
         mean_poses = _trace_means(engine.particle_trace)
         _write_csv(["iteration", "cost", *DIMENSION_NAMES],
                    np.column_stack([engine.cost_trace, mean_poses[1:]]), out / "trace.csv",
                    index=True)
     _print_pose("mean pose", dist.mean)
-    print(f"wrote {out / 'samples.csv'} ({len(dist)} samples) in {elapsed:.2f}s")
+    print(f"wrote {out / 'samples.csv'} ({len(dist)} samples) in {diagnostics['seconds']:.2f}s")
     return 0
 
 
@@ -354,20 +360,16 @@ def cmd_ground_truth(cfg: dict) -> int:
     """Monte-Carlo reference posterior from many independent restarts"""
     check_count("--runs", cfg["runs"], 1)
     config = SteinConfig(particles=cfg["runs"], **{name: cfg[name] for name in (*_ICP, *_INIT)})
-    (source, reference), load_seconds = _timed(_load_pair, cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    dist, engine = mc_ground_truth(source, reference, config, full_output=True)
-    elapsed = time.perf_counter() - start
-    _, write_seconds = _timed(_write_posterior, dist, out / "mc_samples.csv",
-                              out / "mc_summary.json")
-    diagnostics = _diagnostics_payload(elapsed, engine, load_seconds, write_seconds)
+    out, dist, engine, diagnostics = _solve(
+        cfg, lambda source, reference: mc_ground_truth(source, reference, config,
+                                                       full_output=True),
+        "mc_samples.csv", "mc_summary.json")
     diagnostics["failed_restarts"] = [{"restart": j, "iteration": it, "cause": cause}
                                       for it, j, cause in engine.failures]
     _write_json(diagnostics, out / "diagnostics.json")
     _print_pose("mc mean pose", dist.mean)
-    print(f"wrote {out / 'mc_samples.csv'} ({len(dist)} of {cfg['runs']} runs) in {elapsed:.2f}s")
+    print(f"wrote {out / 'mc_samples.csv'} ({len(dist)} of {cfg['runs']} runs) "
+          f"in {diagnostics['seconds']:.2f}s")
     return 0
 
 

@@ -407,17 +407,23 @@ def _parse_pcd(data: bytes, path):
                       path, _columns(col, _PCD_POINT), _columns(col, _PCD_NORMAL))
 
 
-def _parse_xyz(data: bytes, path):
+def _text_rows(data: bytes, path):
+    """The rows of a numeric text table, for _read_body, and their file line
+    numbers: data decoded as UTF-8 (_utf8_text), blank rows and rows that
+    start with '#' skipped, and commas read as spaces."""
     lines = _utf8_text(data, path).splitlines()
     rows = [k for k, raw in enumerate(lines) if (line := raw.strip()) and line[0] != "#"]
+    return [lines[k].replace(",", " ") for k in rows], [k + 1 for k in rows]
+
+
+def _parse_xyz(data: bytes, path):
+    rows, linenos = _text_rows(data, path)
     if not rows:
         raise CloudParseError(f"{path}: no data rows")
-    data = [lines[k].replace(",", " ") for k in rows]
-    width = len(data[0].split())
+    width = len(rows[0].split())
     if width not in (3, 6):
-        raise CloudParseError(f"{path}:{rows[0] + 1}: expected 3 or 6 columns, got {width}")
-    return _read_body(data, [k + 1 for k in rows], width, path, [0, 1, 2],
-                      [3, 4, 5] if width == 6 else None)
+        raise CloudParseError(f"{path}:{linenos[0]}: expected 3 or 6 columns, got {width}")
+    return _read_body(rows, linenos, width, path, [0, 1, 2], [3, 4, 5] if width == 6 else None)
 
 
 # --------------------------------------------------------------------------
@@ -481,9 +487,13 @@ def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
 # --------------------------------------------------------------------------
 # Geometry preprocessing
 
+# The neighborhood of a normal: the point and its 9 nearest neighbors.
+_NORMAL_NEIGHBORS = 10
 
-def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
-    """Per-point normals from PCA over the k nearest neighbors.
+
+def estimate_normals(cloud: PointCloud) -> PointCloud:
+    """Per-point normals from PCA over each point's neighborhood of
+    _NORMAL_NEIGHBORS (10) points; a cloud of fewer points is bad input.
 
     The normal is the eigenvector of the neighborhood scatter with the
     smallest eigenvalue, unit length, oriented so it points toward the
@@ -494,11 +504,9 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     """
     from scipy.spatial import cKDTree
 
-    n = len(cloud)
-    if k < 3:
-        raise InputError(f"normal estimation needs k >= 3, got {k}")
+    n, k = len(cloud), _NORMAL_NEIGHBORS
     if n < k:
-        raise InputError(f"normal estimation with k={k} needs at least k points, got {n}")
+        raise InputError(f"normal estimation needs at least {k} points, got {n}")
     pts = cloud.points
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=k)

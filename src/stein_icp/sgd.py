@@ -1,5 +1,6 @@
-"""Stochastic mini-batch ICP: the configuration, cost, analytic gradients
-and Adam at its published constants.
+"""Stochastic mini-batch ICP: the configuration, the cost and its analytic
+gradients. The update rule that steps along them, Adam at its published
+constants, is the engine's (stein._update).
 
 Cost over a set of matched pairs (s_i source, r_i reference, optional unit
 normal n_i at r_i), with residual e_i = R s_i + u - r_i:
@@ -40,7 +41,6 @@ from .errors import InputError, check_count, check_real
 
 __all__ = [
     "IcpConfig",
-    "adam_step",
     "stacked_cost_gradients",
 ]
 
@@ -57,10 +57,11 @@ class IcpConfig:
     constants (moment decays 0.9 and 0.999, denominator floor 1e-8), which
     divides each coordinate's running mean gradient by its running RMS. So
     for K=1 and for uncoupled restarts the scale makes almost no
-    difference: it moves only the weight of the 1e-8 floor. In a coupled
-    swarm it sets the balance between the data term and the kernel's
-    repulsion, which it does not scale. batch_size, iterations and seed are
-    integers; a bool or a float is rejected.
+    difference: it moves only the weight of the 1e-8 floor, until a scaled
+    gradient's square overflows, which fails the particle with a non-finite
+    step. In a coupled swarm it sets the balance between the data term and
+    the kernel's repulsion, which it does not scale. batch_size, iterations
+    and seed are integers; a bool or a float is rejected.
     """
 
     metric: str = "point"
@@ -82,31 +83,6 @@ class IcpConfig:
         if self.likelihood_scale is not None:
             check_real("likelihood_scale", self.likelihood_scale, zero_ok=True)
         check_count("seed", self.seed, 0)
-
-
-# --------------------------------------------------------------------------
-# Adam, at the published constants (Kingma & Ba, ICLR 2015)
-
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
-
-
-def adam_step(m: np.ndarray, v: np.ndarray, t: int, grad: np.ndarray, step_size: float):
-    """One Adam update for a descent gradient, after t steps taken.
-
-    m and v are the first and second moments; the update works elementwise,
-    so they may be one 6-vector or a stacked (K, 6) block of particles.
-    Returns (delta, m, v): delta = -step_size * mhat / (sqrt(vhat) + EPS)
-    and the new moments.
-    """
-    grad = np.asarray(grad, dtype=float)
-    t = t + 1
-    m = BETA1 * m + (1.0 - BETA1) * grad
-    v = BETA2 * v + (1.0 - BETA2) * grad * grad
-    mhat = m / (1.0 - BETA1 ** t)
-    vhat = v / (1.0 - BETA2 ** t)
-    return -step_size * mhat / (np.sqrt(vhat) + EPS), m, v
 
 
 # --------------------------------------------------------------------------

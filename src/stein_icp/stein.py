@@ -61,7 +61,7 @@ from .errors import (DivergedError, InputError, MatchRejectionError, NumericalEr
 from .evaluation import PoseDistribution
 from .geometry import (Pose6D, pose_array, rotation_from_euler, rotation_partials,
                        transform_stacked, wrap_angle)
-from .sgd import IcpConfig, adam_step, stacked_cost_gradients
+from .sgd import IcpConfig, stacked_cost_gradients
 
 __all__ = [
     "SteinConfig",
@@ -88,11 +88,18 @@ _TWO_PI = 2.0 * np.pi
 
 _COARSE_SHARE = 3         # the coarse table answers iterations [0, iterations // 3)
 
+# Adam's published constants (Kingma & Ba, ICLR 2015): the moment decays and
+# the denominator floor.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 # The causes an EngineResult records, in the order a front end reports them
 # when several fail in one iteration.
 _LOST = "no finite match"
 _REJECTED = "all pairs rejected"
 _NON_FINITE = "non-finite pose"
+_STALLED = "non-finite step"
 
 
 @dataclass(frozen=True)
@@ -388,17 +395,34 @@ def sample_initial_particles(K: int, bounds: np.ndarray, rng: np.random.Generato
 
 def _update(theta: np.ndarray, dirs: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
             step_size: float):
-    """The engine's update rule: one Adam step of the (K, 6) poses theta
-    along their update directions dirs, after t steps taken, with the
-    (K, 6) moments m and v. Returns (theta, m, v, bad): the new poses with
-    angles wrapped, the new moments, and the (K,) rows whose new pose is
-    not finite, which keep their old pose."""
-    step, m, v = adam_step(m, v, t, -dirs, step_size)
-    new = theta + step
-    new[:, 3:] = wrap_angle(new[:, 3:])
+    """The engine's update rule: one Adam step (Kingma & Ba, ICLR 2015, at
+    the constants _BETA1, _BETA2 and _EPS) of the (K, 6) poses theta along
+    their update directions dirs, after t steps taken, with the (K, 6)
+    moments m and v. Adam descends the gradient -dirs: the step is
+    -step_size * mhat / (sqrt(vhat) + _EPS), mhat and vhat being the
+    bias-corrected moments.
+
+    Returns (theta, m, v, bad, stalled): the new poses with angles wrapped,
+    the new moments, the (K,) rows whose new pose is not finite, and the
+    (K,) rows whose pose is finite but whose second moment is not. A
+    squared gradient beyond the float range makes the second moment
+    infinite for good, and the step of that coordinate 0 from then on, so
+    such a row is stalled. Both kinds of row keep their old pose. The step
+    and the wrap run under np.errstate, so an overflow warns nothing."""
+    grad = -dirs
+    t = t + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
+        mhat = m / (1.0 - _BETA1 ** t)
+        vhat = v / (1.0 - _BETA2 ** t)
+        new = theta + -step_size * mhat / (np.sqrt(vhat) + _EPS)
+        new[:, 3:] = wrap_angle(new[:, 3:])
     bad = ~np.isfinite(new).all(axis=1)
-    new[bad] = theta[bad]
-    return new, m, v, bad
+    stalled = ~bad & ~np.isfinite(v).all(axis=1)
+    frozen = bad | stalled
+    new[frozen] = theta[frozen]
+    return new, m, v, bad, stalled
 
 
 @dataclass
@@ -407,8 +431,8 @@ class EngineResult:
     cost_trace: np.ndarray            # (T,) mean batch cost over live particles
     failed: np.ndarray                # (K,) bool
     # (iteration, particle, cause) of each frozen particle, in the order it
-    # failed; the cause is "no finite match", "all pairs rejected" or
-    # "non-finite pose".
+    # failed; the cause is "no finite match", "all pairs rejected",
+    # "non-finite pose" or "non-finite step".
     failures: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     # Wall time of the iteration loop, on the clock the phase timings use.
@@ -435,7 +459,8 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
     failures as (iteration, particle, cause): "no finite match" when its
     moved points leave the floating-point range (no finite nearest-neighbor
     distance), "all pairs rejected" when max_dist rejects every pair of its
-    batch, "non-finite pose" when its update is not finite.
+    batch, "non-finite pose" when its update is not finite, "non-finite
+    step" when its Adam second moment overflows (its pose would stall).
     interacting=True applies the kernel coupling (Stein mode), with the
     kernel-gradient term unless repulsion=False; since every particle's
     update then reads every other's, the loop ends with the iteration of
@@ -559,11 +584,12 @@ def run_particle_engine(source: PointCloud, reference: PointCloud,
         t0 = time.perf_counter()
         # Freezing is permanent, so every live particle has taken exactly
         # `it` steps before this one.
-        theta[live], adam_m[live], adam_v[live], bad = _update(
+        theta[live], adam_m[live], adam_v[live], bad, stalled = _update(
             th, dirs, adam_m[live], adam_v[live], it, config.step_size)
-        if bad.any():
-            failures += [(it, j, _NON_FINITE) for j in live[bad].tolist()]
-            active[live[bad]] = False
+        for cause, rows in ((_NON_FINITE, bad), (_STALLED, stalled)):
+            if rows.any():
+                failures += [(it, j, cause) for j in live[rows].tolist()]
+                active[live[rows]] = False
         timings["update"] += time.perf_counter() - t0
 
         if trace is not None:
@@ -587,13 +613,14 @@ def _raise_first_failure(result: EngineResult, max_dist) -> None:
     """Raise the error of the first iteration in which a particle of result
     failed, if any: DivergedError when one left the floating-point range,
     else MatchRejectionError when every pair of one was rejected, else
-    DivergedError for a non-finite pose. The message names the iteration
-    and the particles that failed with that cause."""
+    DivergedError for a non-finite pose, else DivergedError for a
+    non-finite step. The message names the iteration and the particles that
+    failed with that cause."""
     if not result.failures:
         return
     first = result.failures[0][0]
     causes = {cause for it, _, cause in result.failures if it == first}
-    cause = next(c for c in (_LOST, _REJECTED, _NON_FINITE) if c in causes)
+    cause = next(c for c in (_LOST, _REJECTED, _NON_FINITE, _STALLED) if c in causes)
     rows = [j for it, j, c in result.failures if it == first and c == cause]
     if cause == _LOST:
         raise DivergedError(f"iteration {first}: particle(s) {rows} left the floating-point "
@@ -601,7 +628,10 @@ def _raise_first_failure(result: EngineResult, max_dist) -> None:
     if cause == _REJECTED:
         raise MatchRejectionError(f"iteration {first}: all pairs rejected for particle(s) "
                                   f"{rows} (max_dist={max_dist})")
-    raise DivergedError(f"iteration {first}: non-finite pose for particle(s) {rows}")
+    if cause == _NON_FINITE:
+        raise DivergedError(f"iteration {first}: non-finite pose for particle(s) {rows}")
+    raise DivergedError(f"iteration {first}: non-finite step for particle(s) {rows} "
+                        "(the squared gradient overflowed Adam's second moment)")
 
 
 def run_stein_icp(source: PointCloud, reference: PointCloud, config: SteinConfig,

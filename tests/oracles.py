@@ -300,8 +300,9 @@ def mc_compose_chain(step_means, step_covs, n_samples, rng):
     p = np.zeros((3, n_samples))
     total = np.eye(4)
     for T, cov in zip(step_means, step_covs):
-        eps = rng.multivariate_normal(np.zeros(6), cov, size=n_samples,
-                                      method="cholesky")
+        # The draws and the values of rng.multivariate_normal(0, cov,
+        # method="cholesky"), without its mean and checks.
+        eps = rng.standard_normal((n_samples, 6)) @ np.linalg.cholesky(cov).T
         E, e = _exp_rows(eps)
         # A constant factor multiplies each row i of a (3, 3, n) stack as
         # one matrix product: (E Rt)[i] = Rt^T E[i] and (E pt)[i] = pt^T E[i].

@@ -195,12 +195,17 @@ class TestRegister:
         ("register", "optimizer", "sgd"),
         ("ground-truth", "optimizer", "sgd"),
         ("odometry", "optimizer", "sgd"),
+        ("register", "normals-k", "10"),
+        ("ground-truth", "normals-k", "10"),
+        ("odometry", "normals-k", "10"),
     ], ids=["method", "bandwidth", "odometry-bandwidth", "odometry-order", "optimizer",
-            "ground-truth-optimizer", "odometry-optimizer"])
+            "ground-truth-optimizer", "odometry-optimizer", "normals-k", "ground-truth-normals-k",
+            "odometry-normals-k"])
     def test_retired_option_is_not_an_option(self, tmp_path, capsys, command, option, value):
         """One solve path at the median-heuristic bandwidth, stepped by Adam,
-        and one (fourth-order) covariance compounding: neither the flag nor
-        the config key that chose another exists."""
+        one (fourth-order) covariance compounding and one normal
+        neighborhood: neither the flag nor the config key that chose another
+        exists."""
         with pytest.raises(SystemExit) as exit_info:
             main([command, f"--{option}", value])
         assert exit_info.value.code == 2
@@ -570,7 +575,8 @@ class TestEvaluate:
         twice.write_text("# note\n" + plain.read_text() + "x,y,z,roll,pitch,yaw\n")
         assert main(["evaluate", "--posterior", str(twice), "--reference-samples",
                      str(plain), "--out", str(tmp_path / "o")]) == 2
-        assert f"error: {twice}:63: non-numeric sample row" in capsys.readouterr().err
+        assert (f"error: {twice}:63: could not convert string to float: 'x'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag", ["--posterior", "--reference-samples"])
     def test_non_utf8_samples_are_bad_input(self, tmp_path, rng, capsys, flag):
@@ -638,12 +644,12 @@ class TestOdometry:
         ready = tmp_path / "ready"
         ready.mkdir()
         for path in sorted(frames.iterdir()):
-            write_cloud(estimate_normals(load_cloud(path), k=10), ready / path.name)
+            write_cloud(estimate_normals(load_cloud(path)), ready / path.name)
         outputs = []
         for name, source in (("estimated", frames), ("carried", ready)):
             out = tmp_path / name
             assert main(["odometry", "--frames", str(source), "--out", str(out),
-                         "--metric", "plane", "--normals-k", "10", *_ODO_FAST]) == 0
+                         "--metric", "plane", *_ODO_FAST]) == 0
             outputs.append([(out / f).read_bytes() for f in ("trajectory.csv", "ellipses.csv")])
         assert outputs[0] == outputs[1]
 
@@ -656,8 +662,8 @@ class TestOdometry:
         monkeypatch.setattr(cli, "run_stein_icp", lambda *a, **k: solves.append(a))
         out = tmp_path / "o"
         assert main(["odometry", "--frames", str(frames), "--out", str(out),
-                     "--metric", "plane", "--normals-k", "10", *_ODO_FAST]) == 2
-        assert "needs at least k points" in capsys.readouterr().err
+                     "--metric", "plane", *_ODO_FAST]) == 2
+        assert "needs at least 10 points, got 5" in capsys.readouterr().err
         assert solves == []
         assert list(out.iterdir()) == []
 

@@ -656,14 +656,14 @@ class TestEstimateNormals:
         oriented toward the origin."""
         xs, ys = np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 12))
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.ones(xs.size)])
-        cloud = estimate_normals(PointCloud(pts), k=8)
+        cloud = estimate_normals(PointCloud(pts))
         np.testing.assert_allclose(cloud.normals, np.tile([0.0, 0.0, -1.0], (len(cloud), 1)),
                                    atol=1e-9)
 
     def test_sphere_normals_point_inward(self, rng):
         u = rng.normal(size=(600, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        cloud = estimate_normals(PointCloud(u), k=10)
+        cloud = estimate_normals(PointCloud(u))
         # Oriented toward the center: normals should be -radial within PCA noise.
         dots = np.einsum("ij,ij->i", cloud.normals, -u)
         assert np.all(dots > 0.9)
@@ -674,17 +674,18 @@ class TestEstimateNormals:
         gets the sign that makes its largest component positive."""
         xs, ys = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
-        cloud = estimate_normals(PointCloud(pts), k=8)
+        cloud = estimate_normals(PointCloud(pts))
         np.testing.assert_array_equal(cloud.normals, np.tile([0.0, 0.0, 1.0], (len(cloud), 1)))
 
     def test_collinear_neighborhood_gets_zero_normal(self):
         pts = np.column_stack([np.linspace(0, 1, 12), np.zeros(12), np.zeros(12)])
-        cloud = estimate_normals(PointCloud(pts), k=4)
+        cloud = estimate_normals(PointCloud(pts))
         np.testing.assert_array_equal(cloud.normals, np.zeros((12, 3)))
 
     def test_validation(self):
-        pts = np.zeros((5, 3)) + np.arange(5)[:, None]
-        with pytest.raises(InputError):
-            estimate_normals(PointCloud(pts), k=2)
-        with pytest.raises(InputError):
-            estimate_normals(PointCloud(pts), k=6)
+        """The neighborhood is 10 points, so a cloud needs at least 10."""
+        pts = np.zeros((9, 3)) + np.arange(9)[:, None]
+        with pytest.raises(InputError, match="needs at least 10 points, got 9"):
+            estimate_normals(PointCloud(pts))
+        ten = PointCloud(np.vstack([pts, [0.0, 1.0, 2.0]]))
+        assert estimate_normals(ten).normals.shape == (10, 3)

@@ -317,6 +317,34 @@ def test_detects_a_second_text_codec():
                                       "cli.py:4: repr(", "cli.py:4: %r"]
 
 
+def _csv_imports(trees: dict) -> list:
+    """Every import of the csv module, or of a name from it."""
+    bad = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            bad += [f"{name}:{node.lineno}: {m}" for m in modules if m.split(".")[0] == "csv"]
+    return bad
+
+
+def test_one_text_reader():
+    """Numeric text is read only through cloud's row handling and body
+    reader: no module imports csv."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _csv_imports(trees) == []
+
+
+def test_detects_a_csv_import():
+    trees = {"a.py": ast.parse("import csv\nimport csvkit\nfrom csv import reader\n"
+                               "from . import csv\n\ndef f():\n    import os, csv as c\n")}
+    assert _csv_imports(trees) == ["a.py:1: csv", "a.py:3: csv", "a.py:7: csv"]
+
+
 def _declared_commands(tree: ast.Module) -> set:
     """The keys of the cli module's _COMMANDS table: the parser adds one
     subcommand per key."""

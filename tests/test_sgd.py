@@ -1,5 +1,6 @@
-"""Cost, analytic gradients (against finite differences), Adam, and the
-single-estimate optimizer loop."""
+"""Cost, analytic gradients (against finite differences), the Adam
+arithmetic of the engine's update rule, and the single-estimate optimizer
+loop."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from stein_icp import (
     InputError,
     PointCloud,
     Pose6D,
-    adam_step,
     rotation_from_euler,
     rotation_partials,
     run_sgd_icp,
     stacked_cost_gradients,
+    stein,
     transform_cloud,
     transform_stacked,
 )
@@ -157,21 +158,32 @@ class TestStackedCostGradients:
                 np.testing.assert_array_equal(g[k], single_g)
 
 
+def adam_step(m, v, t, grad, step_size):
+    """The Adam step that the engine's update rule, stein._update, takes from
+    the pose 0 for the descent gradients grad, (K, 6) after t steps: (delta,
+    m, v). Every delta here is well inside [-pi, pi), so the angle wrap
+    leaves it alone."""
+    grad = np.asarray(grad, dtype=float)
+    delta, m, v, bad, stalled = stein._update(np.zeros_like(grad), -grad, m, v, t, step_size)
+    assert not (bad.any() or stalled.any())
+    return delta, m, v
+
+
 class TestAdam:
     def test_first_step_hand_value(self):
-        g = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -0.25])
+        g = np.array([[1.0, -2.0, 0.5, 0.0, 3.0, -0.25]])
         lr, eps = 0.05, 1e-8
-        delta, m, v = adam_step(np.zeros(6), np.zeros(6), 0, g, lr)
+        delta, m, v = adam_step(np.zeros((1, 6)), np.zeros((1, 6)), 0, g, lr)
         expected = -lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(delta, expected, rtol=1e-12)
         np.testing.assert_allclose(m, 0.1 * g, rtol=1e-12)
         np.testing.assert_allclose(v, 0.001 * g * g, rtol=1e-12)
 
     def test_second_step_hand_value(self):
-        g1 = np.full(6, 2.0)
-        g2 = np.full(6, -1.0)
+        g1 = np.full((1, 6), 2.0)
+        g2 = np.full((1, 6), -1.0)
         lr = 0.01
-        _, m1, v1 = adam_step(np.zeros(6), np.zeros(6), 0, g1, lr)
+        _, m1, v1 = adam_step(np.zeros((1, 6)), np.zeros((1, 6)), 0, g1, lr)
         delta, _, _ = adam_step(m1, v1, 1, g2, lr)
         m = 0.9 * (0.1 * g1) + 0.1 * g2
         v = 0.999 * (0.001 * g1 * g1) + 0.001 * g2 * g2
@@ -180,9 +192,9 @@ class TestAdam:
         np.testing.assert_allclose(delta, -lr * mhat / (np.sqrt(vhat) + 1e-8), rtol=1e-12)
 
     def test_constant_gradient_converges_to_signed_step(self):
-        g = np.array([4.0, -0.01, 1e3, -7.0, 0.2, 0.002])
+        g = np.array([[4.0, -0.01, 1e3, -7.0, 0.2, 0.002]])
         lr = 0.1
-        m, v = np.zeros(6), np.zeros(6)
+        m, v = np.zeros((1, 6)), np.zeros((1, 6))
         for t in range(500):
             delta, m, v = adam_step(m, v, t, g, lr)
         np.testing.assert_allclose(delta, -lr * np.sign(g), rtol=1e-5)
@@ -191,12 +203,12 @@ class TestAdam:
         """Elementwise, so a (K, 6) block must reproduce K separate runs."""
         grads = rng.normal(size=(3, 5, 6))
         m, v = np.zeros((5, 6)), np.zeros((5, 6))
-        ms, vs = np.zeros((5, 6)), np.zeros((5, 6))
+        ms, vs = np.zeros((5, 1, 6)), np.zeros((5, 1, 6))
         for t, g in enumerate(grads):
             d_stack, m, v = adam_step(m, v, t, g, 0.02)
             for k in range(5):
-                d_k, ms[k], vs[k] = adam_step(ms[k], vs[k], t, g[k], 0.02)
-                np.testing.assert_array_equal(d_stack[k], d_k)
+                d_k, ms[k], vs[k] = adam_step(ms[k], vs[k], t, g[k:k + 1], 0.02)
+                np.testing.assert_array_equal(d_stack[k], d_k[0])
 
 
 class TestIcpConfigValidation:

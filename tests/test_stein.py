@@ -818,6 +818,9 @@ class TestParticleEngine:
 # "non-finite pose": a 1e300-scaled gradient 1e10 from the reference
 # overflows, and Adam's inf / inf step is NaN; a restart that starts on the
 # reference has zero residuals and stays.
+# "non-finite step": a 1e300-scaled gradient 0.5 from the reference is
+# finite, but its square overflows Adam's second moment, whose step is then
+# 0 for good; the restart would stay where it started without a record.
 _FAILURES = {
     "no finite match": ((0.0, 0.0, 0.0), {"iterations": 3, "step_size": 0.01},
                         (1, 1e300), (1e300, 0, 0, 0, 0, 0)),
@@ -825,6 +828,8 @@ _FAILURES = {
                            (1, 100.0), (0, 0, 0, 0, 0, 0)),
     "non-finite pose": ((0.0, 0.0, 0.0), {"iterations": 2, "likelihood_scale": 1e300},
                         (1, 1e10), (1e10, 0, 0, 0, 0, 0)),
+    "non-finite step": ((0.0, 0.0, 0.0), {"iterations": 2, "likelihood_scale": 1e300},
+                        (1, 0.5), (0.5, 0, 0, 0, 0, 0)),
 }
 _COUPLED_ERRORS = {
     "no finite match": (DivergedError, "iteration 0: particle(s) {} left the floating-point "
@@ -832,6 +837,8 @@ _COUPLED_ERRORS = {
     "all pairs rejected": (MatchRejectionError,
                            "iteration 0: all pairs rejected for particle(s) {} (max_dist=0.5)"),
     "non-finite pose": (DivergedError, "iteration 0: non-finite pose for particle(s) {}"),
+    "non-finite step": (DivergedError, "iteration 0: non-finite step for particle(s) {} (the "
+                                       "squared gradient overflowed Adam's second moment)"),
 }
 _CAUSES = [pytest.param(c, marks=pytest.mark.filterwarnings("ignore:overflow",
                                                              "ignore:invalid value"))
@@ -934,7 +941,7 @@ class TestIterationZero:
     @pytest.mark.parametrize("metric", ["point", "plane"])
     @pytest.mark.parametrize("max_dist", [None, 0.05])
     def test_matches_a_point_major_reference(self, rng, monkeypatch, metric, max_dist):
-        reference = estimate_normals(_wavy_cloud(rng, 400), k=10)
+        reference = estimate_normals(_wavy_cloud(rng, 400))
         source = transform_cloud(reference, Pose6D(0.03, -0.02, 0.01, 0.02, 0.0, -0.03))
         K, m = 5, 40
         inits = np.concatenate([rng.uniform(-0.05, 0.05, (K, 3)),
